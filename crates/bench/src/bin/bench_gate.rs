@@ -47,8 +47,7 @@ use symclust_bench::gate;
 use symclust_obs::MetricsRegistry;
 use symclust_sparse::spgemm::metric_names;
 use symclust_sparse::{
-    ops, spgemm_observed, spgemm_syrk_sum_observed, AccumStrategy, PanelPlan, SpgemmOptions,
-    SyrkTerm,
+    ops, spgemm, spgemm_syrk_sum, AccumStrategy, PanelPlan, SpgemmOptions, SyrkTerm,
 };
 
 fn main() {
@@ -183,10 +182,10 @@ fn accum_check(graph_path: &str) -> Result<(), String> {
         for i in 0..3 {
             let m = if i == 0 { Some(&metrics) } else { None };
             let t0 = Instant::now();
-            let c = spgemm_syrk_sum_observed(&terms, &opts, None, m).map_err(|e| e.to_string())?;
+            let c = spgemm_syrk_sum(&terms, &opts, None, m).map_err(|e| e.to_string())?;
             let wall = t0.elapsed();
             best = Some(best.map_or(wall, |b| b.min(wall)));
-            result = Some(c);
+            result = Some(c.matrix);
         }
         let snap = metrics.snapshot();
         Ok((
@@ -269,8 +268,9 @@ fn panel_check(graph_path: &str) -> Result<(), String> {
             ..Default::default()
         };
         let metrics = MetricsRegistry::new();
-        let c = spgemm_syrk_sum_observed(&terms, &opts, None, Some(&metrics))
-            .map_err(|e| e.to_string())?;
+        let c = spgemm_syrk_sum(&terms, &opts, None, Some(&metrics))
+            .map_err(|e| e.to_string())?
+            .matrix;
         let snap = metrics.snapshot();
         let work: Vec<u64> = WORK_KEYS
             .iter()
@@ -500,19 +500,20 @@ fn syrk_check(graph_path: &str) -> Result<(), String> {
 
     let general_metrics = MetricsRegistry::new();
     let coupling =
-        spgemm_observed(&a, &at, &opts, None, Some(&general_metrics)).map_err(|e| e.to_string())?;
+        spgemm(&a, &at, &opts, None, Some(&general_metrics)).map_err(|e| e.to_string())?;
     let cocitation =
-        spgemm_observed(&at, &a, &opts, None, Some(&general_metrics)).map_err(|e| e.to_string())?;
-    let general = ops::add(&coupling, &cocitation).map_err(|e| e.to_string())?;
+        spgemm(&at, &a, &opts, None, Some(&general_metrics)).map_err(|e| e.to_string())?;
+    let general = ops::add(&coupling.matrix, &cocitation.matrix).map_err(|e| e.to_string())?;
 
     let syrk_metrics = MetricsRegistry::new();
-    let fused = spgemm_syrk_sum_observed(
+    let fused = spgemm_syrk_sum(
         &[SyrkTerm { x: &a, xt: &at }, SyrkTerm { x: &at, xt: &a }],
         &opts,
         None,
         Some(&syrk_metrics),
     )
-    .map_err(|e| e.to_string())?;
+    .map_err(|e| e.to_string())?
+    .matrix;
 
     if general != fused {
         return Err("SYRK output differs from the general kernel's".into());

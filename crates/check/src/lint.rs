@@ -123,26 +123,6 @@ pub const RULES: &[(&str, &str)] = &[
 /// entry must still match a scanned function (staleness check).
 const ALLOW_NO_TOKEN: &[(&str, &str)] = &[
     (
-        "spgemm",
-        "serial convenience wrapper; spgemm_cancellable is the kernel entry",
-    ),
-    (
-        "spgemm_thresholded",
-        "serial convenience wrapper over the cancellable kernel",
-    ),
-    (
-        "spgemm_parallel",
-        "convenience wrapper; forwards to the cancellable runner with a fresh token",
-    ),
-    (
-        "spgemm_nnz_upper_bound",
-        "O(nnz) estimator, not a kernel; used to decide degraded mode",
-    ),
-    (
-        "spgemm_syrk",
-        "serial convenience wrapper; spgemm_syrk_observed takes the token",
-    ),
-    (
         "spgemm_flops",
         "O(nnz) FLOP estimator, not a kernel; used to size degraded mode",
     ),
@@ -173,10 +153,6 @@ const ALLOW_NO_TOKEN: &[(&str, &str)] = &[
     (
         "cluster_embedding",
         "k-means over a k-dimensional spectral embedding; negligible next to Lanczos",
-    ),
-    (
-        "rmcl_iterate",
-        "single-iteration step; the cancellable driver loops over it",
     ),
     (
         "symmetrize_key",
@@ -247,17 +223,7 @@ const ALLOW_UNWRAP: &[(&str, &str, &str)] = &[
         "the constructor always appends the overflow bucket",
     ),
     (
-        "sparse/src/spgemm.rs",
-        "indptr.last().unwrap()",
-        "indptr starts from a pushed 0 and is never empty",
-    ),
-    (
         "sparse/src/syrk.rs",
-        "indptr.last().unwrap()",
-        "indptr starts from a pushed 0 and is never empty",
-    ),
-    (
-        "cluster/src/mcl.rs",
         "indptr.last().unwrap()",
         "indptr starts from a pushed 0 and is never empty",
     ),
@@ -265,16 +231,6 @@ const ALLOW_UNWRAP: &[(&str, &str, &str)] = &[
         "cluster/src/mcl.rs",
         ".expect(\"same-shape add cannot fail\")",
         "operands constructed with identical shape on the preceding lines",
-    ),
-    (
-        "cluster/src/mcl.rs",
-        ".expect(\"mcl worker panicked\")",
-        "scoped-thread join fails only on a worker panic; re-raising is intended",
-    ),
-    (
-        "cluster/src/mcl.rs",
-        ".expect(\"crossbeam scope failed\")",
-        "scope join fails only on a worker panic; re-raising is intended",
     ),
     (
         "cluster/src/bestwcut.rs",

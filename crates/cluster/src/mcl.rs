@@ -11,13 +11,21 @@
 //! Rows of `M` are kept sparse by per-row pruning (drop entries below a
 //! fraction of the row maximum, keep at most `max_row_nnz`), the standard
 //! MCL scalability device.
+//!
+//! The expansion is not a kernel of this module: [`expand_inflate_prune`]
+//! is a client of `symclust-sparse`'s row runner
+//! ([`run_rows_with_epilogue`]) and supplies only the per-row epilogue —
+//! inflate, cut off, keep the top `max_row_nnz`, sort, normalise. The
+//! Gustavson accumulation, the per-row cancellation poll and the
+//! panic-to-error boundary are the runner's.
 
 use crate::clustering::Clustering;
 use crate::{ClusterError, Result};
 use symclust_graph::stats::UnionFind;
 use symclust_graph::UnGraph;
 use symclust_obs::MetricsRegistry;
-use symclust_sparse::{ops, CsrMatrix};
+use symclust_sparse::spgemm::run_rows_with_epilogue;
+use symclust_sparse::{ops, CancelToken, CsrMatrix};
 
 /// Stable metric names recorded by the R-MCL iteration (DESIGN.md §11).
 pub mod metric_names {
@@ -70,6 +78,24 @@ impl Default for MclOptions {
             max_graph_row_nnz: 512,
             stable_iterations: 2,
         }
+    }
+}
+
+impl MclOptions {
+    /// Rejects settings the flow iteration cannot run with.
+    pub(crate) fn validate(&self) -> Result<()> {
+        if self.inflation <= 1.0 {
+            return Err(ClusterError::InvalidConfig(format!(
+                "inflation must exceed 1.0, got {}",
+                self.inflation
+            )));
+        }
+        if self.max_row_nnz == 0 {
+            return Err(ClusterError::InvalidConfig(
+                "max_row_nnz must be at least 1".into(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -165,171 +191,66 @@ pub const ORPHAN_REATTACH_THRESHOLD: f64 = 0.5;
 /// goes straight from the Gustavson accumulator through inflation and
 /// top-`max_row_nnz` selection, skipping the column sort of the wide
 /// intermediate — the dominant cost of the naive two-step pipeline.
-pub fn expand_inflate_prune(m: &CsrMatrix, m_g: &CsrMatrix, opts: &MclOptions) -> CsrMatrix {
-    let n = m.n_rows();
-    let n_cols = m_g.n_cols();
-    let mut acc = vec![0.0f64; n_cols];
-    let mut touched: Vec<u32> = Vec::new();
-    let mut scratch: Vec<(u32, f64)> = Vec::new();
-    let mut indptr = Vec::with_capacity(n + 1);
-    indptr.push(0usize);
-    let mut indices: Vec<u32> = Vec::new();
-    let mut values: Vec<f64> = Vec::new();
-    for row in 0..n {
-        // Expand: acc = Σ_k M(row, k) · M_G(k, ·).
-        for (k, mv) in m.row_iter(row) {
-            for (j, gv) in m_g.row_iter(k as usize) {
-                let slot = &mut acc[j as usize];
-                if *slot == 0.0 {
-                    touched.push(j);
-                }
-                *slot += mv * gv;
-            }
-        }
-        // Inflate + threshold against the inflated row maximum.
-        scratch.clear();
-        let mut row_max = 0.0f64;
-        for &j in &touched {
-            let v = acc[j as usize];
-            acc[j as usize] = 0.0;
-            if v > 0.0 {
-                let p = v.powf(opts.inflation);
-                if p > row_max {
-                    row_max = p;
-                }
-                scratch.push((j, p));
-            }
-        }
-        touched.clear();
-        let cutoff = row_max * opts.prune_threshold;
-        scratch.retain(|&(_, v)| v >= cutoff && v > 0.0);
-        if scratch.len() > opts.max_row_nnz {
-            // Partial selection of the top entries, then sort only those.
-            let k = opts.max_row_nnz;
-            scratch.select_nth_unstable_by(k - 1, |a, b| b.1.total_cmp(&a.1));
-            scratch.truncate(k);
-        }
-        scratch.sort_unstable_by_key(|&(c, _)| c);
-        let sum: f64 = scratch.iter().map(|&(_, v)| v).sum();
-        if sum > 0.0 {
-            for &(c, v) in &scratch {
-                indices.push(c);
-                values.push(v / sum);
-            }
-        }
-        indptr.push(indices.len());
-    }
-    CsrMatrix::from_raw_parts_unchecked(n, n_cols, indptr, indices, values)
+///
+/// Runs on one thread; `token`, when given, is polled before every row.
+pub fn expand_inflate_prune(
+    m: &CsrMatrix,
+    m_g: &CsrMatrix,
+    opts: &MclOptions,
+    token: Option<&CancelToken>,
+) -> Result<CsrMatrix> {
+    expand_inflate_prune_on(m, m_g, opts, 1, token)
 }
 
-/// Row-parallel variant of [`expand_inflate_prune`]: output rows are split
-/// One worker's share of the parallel flow matrix: `(indptr deltas,
-/// indices, values)` for its contiguous row chunk.
-type FlowChunk = (Vec<usize>, Vec<u32>, Vec<f64>);
-
-/// into contiguous chunks processed by crossbeam scoped threads, each with
-/// its own accumulator. Falls back to the serial kernel for small inputs or
-/// single-thread environments. Produces the same output as the serial
-/// kernel (each row's computation is independent).
-pub fn expand_inflate_prune_parallel(
+/// [`expand_inflate_prune`] on `n_threads` workers of the sparse crate's
+/// pool. The output does not depend on the thread count: each row's
+/// epilogue sees its entries in the accumulator's first-touch order
+/// however rows are scheduled, which is what keeps the unstable top-k
+/// selection below — uniform-block flows are full of tied values —
+/// picking the same survivors.
+pub(crate) fn expand_inflate_prune_on(
     m: &CsrMatrix,
     m_g: &CsrMatrix,
     opts: &MclOptions,
     n_threads: usize,
-) -> CsrMatrix {
-    let n = m.n_rows();
-    let n_threads = if n_threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        n_threads
-    };
-    if n_threads <= 1 || n < 4 * n_threads {
-        return expand_inflate_prune(m, m_g, opts);
-    }
-    let chunk = n.div_ceil(n_threads);
-    let mut results: Vec<Option<FlowChunk>> = (0..n_threads).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..n_threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            if lo >= hi {
-                break;
-            }
-            let opts = *opts;
-            handles.push((
-                t,
-                scope.spawn(move |_| {
-                    let n_cols = m_g.n_cols();
-                    let mut acc = vec![0.0f64; n_cols];
-                    let mut touched: Vec<u32> = Vec::new();
-                    let mut scratch: Vec<(u32, f64)> = Vec::new();
-                    let mut row_lens = Vec::with_capacity(hi - lo);
-                    let mut indices: Vec<u32> = Vec::new();
-                    let mut values: Vec<f64> = Vec::new();
-                    for row in lo..hi {
-                        let before = indices.len();
-                        for (k, mv) in m.row_iter(row) {
-                            for (j, gv) in m_g.row_iter(k as usize) {
-                                let slot = &mut acc[j as usize];
-                                if *slot == 0.0 {
-                                    touched.push(j);
-                                }
-                                *slot += mv * gv;
-                            }
-                        }
-                        scratch.clear();
-                        let mut row_max = 0.0f64;
-                        for &j in &touched {
-                            let v = acc[j as usize];
-                            acc[j as usize] = 0.0;
-                            if v > 0.0 {
-                                let p = v.powf(opts.inflation);
-                                if p > row_max {
-                                    row_max = p;
-                                }
-                                scratch.push((j, p));
-                            }
-                        }
-                        touched.clear();
-                        let cutoff = row_max * opts.prune_threshold;
-                        scratch.retain(|&(_, v)| v >= cutoff && v > 0.0);
-                        if scratch.len() > opts.max_row_nnz {
-                            let k = opts.max_row_nnz;
-                            scratch.select_nth_unstable_by(k - 1, |a, b| b.1.total_cmp(&a.1));
-                            scratch.truncate(k);
-                        }
-                        scratch.sort_unstable_by_key(|&(c, _)| c);
-                        let sum: f64 = scratch.iter().map(|&(_, v)| v).sum();
-                        if sum > 0.0 {
-                            for &(c, v) in &scratch {
-                                indices.push(c);
-                                values.push(v / sum);
-                            }
-                        }
-                        row_lens.push(indices.len() - before);
+    token: Option<&CancelToken>,
+) -> Result<CsrMatrix> {
+    Ok(run_rows_with_epilogue(
+        m,
+        m_g,
+        n_threads,
+        token,
+        |_row, entries| {
+            // Inflate + threshold against the inflated row maximum.
+            let mut row_max = 0.0f64;
+            entries.retain_mut(|(_, v)| {
+                if *v > 0.0 {
+                    *v = v.powf(opts.inflation);
+                    if *v > row_max {
+                        row_max = *v;
                     }
-                    (row_lens, indices, values)
-                }),
-            ));
-        }
-        for (t, handle) in handles {
-            results[t] = Some(handle.join().expect("mcl worker panicked"));
-        }
-    })
-    .expect("crossbeam scope failed");
-    let mut indptr = Vec::with_capacity(n + 1);
-    indptr.push(0usize);
-    let mut indices: Vec<u32> = Vec::new();
-    let mut values: Vec<f64> = Vec::new();
-    for (row_lens, idx, vals) in results.into_iter().flatten() {
-        for len in row_lens {
-            indptr.push(indptr.last().unwrap() + len);
-        }
-        indices.extend_from_slice(&idx);
-        values.extend_from_slice(&vals);
-    }
-    CsrMatrix::from_raw_parts_unchecked(n, m_g.n_cols(), indptr, indices, values)
+                }
+                *v > 0.0
+            });
+            let cutoff = row_max * opts.prune_threshold;
+            entries.retain(|&(_, v)| v >= cutoff);
+            if entries.len() > opts.max_row_nnz {
+                // Partial selection of the top entries, then sort only those.
+                let k = opts.max_row_nnz;
+                entries.select_nth_unstable_by(k - 1, |a, b| b.1.total_cmp(&a.1));
+                entries.truncate(k);
+            }
+            entries.sort_unstable_by_key(|&(c, _)| c);
+            let sum: f64 = entries.iter().map(|&(_, v)| v).sum();
+            if sum > 0.0 {
+                for (_, v) in entries.iter_mut() {
+                    *v /= sum;
+                }
+            } else {
+                entries.clear();
+            }
+        },
+    )?)
 }
 
 /// Extracts a hard clustering from a flow matrix.
@@ -390,34 +311,14 @@ pub fn extract_clusters(flow: &CsrMatrix) -> Clustering {
 
 /// Runs the R-MCL iteration `M := inflate(M · M_G)` starting from `m0`.
 /// Returns the final flow, iterations used and whether it converged.
-pub fn rmcl_iterate(
-    m_g: &CsrMatrix,
-    m0: CsrMatrix,
-    opts: &MclOptions,
-    max_iter: usize,
-) -> Result<(CsrMatrix, usize, bool)> {
-    rmcl_iterate_with(m_g, m0, opts, max_iter, None, None)
-}
-
-/// [`rmcl_iterate`] that polls `token` before every expand-inflate-prune
-/// step, so a runaway flow computation stops within one iteration of the
-/// token tripping.
-pub fn rmcl_iterate_cancellable(
-    m_g: &CsrMatrix,
-    m0: CsrMatrix,
-    opts: &MclOptions,
-    max_iter: usize,
-    token: &symclust_sparse::CancelToken,
-) -> Result<(CsrMatrix, usize, bool)> {
-    rmcl_iterate_with(m_g, m0, opts, max_iter, Some(token), None)
-}
-
+/// `token` is polled before every row of every expand-inflate-prune step,
+/// so a runaway flow computation stops within one row of it tripping.
 pub(crate) fn rmcl_iterate_with(
     m_g: &CsrMatrix,
     m0: CsrMatrix,
     opts: &MclOptions,
     max_iter: usize,
-    token: Option<&symclust_sparse::CancelToken>,
+    token: Option<&CancelToken>,
     metrics: Option<&MetricsRegistry>,
 ) -> Result<(CsrMatrix, usize, bool)> {
     let mut m = m0;
@@ -429,11 +330,8 @@ pub(crate) fn rmcl_iterate_with(
     let mut residual = 1.0f64;
     let mut converged = false;
     for iter in 1..=max_iter {
-        if let Some(t) = token {
-            t.checkpoint()?;
-        }
         iterations = iter;
-        m = expand_inflate_prune(&m, m_g, opts);
+        m = expand_inflate_prune(&m, m_g, opts, token)?;
         let assignment = extract_clusters(&m).assignments().to_vec();
         let changed = match prev_assignment.as_deref() {
             Some(prev) => prev.iter().zip(&assignment).filter(|(a, b)| a != b).count(),
@@ -468,14 +366,10 @@ pub(crate) fn rmcl_iterate_with(
 
 /// Runs single-level R-MCL on an undirected graph.
 pub fn rmcl(g: &UnGraph, opts: &MclOptions) -> Result<MclResult> {
-    if opts.inflation <= 1.0 {
-        return Err(ClusterError::InvalidConfig(format!(
-            "inflation must exceed 1.0, got {}",
-            opts.inflation
-        )));
-    }
+    opts.validate()?;
     let m_g = canonical_flow_capped(g, opts.max_graph_row_nnz);
-    let (flow, iterations, converged) = rmcl_iterate(&m_g, m_g.clone(), opts, opts.max_iter)?;
+    let (flow, iterations, converged) =
+        rmcl_iterate_with(&m_g, m_g.clone(), opts, opts.max_iter, None, None)?;
     let clustering = extract_clusters(&flow).with_converged(converged);
     Ok(MclResult {
         clustering,
@@ -637,17 +531,47 @@ mod tests {
     }
 
     #[test]
+    fn rejects_zero_row_cap() {
+        let g = UnGraph::from_edges(2, &[(0, 1)]).unwrap();
+        let opts = MclOptions {
+            max_row_nnz: 0,
+            ..Default::default()
+        };
+        assert!(matches!(
+            rmcl(&g, &opts),
+            Err(ClusterError::InvalidConfig(_))
+        ));
+    }
+
+    fn value_bits(m: &CsrMatrix) -> Vec<u64> {
+        m.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
     fn parallel_kernel_matches_serial() {
-        let g = two_cliques_un(8); // 16 nodes > 4*3 threads
+        // 40 cliques of 8: enough rows for the pool to schedule several
+        // blocks, and a row cap below the clique size so the top-k
+        // selection runs over tied flows.
+        let mut edges = Vec::new();
+        for base in (0..320).step_by(8) {
+            for i in 0..8 {
+                for j in (i + 1)..8 {
+                    edges.push((base + i, base + j));
+                }
+            }
+            edges.push((base + 7, (base + 8) % 320));
+        }
+        let g = UnGraph::from_edges(320, &edges).unwrap();
         let m_g = canonical_flow(&g);
-        let opts = MclOptions::default();
-        let serial = expand_inflate_prune(&m_g, &m_g, &opts);
-        let parallel = expand_inflate_prune_parallel(&m_g, &m_g, &opts, 3);
+        let opts = MclOptions {
+            max_row_nnz: 5,
+            ..Default::default()
+        };
+        let serial = expand_inflate_prune(&m_g, &m_g, &opts, None).unwrap();
+        let parallel = expand_inflate_prune_on(&m_g, &m_g, &opts, 3, None).unwrap();
         assert_eq!(serial.indptr(), parallel.indptr());
         assert_eq!(serial.indices(), parallel.indices());
-        for (a, b) in serial.values().iter().zip(parallel.values()) {
-            assert!((a - b).abs() < 1e-15);
-        }
+        assert_eq!(value_bits(&serial), value_bits(&parallel));
     }
 
     #[test]
@@ -655,9 +579,11 @@ mod tests {
         let g = two_cliques_un(3);
         let m_g = canonical_flow(&g);
         let opts = MclOptions::default();
-        let serial = expand_inflate_prune(&m_g, &m_g, &opts);
-        let parallel = expand_inflate_prune_parallel(&m_g, &m_g, &opts, 8);
-        assert_eq!(serial, parallel);
+        let serial = expand_inflate_prune(&m_g, &m_g, &opts, None).unwrap();
+        let parallel = expand_inflate_prune_on(&m_g, &m_g, &opts, 8, None).unwrap();
+        assert_eq!(serial.indptr(), parallel.indptr());
+        assert_eq!(serial.indices(), parallel.indices());
+        assert_eq!(value_bits(&serial), value_bits(&parallel));
     }
 
     #[test]

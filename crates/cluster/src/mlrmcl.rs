@@ -11,7 +11,7 @@
 use crate::clustering::Clustering;
 use crate::coarsen::{coarsen_graph, CoarsenOptions};
 use crate::mcl::{canonical_flow_capped, extract_clusters, rmcl_iterate_with, MclOptions};
-use crate::{ClusterAlgorithm, ClusterError, Result};
+use crate::{ClusterAlgorithm, Result};
 use symclust_graph::UnGraph;
 use symclust_obs::MetricsRegistry;
 use symclust_sparse::{CancelToken, CsrMatrix};
@@ -133,12 +133,7 @@ impl MlrMcl {
         token: Option<&CancelToken>,
         metrics: Option<&MetricsRegistry>,
     ) -> Result<Clustering> {
-        if self.options.mcl.inflation <= 1.0 {
-            return Err(ClusterError::InvalidConfig(format!(
-                "inflation must exceed 1.0, got {}",
-                self.options.mcl.inflation
-            )));
-        }
+        self.options.mcl.validate()?;
         if g.n_nodes() == 0 {
             return Ok(Clustering::single_cluster(0));
         }
@@ -320,6 +315,15 @@ mod tests {
     fn rejects_bad_inflation() {
         let g = clique_ring(2, 3);
         assert!(MlrMcl::with_inflation(0.9).cluster_ungraph(&g).is_err());
+    }
+
+    #[test]
+    fn rejects_zero_row_cap() {
+        let g = clique_ring(2, 3);
+        let mut options = MlrMclOptions::default();
+        options.mcl.max_row_nnz = 0;
+        let err = MlrMcl { options }.cluster_ungraph(&g).unwrap_err();
+        assert!(matches!(err, crate::ClusterError::InvalidConfig(_)));
     }
 
     #[test]

@@ -109,11 +109,12 @@ proptest! {
     #[test]
     fn fused_kernel_matches_two_step_pipeline(g in ungraph(25, 90), r in 1.2f64..3.0) {
         use symclust_cluster::mcl::expand_inflate_prune;
-        use symclust_sparse::spgemm;
+        use symclust_sparse::{spgemm, SpgemmOptions};
         let m_g = canonical_flow(&g);
         let opts = MclOptions { inflation: r, ..Default::default() };
-        let fused = expand_inflate_prune(&m_g, &m_g, &opts);
-        let two_step = inflate_and_prune(&spgemm(&m_g, &m_g).unwrap(), &opts);
+        let fused = expand_inflate_prune(&m_g, &m_g, &opts, None).unwrap();
+        let expanded = spgemm(&m_g, &m_g, &SpgemmOptions::default(), None, None).unwrap();
+        let two_step = inflate_and_prune(&expanded.matrix, &opts);
         prop_assert_eq!(fused.indptr(), two_step.indptr());
         prop_assert_eq!(fused.indices(), two_step.indices());
         for (a, b) in fused.values().iter().zip(two_step.values()) {

@@ -18,8 +18,8 @@ use std::time::Instant;
 use symclust_graph::{DiGraph, UnGraph};
 use symclust_obs::MetricsRegistry;
 use symclust_sparse::{
-    accum_from_env, ops, spgemm_syrk_sum_budgeted, spgemm_syrk_sum_observed, threads_from_env,
-    AccumStrategy, CancelToken, PanelPlan, SpgemmOptions, SyrkTerm,
+    accum_from_env, ops, spgemm_syrk_sum, threads_from_env, AccumStrategy, CancelToken, PanelPlan,
+    SpgemmOptions, SyrkTerm,
 };
 
 /// Options for [`Bibliometric`].
@@ -109,28 +109,21 @@ impl Bibliometric {
             n_threads: self.options.n_threads,
             accum: self.options.accum,
             panel: self.options.panel.clone(),
+            nnz_budget: self.options.nnz_budget,
             ..Default::default()
         };
         let terms = [
             SyrkTerm { x: &a, xt: &at }, // AAᵀ (coupling)
             SyrkTerm { x: &at, xt: &a }, // AᵀA (co-citation)
         ];
-        let (u, degraded) = if let Some(budget) = self.options.nnz_budget {
-            let r = spgemm_syrk_sum_budgeted(&terms, &opts, budget, token, metrics)?;
-            (r.matrix, r.degraded)
-        } else {
-            (
-                spgemm_syrk_sum_observed(&terms, &opts, token, metrics)?,
-                false,
-            )
-        };
-        let mut un = UnGraph::from_symmetric_unchecked(u);
+        let u = spgemm_syrk_sum(&terms, &opts, token, metrics)?;
+        let mut un = UnGraph::from_symmetric_unchecked(u.matrix);
         if let Some(labels) = g.labels() {
             un = un.with_labels(labels.to_vec())?;
         }
         Ok(
             SymmetrizedGraph::new(un, self.name(), self.options.threshold, start.elapsed())
-                .with_degraded(degraded),
+                .with_degraded(u.degraded),
         )
     }
 }
@@ -170,6 +163,15 @@ mod tests {
                 ..Default::default()
             },
         }
+    }
+
+    #[test]
+    fn kernel_thread_default_is_one_value_everywhere() {
+        // Serial-vs-parallel is chosen by `n_threads` alone, so the three
+        // defaults must agree — under any `SYMCLUST_THREADS`.
+        let kernel = SpgemmOptions::default().n_threads;
+        assert_eq!(BibliometricOptions::default().n_threads, kernel);
+        assert_eq!(crate::DegreeDiscountedOptions::default().n_threads, kernel);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::degree_discounted::DiscountExponent;
 use crate::{Result, SymmetrizeError};
 use std::time::Instant;
 use symclust_graph::UnGraph;
-use symclust_sparse::{ops, spgemm_syrk_observed, CsrMatrix, SpgemmOptions};
+use symclust_sparse::{ops, spgemm_syrk_sum, CsrMatrix, SpgemmOptions, SyrkTerm};
 
 /// A bipartite graph with `n_left` left nodes and `n_right` right nodes.
 #[derive(Debug, Clone)]
@@ -143,19 +143,18 @@ pub fn bipartite_degree_discounted(
     ops::scale_rows(&mut x, &f_own).map_err(SymmetrizeError::Sparse)?;
     ops::scale_cols(&mut x, &f_shared_sqrt).map_err(SymmetrizeError::Sparse)?;
     let xt = ops::transpose(&x);
-    let s = spgemm_syrk_observed(
-        &x,
-        &xt,
+    let s = spgemm_syrk_sum(
+        &[SyrkTerm { x: &x, xt: &xt }],
         &SpgemmOptions {
             threshold: opts.threshold,
             drop_diagonal: true,
-            n_threads: 0,
             ..Default::default()
         },
         None,
         None,
     )
-    .map_err(SymmetrizeError::Sparse)?;
+    .map_err(SymmetrizeError::Sparse)?
+    .matrix;
     Ok(BipartiteProjection {
         graph: UnGraph::from_symmetric_unchecked(s),
         side,

@@ -20,7 +20,7 @@
 //! Both products are computed factored: `Bd = X·Xᵀ` with
 //! `X = Do⁻ᵅ A Di^{-β/2}`, so the discounts are applied in O(nnz) and the
 //! expensive multiply runs through the fused symmetric kernel
-//! ([`symclust_sparse::spgemm_syrk_sum_observed`]): both `X·Xᵀ` terms are
+//! ([`symclust_sparse::spgemm_syrk_sum`]): both `X·Xᵀ` terms are
 //! accumulated upper-triangle-only in a single pass, thresholded on the
 //! fly, and mirrored — the full dense-ish similarity matrix (and both
 //! intermediate products) are never materialized (§3.5).
@@ -30,8 +30,8 @@ use std::time::Instant;
 use symclust_graph::{DiGraph, UnGraph};
 use symclust_obs::MetricsRegistry;
 use symclust_sparse::{
-    accum_from_env, ops, spgemm_syrk_sum_budgeted, spgemm_syrk_sum_observed, threads_from_env,
-    AccumStrategy, CancelToken, CsrMatrix, PanelPlan, SpgemmOptions, SyrkTerm,
+    accum_from_env, ops, spgemm_syrk_sum, threads_from_env, AccumStrategy, CancelToken, CsrMatrix,
+    PanelPlan, SpgemmOptions, SyrkTerm,
 };
 
 /// How a node's degree discounts its similarity contributions (Table 4 rows).
@@ -304,6 +304,7 @@ impl SimilarityFactors {
             n_threads,
             accum,
             panel,
+            nnz_budget,
             ..Default::default()
         };
         let terms = [
@@ -316,12 +317,8 @@ impl SimilarityFactors {
                 xt: &self.yt,
             },
         ];
-        if let Some(budget) = nnz_budget {
-            let r = spgemm_syrk_sum_budgeted(&terms, &opts, budget, token, metrics)?;
-            return Ok((r.matrix, r.degraded));
-        }
-        let u = spgemm_syrk_sum_observed(&terms, &opts, token, metrics)?;
-        Ok((u, false))
+        let u = spgemm_syrk_sum(&terms, &opts, token, metrics)?;
+        Ok((u.matrix, u.degraded))
     }
 }
 

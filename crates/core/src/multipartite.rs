@@ -22,7 +22,7 @@
 use crate::degree_discounted::DiscountExponent;
 use crate::{Result, SymmetrizeError};
 use symclust_graph::UnGraph;
-use symclust_sparse::{ops, spgemm_syrk_observed, CsrMatrix, SpgemmOptions};
+use symclust_sparse::{ops, spgemm, spgemm_syrk_sum, CsrMatrix, SpgemmOptions, SyrkTerm};
 
 /// A chain of biadjacency matrices: `links[i]` relates layer `i` (rows) to
 /// layer `i+1` (columns).
@@ -118,7 +118,9 @@ pub fn chain_degree_discounted(chain: &MultipartiteChain, opts: &ChainOptions) -
         }
         ops::scale_cols(&mut x, &factor(opts.via_discount, &via_deg))
             .map_err(SymmetrizeError::Sparse)?;
-        x = symclust_sparse::spgemm(&x, link).map_err(SymmetrizeError::Sparse)?;
+        x = spgemm(&x, link, &SpgemmOptions::default(), None, None)
+            .map_err(SymmetrizeError::Sparse)?
+            .matrix;
     }
 
     // Terminal layer: split the discount across the two sides of X·Xᵀ.
@@ -130,19 +132,18 @@ pub fn chain_degree_discounted(chain: &MultipartiteChain, opts: &ChainOptions) -
     ops::scale_cols(&mut x, &sqrt_factor).map_err(SymmetrizeError::Sparse)?;
 
     let xt = ops::transpose(&x);
-    let s = spgemm_syrk_observed(
-        &x,
-        &xt,
+    let s = spgemm_syrk_sum(
+        &[SyrkTerm { x: &x, xt: &xt }],
         &SpgemmOptions {
             threshold: opts.threshold,
             drop_diagonal: true,
-            n_threads: 0,
             ..Default::default()
         },
         None,
         None,
     )
-    .map_err(SymmetrizeError::Sparse)?;
+    .map_err(SymmetrizeError::Sparse)?
+    .matrix;
     Ok(UnGraph::from_symmetric_unchecked(s))
 }
 

@@ -26,13 +26,15 @@
 //!   strategies round identically and the output bits never depend on
 //!   which one ran.
 //!
-//! The scale-and-accumulate inner loops are written in fixed-width chunks
-//! ([`CHUNK`]): the products `aᵢₖ · bₖⱼ` for one chunk are computed into a
-//! local array first (a straight-line multiply loop the autovectorizer
-//! turns into packed `mulpd`s) and only then scattered or appended. No
-//! `std::simd`, no intrinsics, no new dependencies — the chunking is plain
-//! safe Rust shaped so the compiler can vectorize the arithmetic half of
-//! the loop even though the scatter half is inherently serial.
+//! The scale-and-accumulate inner loops — all but the single-accumulator
+//! dense scatter, see [`scatter_scaled`] — are written in fixed-width
+//! chunks ([`CHUNK`]): the products `aᵢₖ · bₖⱼ` for one chunk are computed
+//! into a local array first (a straight-line multiply loop the
+//! autovectorizer turns into packed `mulpd`s) and only then scattered or
+//! appended. No `std::simd`, no intrinsics, no new dependencies — the
+//! chunking is plain safe Rust shaped so the compiler can vectorize the
+//! arithmetic half of the loop even though the scatter half is inherently
+//! serial.
 
 /// Which accumulator the row kernels use per output row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -204,9 +206,17 @@ impl TouchStamp {
     }
 }
 
-/// Dense scale-and-accumulate: `acc[cols[i]] += av · vals[i]` with the
-/// multiplies chunked for autovectorization. First touches are appended
-/// to `touched` (duplicate-free: [`DenseAccum::add`] reports them).
+/// Dense scale-and-accumulate: `acc[cols[i]] += av · vals[i]`. First
+/// touches are appended to `touched` (duplicate-free: [`DenseAccum::add`]
+/// reports them).
+///
+/// Not chunked like its siblings: this is the loop R-MCL's expand step
+/// spends its time in, on accumulators small enough to sit in L1, where
+/// staging each product in a chunk array before the (inherently serial)
+/// scatter costs a store and a load per multiply-add — an R-MCL run on a
+/// 700-node graph took ≈ 340 ms chunked against ≈ 255 ms this way
+/// (DESIGN.md §16). The products are the same `av * v` multiplies either
+/// way, so the bytes are too.
 #[inline]
 pub(crate) fn scatter_scaled(
     acc: &mut DenseAccum,
@@ -215,23 +225,18 @@ pub(crate) fn scatter_scaled(
     cols: &[u32],
     vals: &[f64],
 ) {
-    let mut prod = [0.0f64; CHUNK];
-    for (cch, vch) in cols.chunks(CHUNK).zip(vals.chunks(CHUNK)) {
-        for (p, v) in prod.iter_mut().zip(vch) {
-            *p = av * v;
-        }
-        for (j, p) in cch.iter().zip(&prod) {
-            if acc.add(*j, *p) {
-                touched.push(*j);
-            }
+    for (j, v) in cols.iter().zip(vals) {
+        if acc.add(*j, av * v) {
+            touched.push(*j);
         }
     }
 }
 
-/// Multi-accumulator variant of [`scatter_scaled`]: membership in the
-/// shared touched list is tracked by `seen` (one row-scoped stamp across
-/// all terms) instead of the per-term accumulator, so a column several
-/// terms touch is listed exactly once.
+/// Multi-accumulator variant of [`scatter_scaled`], with the multiplies
+/// chunked for autovectorization: membership in the shared touched list is
+/// tracked by `seen` (one row-scoped stamp across all terms) instead of
+/// the per-term accumulator, so a column several terms touch is listed
+/// exactly once.
 #[inline]
 pub(crate) fn scatter_scaled_seen(
     acc: &mut DenseAccum,
@@ -256,8 +261,9 @@ pub(crate) fn scatter_scaled_seen(
 }
 
 /// Sparse scale-and-gather: appends `(cols[i], av · vals[i])` pairs in
-/// generation order, multiplies chunked exactly like [`scatter_scaled`]
-/// so the products are computed bit-identically on both paths.
+/// generation order — the same `av * v` multiplies [`scatter_scaled`]
+/// performs, so the products are bit-identical on both paths — chunked
+/// like [`scatter_scaled_seen`].
 #[inline]
 pub(crate) fn gather_scaled(pairs: &mut Vec<(u32, f64)>, av: f64, cols: &[u32], vals: &[f64]) {
     let mut prod = [0.0f64; CHUNK];

@@ -452,13 +452,12 @@ mod tests {
         let token = CancelToken::new();
         let canceller = token.clone();
         let started = std::time::Instant::now();
-        let result = crossbeam::thread::scope(|scope| {
-            let handle = scope.spawn(|_| lanczos_smallest_cancellable(&l, 2, &slow, &token));
+        let result = std::thread::scope(|scope| {
+            let handle = scope.spawn(|| lanczos_smallest_cancellable(&l, 2, &slow, &token));
             std::thread::sleep(std::time::Duration::from_millis(30));
             canceller.cancel();
             handle.join().expect("lanczos worker panicked")
-        })
-        .expect("scope");
+        });
         assert!(
             matches!(result, Err(SparseError::Cancelled)),
             "expected cancellation, got {result:?}"

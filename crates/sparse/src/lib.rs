@@ -8,16 +8,21 @@
 //!
 //! * [`CsrMatrix`] — compressed sparse row matrices with checked invariants,
 //! * [`CooMatrix`] — a triplet builder that deduplicates on conversion,
-//! * Gustavson-style sparse matrix–matrix multiplication ([`spgemm`]),
-//!   including a thresholded variant that prunes on the fly and a
-//!   crossbeam-parallel variant scheduled by work-stealing over row blocks,
-//!   with per-row adaptive accumulation ([`AccumStrategy`]): wide rows use
-//!   an epoch-stamped dense scratch accumulator, narrow rows a sorted
-//!   sparse gather, bit-identical either way,
-//! * a symmetric SYRK kernel family ([`spgemm_syrk`]) computing `X·Xᵀ`
-//!   (and fused sums of such products) upper-triangle-only with an O(nnz)
-//!   mirror pass — the hot path of the Bibliometric and Degree-discounted
-//!   symmetrizations,
+//! * Gustavson-style sparse matrix–matrix multiplication with **two entry
+//!   points** over one kernel core: [`spgemm()`] (`C = A·B`) and
+//!   [`spgemm_syrk_sum`] (`C = Σₜ Xₜ·Xₜᵀ`, upper-triangle-only with an
+//!   O(nnz) mirror pass — the hot path of the Bibliometric and
+//!   Degree-discounted symmetrizations). Both take [`SpgemmOptions`] — the
+//!   on-the-fly prune threshold, the thread count (which alone selects
+//!   between one thread and the work-stealing pool), the per-row
+//!   accumulator ([`AccumStrategy`]: wide rows use an epoch-stamped dense
+//!   scratch accumulator, narrow rows a sorted sparse gather, bit-identical
+//!   either way), the out-of-core [`PanelPlan`] and the optional nnz budget
+//!   — plus an optional [`CancelToken`] and metrics registry, and return
+//!   the product with its degradation provenance ([`SpgemmOutput`]).
+//!   [`spgemm_flops`] is the cost estimate both compare the budget with,
+//!   and [`spgemm::run_rows_with_epilogue`] is the row runner with a
+//!   caller-supplied per-row epilogue (R-MCL's expand step),
 //! * diagonal scaling, transposition, element-wise combination and pruning,
 //! * [`pagerank`] — power iteration for the stationary distribution of a
 //!   random walk with teleportation (used by the Random-walk symmetrization
@@ -58,13 +63,8 @@ pub use pagerank::{
     pagerank, pagerank_cancellable, stationary_distribution, PageRankOptions, PageRankResult,
 };
 pub use panel::{PanelPlan, DEFAULT_PANEL_ROWS};
-pub use spgemm::{
-    spgemm, spgemm_budgeted, spgemm_cancellable, spgemm_nnz_upper_bound, spgemm_observed,
-    spgemm_parallel, spgemm_thresholded, threads_from_env, BudgetedSpgemm, SpgemmOptions,
-};
-pub use syrk::{
-    spgemm_syrk, spgemm_syrk_observed, spgemm_syrk_sum_budgeted, spgemm_syrk_sum_observed, SyrkTerm,
-};
+pub use spgemm::{spgemm, spgemm_flops, threads_from_env, SpgemmOptions, SpgemmOutput};
+pub use syrk::{spgemm_syrk_sum, SyrkTerm};
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, SparseError>;

@@ -300,14 +300,13 @@ mod tests {
         let token = CancelToken::new();
         let canceller = token.clone();
         let started = std::time::Instant::now();
-        let result = crossbeam::thread::scope(|scope| {
-            let handle = scope.spawn(|_| pagerank_cancellable(&a, &endless, &token));
+        let result = std::thread::scope(|scope| {
+            let handle = scope.spawn(|| pagerank_cancellable(&a, &endless, &token));
             // Let the iteration genuinely start, then cancel mid-flight.
             std::thread::sleep(std::time::Duration::from_millis(30));
             canceller.cancel();
             handle.join().expect("pagerank worker panicked")
-        })
-        .expect("scope");
+        });
         assert!(
             matches!(result, Err(SparseError::Cancelled)),
             "expected cancellation, got {result:?}"

@@ -1,19 +1,20 @@
 //! Out-of-core 2D panel-partitioned SpGEMM.
 //!
-//! The in-memory kernels in [`crate::spgemm`] and [`crate::syrk`] hold the
-//! whole intermediate product in RAM. This module splits the output into a
-//! 2D grid of **tiles** — row panels × column panels of `panel_rows` rows
-//! and columns each — and streams the tiles through the same work-stealing
-//! scheduler the row kernels use ([`crate::sched`]), one tile per
-//! scheduling block. Each tile computes the *complete* restriction of its
-//! output rows to its column range (the inner `k` loop is never split), so
-//! thresholding, `drop_diagonal` and per-entry emission all work per tile
-//! exactly as they do in memory.
+//! The in-memory driver in [`crate::spgemm`] holds the whole intermediate
+//! product in RAM. This module is the second driver: it splits the output
+//! into a 2D grid of **tiles** — row panels × column panels of
+//! `panel_rows` rows and columns each — and streams the tiles through the
+//! same worker pool ([`crate::sched`]), one tile per scheduling block. A
+//! tile runs the *same row bodies* as the in-memory path, handed the
+//! tile's column range instead of the whole row: each computes the
+//! *complete* restriction of its output rows to that range (the inner `k`
+//! loop is never split), so thresholding, `drop_diagonal` and per-entry
+//! emission all work per tile exactly as they do in memory.
 //!
 //! ## Bit-identity with the in-memory path
 //!
 //! Restricting a row's scatter/gather to the sorted column subrange
-//! `[c_lo, c_hi)` (found with two `partition_point`s) preserves, for every
+//! `[c_lo, c_hi)` ([`ColRange::clip`]) preserves, for every
 //! output column `j`, the exact sequence of `f64` adds the in-memory kernel
 //! performs for `j`: products are generated in the same ascending-`k`
 //! (and, for SYRK sums, term-major) order and accumulate from the same
@@ -43,21 +44,12 @@
 
 use std::path::PathBuf;
 
-use crate::accum::{
-    gather_scaled, gather_scaled_term, reduce_pairs, reduce_pairs_terms, scatter_scaled,
-    scatter_scaled_seen,
-};
 use crate::cancel::CancelToken;
-use crate::csr::CsrMatrix;
 use crate::error::SparseError;
-use crate::sched::BlockQueues;
-use crate::spgemm::{
-    emits, panic_text, resolve_threads, RowKernelOutput, RowScratch, SpgemmCounts, SpgemmOptions,
-};
+use crate::sched::{run_blocks, worker_count};
+use crate::spgemm::{fill_block, ColRange, RowBlock, RowKernelOutput, SpgemmCounts};
 use crate::spill::{self, SpillDir, TileReader};
-use crate::syrk::{flush_syrk, mirror_upper, SyrkScratch, SyrkTerm};
 use crate::Result;
-use symclust_obs::MetricsRegistry;
 
 /// Default rows (and columns) per panel when a [`PanelPlan`] is engaged
 /// without an explicit size. Large enough that panel bookkeeping is noise
@@ -66,7 +58,7 @@ use symclust_obs::MetricsRegistry;
 pub const DEFAULT_PANEL_ROWS: usize = 4096;
 
 /// Out-of-core execution plan for SpGEMM, threaded through
-/// [`SpgemmOptions`]. The plan changes *where* the multiply runs — never
+/// [`crate::SpgemmOptions`]. The plan changes *where* the multiply runs — never
 /// its output bytes or deterministic work counters — so, like the thread
 /// and accumulator knobs, it must never reach cache keys (enforced by the
 /// `cache-key-purity` lint).
@@ -134,15 +126,6 @@ struct TileOut {
     body: TileBody,
 }
 
-/// Buffers a tile kernel fills: per-row segment lengths plus the
-/// concatenated entries in row-major, ascending-column order.
-#[derive(Default)]
-struct TileData {
-    row_lens: Vec<u32>,
-    indices: Vec<u32>,
-    values: Vec<f64>,
-}
-
 /// Deterministic spill plan: accumulate each tile's estimated intermediate
 /// bytes in tile-index order; tiles past the budget spill. Independent of
 /// scheduling, so the spill counters are bench-gateable.
@@ -171,7 +154,7 @@ fn plan_spills(
 /// Routes a computed tile to memory or disk per the spill plan.
 fn finish_tile(
     tile: usize,
-    data: TileData,
+    data: RowBlock,
     spill: &[bool],
     dir: Option<&SpillDir>,
     spill_bytes: &mut u64,
@@ -194,124 +177,6 @@ fn finish_tile(
         row_lens: data.row_lens,
         body,
     })
-}
-
-/// Runs `tile_kernel` over every tile, serially or under the work-stealing
-/// scheduler (one tile per scheduling block), writing tiles the spill plan
-/// marked to scratch files as they finish. Returns the tiles sorted by
-/// index, the merged work counters, the steal count, and the bytes
-/// spilled. Mirrors [`crate::spgemm::run_rows`]'s panic and error
-/// semantics: worker panics become [`SparseError::WorkerPanic`] and real
-/// failures outrank cancellation.
-fn run_tiles<S, N, K>(
-    n_tiles: usize,
-    n_threads: usize,
-    spill: &[bool],
-    dir: Option<&SpillDir>,
-    new_scratch: N,
-    tile_kernel: K,
-) -> Result<(Vec<TileOut>, SpgemmCounts, u64, u64)>
-where
-    N: Fn() -> S + Sync,
-    K: Fn(usize, &mut S, &mut TileData, &mut SpgemmCounts) -> Result<()> + Sync,
-{
-    let n_threads = resolve_threads(n_threads);
-    if n_threads <= 1 || n_tiles < 2 * n_threads {
-        let mut scratch = new_scratch();
-        let mut outs = Vec::with_capacity(n_tiles);
-        let mut counts = SpgemmCounts::default();
-        let mut spill_bytes = 0u64;
-        for tile in 0..n_tiles {
-            let mut data = TileData::default();
-            tile_kernel(tile, &mut scratch, &mut data, &mut counts)?;
-            outs.push(finish_tile(tile, data, spill, dir, &mut spill_bytes)?);
-        }
-        return Ok((outs, counts, 0, spill_bytes));
-    }
-
-    let n_workers = n_threads.min(n_tiles);
-    let queues = BlockQueues::new(n_tiles, n_workers);
-    type WorkerResult = Result<(Vec<TileOut>, SpgemmCounts, u64, u64)>;
-    let mut worker_results: Vec<WorkerResult> = Vec::with_capacity(n_workers);
-    let scope_result = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n_workers);
-        for w in 0..n_workers {
-            let queues = &queues;
-            let new_scratch = &new_scratch;
-            let tile_kernel = &tile_kernel;
-            handles.push(scope.spawn(move |_| -> WorkerResult {
-                let body =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> WorkerResult {
-                        let mut scratch = new_scratch();
-                        let mut outs: Vec<TileOut> = Vec::new();
-                        let mut counts = SpgemmCounts::default();
-                        let mut steals = 0u64;
-                        let mut spill_bytes = 0u64;
-                        loop {
-                            let (tile, stolen) = match queues.pop_own(w) {
-                                Some(t) => (t, false),
-                                None => match queues.steal(w) {
-                                    Some(t) => (t, true),
-                                    None => break,
-                                },
-                            };
-                            steals += u64::from(stolen);
-                            let mut data = TileData::default();
-                            tile_kernel(tile, &mut scratch, &mut data, &mut counts)?;
-                            outs.push(finish_tile(tile, data, spill, dir, &mut spill_bytes)?);
-                        }
-                        Ok((outs, counts, steals, spill_bytes))
-                    }));
-                match body {
-                    Ok(r) => r,
-                    Err(payload) => Err(SparseError::WorkerPanic(panic_text(payload.as_ref()))),
-                }
-            }));
-        }
-        for handle in handles {
-            worker_results.push(
-                handle
-                    .join()
-                    .unwrap_or_else(|p| Err(SparseError::WorkerPanic(panic_text(p.as_ref())))),
-            );
-        }
-    });
-    if let Err(payload) = scope_result {
-        return Err(SparseError::WorkerPanic(panic_text(payload.as_ref())));
-    }
-
-    // Same error priority as the row runner: a real failure (panic, I/O)
-    // beats cancellation.
-    let mut cancelled = false;
-    let mut outs: Vec<TileOut> = Vec::with_capacity(n_tiles);
-    let mut counts = SpgemmCounts::default();
-    let mut steals = 0u64;
-    let mut spill_bytes = 0u64;
-    let mut first_error: Option<SparseError> = None;
-    for wr in worker_results {
-        match wr {
-            Ok((wouts, wcounts, wsteals, wbytes)) => {
-                outs.extend(wouts);
-                counts.merge(&wcounts);
-                steals += wsteals;
-                spill_bytes += wbytes;
-            }
-            Err(SparseError::Cancelled) => cancelled = true,
-            Err(e) => {
-                if first_error.is_none() {
-                    first_error = Some(e);
-                }
-            }
-        }
-    }
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-    if cancelled {
-        return Err(SparseError::Cancelled);
-    }
-    outs.sort_unstable_by_key(|t| t.tile);
-    Ok((outs, counts, steals, spill_bytes))
 }
 
 /// Streaming read position into one tile during the merge.
@@ -393,396 +258,119 @@ fn merge_panel_outputs(
     Ok((indptr, indices, values))
 }
 
-/// Computes tile `(pi, pj)` of the general product: the restriction of
-/// rows `[r_lo, r_hi)` of `A·B` to columns `[c_lo, c_hi)`. Counter
-/// semantics match the in-memory kernel exactly: FLOPs / touched / emitted
-/// are counted per tile over the disjoint column ranges (summing to the
-/// in-memory totals), per-row counters only on the owner tile `pj == 0`,
-/// and the dense/sparse decision uses the full-row width estimate.
-#[allow(clippy::too_many_arguments)]
-fn gustavson_tile(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    rows: (usize, usize),
-    cols: (usize, usize),
-    owner: bool,
-    scratch: &mut RowScratch,
-    opts: &SpgemmOptions,
-    token: Option<&CancelToken>,
-    out: &mut TileData,
-    counts: &mut SpgemmCounts,
-) -> Result<()> {
-    let (r_lo, r_hi) = rows;
-    let (c_lo, c_hi) = cols;
-    let RowScratch {
-        acc,
-        touched,
-        pairs,
-    } = scratch;
-    for row in r_lo..r_hi {
-        if let Some(t) = token {
-            t.checkpoint()?;
-        }
-        let before = out.indices.len();
-        let full_width: usize = a
-            .row_indices(row)
-            .iter()
-            .map(|&k| b.row_nnz(k as usize))
-            .sum();
-        let dense = opts.row_is_dense(full_width);
-        if owner {
-            counts.rows += 1;
-            if dense {
-                counts.rows_dense += 1;
-            } else {
-                counts.rows_sparse += 1;
-            }
-        }
-        if dense {
-            acc.begin_row();
-            touched.clear();
-            for (k, av) in a.row_iter(row) {
-                let bcols = b.row_indices(k as usize);
-                let bvals = b.row_values(k as usize);
-                let lo = bcols.partition_point(|&j| (j as usize) < c_lo);
-                let hi = bcols.partition_point(|&j| (j as usize) < c_hi);
-                counts.flops += (hi - lo) as u64;
-                scatter_scaled(acc, touched, av, &bcols[lo..hi], &bvals[lo..hi]);
-            }
-            touched.sort_unstable();
-            for &j in touched.iter() {
-                let v = acc.get(j);
-                if emits(v, j, row, opts) {
-                    out.indices.push(j);
-                    out.values.push(v);
-                }
-            }
-            counts.touched += touched.len() as u64;
-        } else {
-            pairs.clear();
-            for (k, av) in a.row_iter(row) {
-                let bcols = b.row_indices(k as usize);
-                let bvals = b.row_values(k as usize);
-                let lo = bcols.partition_point(|&j| (j as usize) < c_lo);
-                let hi = bcols.partition_point(|&j| (j as usize) < c_hi);
-                counts.flops += (hi - lo) as u64;
-                gather_scaled(pairs, av, &bcols[lo..hi], &bvals[lo..hi]);
-            }
-            counts.touched += reduce_pairs(pairs, |j, v| {
-                if emits(v, j, row, opts) {
-                    out.indices.push(j);
-                    out.values.push(v);
-                }
-            });
-        }
-        counts.emitted += (out.indices.len() - before) as u64;
-        out.row_lens.push((out.indices.len() - before) as u32);
-    }
-    Ok(())
-}
-
-/// Computes tile `(pi, pj)` (with `pj ≥ pi`) of the upper triangle of
-/// `Σₜ Xₜ·Xₜᵀ`: rows `[r_lo, r_hi)` restricted to columns
-/// `[max(row, c_lo), c_hi)`. The per-`pj` ranges partition each row's
-/// in-memory range `[row, n)`, so counters sum exactly; per-row counters
-/// are owned by the diagonal tile `pj == pi`.
-#[allow(clippy::too_many_arguments)]
-fn syrk_tile(
-    terms: &[SyrkTerm<'_>],
-    rows: (usize, usize),
-    cols: (usize, usize),
-    owner: bool,
-    scratch: &mut SyrkScratch,
-    opts: &SpgemmOptions,
-    token: Option<&CancelToken>,
-    out: &mut TileData,
-    counts: &mut SpgemmCounts,
-) -> Result<()> {
-    let (r_lo, r_hi) = rows;
-    let (c_lo, c_hi) = cols;
-    let SyrkScratch {
-        accs,
-        seen,
-        touched,
-        pairs,
-    } = scratch;
-    for row in r_lo..r_hi {
-        if let Some(t) = token {
-            t.checkpoint()?;
-        }
-        let before = out.indices.len();
-        let full_width: usize = terms
-            .iter()
-            .map(|term| {
-                term.x
-                    .row_indices(row)
-                    .iter()
-                    .map(|&k| term.xt.row_nnz(k as usize))
-                    .sum::<usize>()
-            })
-            .sum();
-        let dense = opts.row_is_dense(full_width);
-        if owner {
-            counts.rows += 1;
-            if dense {
-                counts.rows_dense += 1;
-            } else {
-                counts.rows_sparse += 1;
-            }
-        }
-        let col_floor = c_lo.max(row);
-        let distinct = if dense {
-            seen.begin_row();
-            touched.clear();
-            for (term, acc) in terms.iter().zip(accs.iter_mut()) {
-                acc.begin_row();
-                for (k, xv) in term.x.row_iter(row) {
-                    let tcols = term.xt.row_indices(k as usize);
-                    let tvals = term.xt.row_values(k as usize);
-                    let lo = tcols.partition_point(|&j| (j as usize) < col_floor);
-                    let hi = tcols.partition_point(|&j| (j as usize) < c_hi);
-                    counts.flops += (hi - lo) as u64;
-                    scatter_scaled_seen(acc, seen, touched, xv, &tcols[lo..hi], &tvals[lo..hi]);
-                }
-            }
-            touched.sort_unstable();
-            for &j in touched.iter() {
-                let mut v = 0.0f64;
-                for acc in accs.iter() {
-                    if acc.touched(j) {
-                        v += acc.get(j);
-                    }
-                }
-                if emits(v, j, row, opts) {
-                    out.indices.push(j);
-                    out.values.push(v);
-                }
-            }
-            touched.len() as u64
-        } else {
-            pairs.clear();
-            for (t, term) in terms.iter().enumerate() {
-                for (k, xv) in term.x.row_iter(row) {
-                    let tcols = term.xt.row_indices(k as usize);
-                    let tvals = term.xt.row_values(k as usize);
-                    let lo = tcols.partition_point(|&j| (j as usize) < col_floor);
-                    let hi = tcols.partition_point(|&j| (j as usize) < c_hi);
-                    counts.flops += (hi - lo) as u64;
-                    gather_scaled_term(pairs, t as u32, xv, &tcols[lo..hi], &tvals[lo..hi]);
-                }
-            }
-            reduce_pairs_terms(pairs, |j, v| {
-                if emits(v, j, row, opts) {
-                    out.indices.push(j);
-                    out.values.push(v);
-                }
-            })
-        };
-        counts.touched += distinct;
-        counts.emitted += (out.indices.len() - before) as u64;
-        out.row_lens.push((out.indices.len() - before) as u32);
-    }
-    Ok(())
-}
-
 /// Panel range `[lo, hi)` for panel `p` of `n` items at `panel_rows` each.
 fn panel_range(p: usize, panel_rows: usize, n: usize) -> (usize, usize) {
     (p * panel_rows, ((p + 1) * panel_rows).min(n))
 }
 
-/// Out-of-core general SpGEMM: `C = A·B` through the panel grid.
-/// Dimensions must already be checked. `n_threads` and `record_steals`
-/// carry the dispatching funnel's semantics (the serial funnel passes
-/// `(1, false)`, the parallel funnel `(opts.n_threads, true)`).
-pub(crate) fn spgemm_panel(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    opts: &SpgemmOptions,
-    token: Option<&CancelToken>,
-    metrics: Option<&MetricsRegistry>,
+/// The tile driver: runs `kernel` (the same row kernel
+/// [`crate::spgemm::run_rows`] takes) over the panel grid of an
+/// `n_rows × n_cols` output, one tile per pool block, spilling the tiles
+/// the plan marks, and merges the tiles back into whole rows.
+///
+/// `upper` selects the upper-triangular grid of a SYRK product (`n_rows ==
+/// n_cols`; row panel `pi` has tiles `(pi, pi..)`), otherwise the grid is
+/// rectangular. Row panel `pi`'s first tile *owns* its rows' per-row
+/// counters. `row_width` is the whole-row width estimate the spill plan
+/// sizes tiles with.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_panels<S, N, K>(
+    n_rows: usize,
+    n_cols: usize,
+    upper: bool,
+    plan: &PanelPlan,
     n_threads: usize,
-    record_steals: bool,
-) -> Result<CsrMatrix> {
-    let n_rows = a.n_rows();
-    let n_cols = b.n_cols();
-    let panel_rows = opts.panel.effective_panel_rows();
+    token: Option<&CancelToken>,
+    row_width: impl Fn(usize) -> usize,
+    new_scratch: N,
+    kernel: K,
+) -> Result<RowKernelOutput>
+where
+    N: Fn() -> S + Sync,
+    K: Fn(usize, ColRange, &mut S, &mut Vec<u32>, &mut Vec<f64>, &mut SpgemmCounts) + Sync,
+{
+    let panel_rows = plan.effective_panel_rows();
     let n_row_panels = n_rows.div_ceil(panel_rows);
     let n_col_panels = n_cols.div_ceil(panel_rows).max(1);
-    let n_tiles = n_row_panels * n_col_panels;
-
-    let mut panel_flops = vec![0u64; n_row_panels];
-    for (pi, pf) in panel_flops.iter_mut().enumerate() {
-        let (r_lo, r_hi) = panel_range(pi, panel_rows, n_rows);
-        for row in r_lo..r_hi {
-            *pf += a
-                .row_indices(row)
-                .iter()
-                .map(|&k| b.row_nnz(k as usize) as u64)
-                .sum::<u64>();
-        }
-    }
-    let est = |tile: usize| -> u64 {
-        panel_flops[tile / n_col_panels].saturating_mul(12) / n_col_panels as u64
-    };
-    let (spill_flags, n_spilled) = plan_spills(n_tiles, opts.panel.budget_bytes, est);
-    let dir = if n_spilled > 0 {
-        Some(SpillDir::create(opts.panel.spill_dir.as_deref())?)
-    } else {
-        None
-    };
-
-    let (outs, mut counts, steals, spill_bytes) = run_tiles(
-        n_tiles,
-        n_threads,
-        &spill_flags,
-        dir.as_ref(),
-        || RowScratch::new(n_cols),
-        |tile, scratch, data, counts| {
-            let pi = tile / n_col_panels;
-            let pj = tile % n_col_panels;
-            gustavson_tile(
-                a,
-                b,
-                panel_range(pi, panel_rows, n_rows),
-                panel_range(pj, panel_rows, n_cols),
-                pj == 0,
-                scratch,
-                opts,
-                token,
-                data,
-                counts,
-            )
-        },
-    )?;
-    counts.panels = n_tiles as u64;
-    counts.panel_spills = n_spilled as u64;
-    counts.spill_bytes = spill_bytes;
-
-    let panel_tile_counts = vec![n_col_panels; n_row_panels];
-    let (indptr, indices, values) =
-        merge_panel_outputs(n_rows, panel_rows, &outs, &panel_tile_counts, dir.as_ref())?;
-    let out = RowKernelOutput {
-        indptr,
-        indices,
-        values,
-        counts,
-        steals,
-    };
-    out.counts.flush(metrics);
-    if record_steals {
-        out.flush_steals(metrics);
-    }
-    Ok(CsrMatrix::from_raw_parts_unchecked(
-        n_rows,
-        n_cols,
-        out.indptr,
-        out.indices,
-        out.values,
-    ))
-}
-
-/// Out-of-core fused SYRK sum: upper triangle of `Σₜ Xₜ·Xₜᵀ` through an
-/// upper-triangular tile grid, then the shared O(nnz) mirror pass. Terms
-/// must already be checked; `n` is their common output dimension.
-pub(crate) fn spgemm_syrk_sum_panel(
-    terms: &[SyrkTerm<'_>],
-    n: usize,
-    opts: &SpgemmOptions,
-    token: Option<&CancelToken>,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<CsrMatrix> {
-    let panel_rows = opts.panel.effective_panel_rows();
-    let n_panels = n.div_ceil(panel_rows);
-    // Upper-triangular tile list: tiles for row panel pi are (pi, pi..n_panels),
-    // contiguous in index order — the layout merge_panel_outputs expects.
+    let first_col_panel = |pi: usize| if upper { pi } else { 0 };
+    // Tiles of one row panel are contiguous in index order — the layout
+    // merge_panel_outputs expects.
     let mut tile_panels: Vec<(usize, usize)> = Vec::new();
-    let mut panel_tile_counts = Vec::with_capacity(n_panels);
-    for pi in 0..n_panels {
-        panel_tile_counts.push(n_panels - pi);
-        for pj in pi..n_panels {
-            tile_panels.push((pi, pj));
-        }
+    let mut panel_tile_counts = Vec::with_capacity(n_row_panels);
+    for pi in 0..n_row_panels {
+        panel_tile_counts.push(n_col_panels - first_col_panel(pi));
+        tile_panels.extend((first_col_panel(pi)..n_col_panels).map(|pj| (pi, pj)));
     }
     let n_tiles = tile_panels.len();
 
-    let mut panel_flops = vec![0u64; n_panels];
-    for (pi, pf) in panel_flops.iter_mut().enumerate() {
-        let (r_lo, r_hi) = panel_range(pi, panel_rows, n);
-        for row in r_lo..r_hi {
-            for term in terms {
-                *pf += term
-                    .x
-                    .row_indices(row)
-                    .iter()
-                    .map(|&k| term.xt.row_nnz(k as usize) as u64)
-                    .sum::<u64>();
-            }
-        }
-    }
+    let panel_bytes: Vec<u64> = (0..n_row_panels)
+        .map(|pi| {
+            let (r_lo, r_hi) = panel_range(pi, panel_rows, n_rows);
+            let flops: u64 = (r_lo..r_hi).map(|row| row_width(row) as u64).sum();
+            flops.saturating_mul(12)
+        })
+        .collect();
     let est = |tile: usize| -> u64 {
         let (pi, _) = tile_panels[tile];
-        panel_flops[pi].saturating_mul(12) / (n_panels - pi) as u64
+        panel_bytes[pi] / panel_tile_counts[pi] as u64
     };
-    let (spill_flags, n_spilled) = plan_spills(n_tiles, opts.panel.budget_bytes, est);
+    let (spill_flags, n_spilled) = plan_spills(n_tiles, plan.budget_bytes, est);
     let dir = if n_spilled > 0 {
-        Some(SpillDir::create(opts.panel.spill_dir.as_deref())?)
+        Some(SpillDir::create(plan.spill_dir.as_deref())?)
     } else {
         None
     };
 
-    let (outs, mut counts, steals, spill_bytes) = run_tiles(
+    let (outs, mut counts) = run_blocks(
         n_tiles,
-        opts.n_threads,
-        &spill_flags,
-        dir.as_ref(),
-        || SyrkScratch::new(n, terms.len()),
-        |tile, scratch, data, counts| {
+        worker_count(n_threads, n_tiles),
+        new_scratch,
+        |tile, scratch, counts| {
             let (pi, pj) = tile_panels[tile];
-            syrk_tile(
-                terms,
-                panel_range(pi, panel_rows, n),
-                panel_range(pj, panel_rows, n),
-                pj == pi,
-                scratch,
-                opts,
-                token,
+            let (r_lo, r_hi) = panel_range(pi, panel_rows, n_rows);
+            let (lo, hi) = panel_range(pj, panel_rows, n_cols);
+            let cols = ColRange {
+                lo,
+                hi,
+                owner: pj == first_col_panel(pi),
+            };
+            let data = fill_block(r_lo..r_hi, token, |row, indices, values| {
+                kernel(row, cols, scratch, indices, values, counts)
+            })?;
+            finish_tile(
+                tile,
                 data,
-                counts,
+                &spill_flags,
+                dir.as_ref(),
+                &mut counts.spill_bytes,
             )
         },
     )?;
     counts.panels = n_tiles as u64;
     counts.panel_spills = n_spilled as u64;
-    counts.spill_bytes = spill_bytes;
 
-    let (upper_indptr, upper_indices, upper_values) =
-        merge_panel_outputs(n, panel_rows, &outs, &panel_tile_counts, dir.as_ref())?;
-    drop(dir);
-    let (indptr, indices, values, mirrored) =
-        mirror_upper(n, &upper_indptr, &upper_indices, &upper_values);
-    let out = RowKernelOutput {
+    let (indptr, indices, values) =
+        merge_panel_outputs(n_rows, panel_rows, &outs, &panel_tile_counts, dir.as_ref())?;
+    Ok(RowKernelOutput {
         indptr,
         indices,
         values,
         counts,
-        steals,
-    };
-    flush_syrk(&out, mirrored, metrics);
-    Ok(CsrMatrix::from_raw_parts_unchecked(
-        n,
-        n,
-        out.indptr,
-        out.indices,
-        out.values,
-    ))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::CsrMatrix;
     use crate::ops::transpose;
-    use crate::spgemm::{spgemm_observed, spgemm_parallel};
-    use crate::syrk::spgemm_syrk_sum_observed;
+    use crate::spgemm::{spgemm, SpgemmOptions};
+    use crate::syrk::{spgemm_syrk_sum, SyrkTerm};
+    use symclust_obs::MetricsRegistry;
+
+    fn mul(a: &CsrMatrix, b: &CsrMatrix, opts: &SpgemmOptions) -> CsrMatrix {
+        spgemm(a, b, opts, None, None).unwrap().matrix
+    }
 
     fn pseudo_random_matrix(n: usize, seed: u64, density_shift: u32) -> CsrMatrix {
         let mut rows = vec![vec![0.0; n]; n];
@@ -873,9 +461,9 @@ mod tests {
     #[test]
     fn panel_matches_in_memory_bitwise_across_panel_sizes() {
         let a = pseudo_random_matrix(80, 0x243F6A8885A308D3, 3);
-        let baseline = spgemm_observed(&a, &a, &baseline_opts(), None, None).unwrap();
+        let baseline = mul(&a, &a, &baseline_opts());
         for panel_rows in [1, 3, 7, 16, 100] {
-            let got = spgemm_observed(&a, &a, &panel_opts(panel_rows, None), None, None).unwrap();
+            let got = mul(&a, &a, &panel_opts(panel_rows, None));
             assert_eq!(baseline, got, "panel_rows {panel_rows}");
         }
     }
@@ -883,9 +471,11 @@ mod tests {
     #[test]
     fn forced_spills_do_not_change_output() {
         let a = pseudo_random_matrix(60, 0x9E3779B97F4A7C15, 3);
-        let baseline = spgemm_observed(&a, &a, &baseline_opts(), None, None).unwrap();
+        let baseline = mul(&a, &a, &baseline_opts());
         let m = MetricsRegistry::new();
-        let got = spgemm_observed(&a, &a, &panel_opts(16, Some(1)), None, Some(&m)).unwrap();
+        let got = spgemm(&a, &a, &panel_opts(16, Some(1)), None, Some(&m))
+            .unwrap()
+            .matrix;
         assert_eq!(baseline, got);
         let snap = m.snapshot();
         assert!(snap.counter("spgemm.panels").unwrap() > 1);
@@ -897,9 +487,9 @@ mod tests {
     fn panel_work_counters_match_in_memory() {
         let a = pseudo_random_matrix(70, 0xB7E151628AED2A6A, 3);
         let base = MetricsRegistry::new();
-        spgemm_observed(&a, &a, &baseline_opts(), None, Some(&base)).unwrap();
+        spgemm(&a, &a, &baseline_opts(), None, Some(&base)).unwrap();
         let pan = MetricsRegistry::new();
-        spgemm_observed(&a, &a, &panel_opts(9, Some(64)), None, Some(&pan)).unwrap();
+        spgemm(&a, &a, &panel_opts(9, Some(64)), None, Some(&pan)).unwrap();
         for key in [
             "spgemm.rows",
             "spgemm.flops",
@@ -925,7 +515,7 @@ mod tests {
     #[test]
     fn parallel_panel_is_bit_identical_and_spills_deterministically() {
         let a = pseudo_random_matrix(150, 0x452821E638D01377, 3);
-        let baseline = spgemm_observed(&a, &a, &baseline_opts(), None, None).unwrap();
+        let baseline = mul(&a, &a, &baseline_opts());
         for n_threads in [2, 4] {
             let opts = SpgemmOptions {
                 n_threads,
@@ -937,16 +527,15 @@ mod tests {
                 ..Default::default()
             };
             let m = MetricsRegistry::new();
-            let got = spgemm_parallel(&a, &a, &opts).unwrap();
+            let got = spgemm(&a, &a, &opts, None, Some(&m)).unwrap().matrix;
             assert_eq!(baseline, got, "threads {n_threads}");
-            spgemm_observed(&a, &a, &opts, None, Some(&m)).unwrap();
             let spills = m.snapshot().counter("spgemm.panel_spills");
             let serial = MetricsRegistry::new();
             let serial_opts = SpgemmOptions {
                 n_threads: 1,
                 ..opts.clone()
             };
-            spgemm_observed(&a, &a, &serial_opts, None, Some(&serial)).unwrap();
+            spgemm(&a, &a, &serial_opts, None, Some(&serial)).unwrap();
             assert_eq!(
                 spills,
                 serial.snapshot().counter("spgemm.panel_spills"),
@@ -968,8 +557,9 @@ mod tests {
             panel,
             ..Default::default()
         };
-        let baseline =
-            spgemm_syrk_sum_observed(&terms, &mk(PanelPlan::default()), None, None).unwrap();
+        let baseline = spgemm_syrk_sum(&terms, &mk(PanelPlan::default()), None, None)
+            .unwrap()
+            .matrix;
         for panel_rows in [1, 5, 17, 64] {
             for budget in [None, Some(1), Some(4096)] {
                 let plan = PanelPlan {
@@ -977,8 +567,11 @@ mod tests {
                     spill_dir: None,
                     budget_bytes: budget,
                 };
-                let got = spgemm_syrk_sum_observed(&terms, &mk(plan), None, None).unwrap();
-                assert_eq!(baseline, got, "panel_rows {panel_rows} budget {budget:?}");
+                let got = spgemm_syrk_sum(&terms, &mk(plan), None, None).unwrap();
+                assert_eq!(
+                    baseline, got.matrix,
+                    "panel_rows {panel_rows} budget {budget:?}"
+                );
             }
         }
     }
@@ -1000,8 +593,8 @@ mod tests {
             },
             ..Default::default()
         };
-        let r = spgemm_observed(&a, &a, &opts, Some(&token), None);
-        assert_eq!(r, Err(SparseError::Cancelled));
+        let r = spgemm(&a, &a, &opts, Some(&token), None);
+        assert_eq!(r.err(), Some(SparseError::Cancelled));
         let leftovers = std::fs::read_dir(&base).unwrap().count();
         assert_eq!(leftovers, 0, "scratch dirs must be removed on cancellation");
         std::fs::remove_dir_all(&base).unwrap();
@@ -1015,20 +608,20 @@ mod tests {
         let err = {
             let dir = SpillDir::create(Some(&base)).unwrap();
             let spill = vec![true; 32];
-            run_tiles(
+            run_blocks(
                 32,
                 4,
-                &spill,
-                Some(&dir),
                 || (),
-                |tile, _scratch: &mut (), data, _counts| {
+                |tile, _scratch: &mut (), counts| {
                     if tile == 19 {
                         panic!("injected tile failure");
                     }
-                    data.row_lens.push(1);
-                    data.indices.push(0);
-                    data.values.push(1.0);
-                    Ok(())
+                    let data = RowBlock {
+                        row_lens: vec![1],
+                        indices: vec![0],
+                        values: vec![1.0],
+                    };
+                    finish_tile(tile, data, &spill, Some(&dir), &mut counts.spill_bytes)
                 },
             )
             .err()
@@ -1050,8 +643,8 @@ mod tests {
         for (rows, cols) in [(0usize, 0usize), (0, 5), (5, 0), (1, 1)] {
             let a = CsrMatrix::zeros(rows, 7);
             let b = CsrMatrix::zeros(7, cols);
-            let got = spgemm_observed(&a, &b, &panel_opts(2, Some(1)), None, None).unwrap();
-            let want = spgemm_observed(&a, &b, &baseline_opts(), None, None).unwrap();
+            let got = mul(&a, &b, &panel_opts(2, Some(1)));
+            let want = mul(&a, &b, &baseline_opts());
             assert_eq!(want, got, "{rows}x{cols}");
         }
     }

@@ -1,12 +1,13 @@
-//! Work-stealing row-block scheduler for the parallel SpGEMM kernels.
+//! Work-stealing block scheduler and the one worker pool of the SpGEMM
+//! kernels.
 //!
-//! The previous parallel kernels partitioned output rows up front by a
-//! FLOP estimate. On the power-law degree distributions the paper targets
-//! (§3.5) that static split degrades badly: one hub-heavy chunk can cost
-//! orders of magnitude more than its estimate, leaving every other worker
-//! idle. This module replaces it with dynamic scheduling:
+//! Partitioning output rows up front by a FLOP estimate degrades badly on
+//! the power-law degree distributions the paper targets (§3.5): one
+//! hub-heavy chunk can cost orders of magnitude more than its estimate,
+//! leaving every other worker idle. This module schedules dynamically:
 //!
-//! * output rows are grouped into fixed-size **blocks**;
+//! * work is cut into indexed **blocks** (64-row blocks for the in-memory
+//!   driver, one panel tile each for the out-of-core driver);
 //! * each worker owns a contiguous range of blocks, packed as `(lo, hi)`
 //!   into one `AtomicU64` per worker;
 //! * an owner pops blocks from the *front* of its range; a worker that
@@ -16,14 +17,19 @@
 //! * both pop and steal are single-CAS operations on the packed word.
 //!   Ranges only ever shrink, so there is no ABA hazard.
 //!
-//! Scheduling order is nondeterministic, but blocks are tagged with their
-//! index and assembled in block order afterwards, so kernel *output* (and
-//! every per-row work counter) is bit-identical for any thread count. The
-//! only scheduling-dependent observable is the steal count, exported as
-//! the `spgemm.sched_steals` metric and deliberately excluded from the
-//! bench gate's exact-match keys.
+//! [`run_blocks`] is the only place the crate spawns kernel threads: both
+//! drivers hand it a per-block closure and get the block results back in
+//! index order. Scheduling order is nondeterministic, but because assembly
+//! is by block index, kernel *output* (and every per-row work counter) is
+//! bit-identical for any thread count. The only scheduling-dependent
+//! observable is the steal count, exported as the `spgemm.sched_steals`
+//! metric and deliberately excluded from the bench gate's exact-match keys.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::error::SparseError;
+use crate::spgemm::SpgemmCounts;
+use crate::Result;
 
 /// Rows per scheduling block. Small enough that a single hub block cannot
 /// serialize the tail of a run, large enough that the CAS traffic per row
@@ -113,6 +119,117 @@ impl BlockQueues {
     }
 }
 
+/// Resolves an `n_threads` request (0 = one per available core) to the
+/// worker count for `n_items` units of work: inputs too small to amortize
+/// a spawn run on the calling thread alone.
+pub(crate) fn worker_count(n_threads: usize, n_items: usize) -> usize {
+    let n_threads = if n_threads == 0 {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    } else {
+        n_threads
+    };
+    if n_items < 2 * n_threads {
+        1
+    } else {
+        n_threads
+    }
+}
+
+fn worker_panic(payload: Box<dyn std::any::Any + Send>) -> SparseError {
+    let text = if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "(non-string panic payload)".to_string()
+    };
+    SparseError::WorkerPanic(text)
+}
+
+/// The worker pool: runs `work(block, scratch, counts)` once for every
+/// block in `0..n_blocks` on `n_workers` workers and returns the results
+/// in block order plus the merged work counters (with the number of
+/// blocks a non-owner executed in [`SpgemmCounts::steals`]).
+///
+/// Each worker builds one scratch with `new_scratch` and reuses it across
+/// every block it executes, popping its own range first and stealing once
+/// that is drained. One worker runs on the calling thread without a spawn.
+/// A panic inside `work` is caught at the worker boundary and surfaces as
+/// [`SparseError::WorkerPanic`] — a poisoned kernel fails the call, not
+/// the process — and a real failure outranks [`SparseError::Cancelled`]:
+/// when a worker dies, its siblings usually just see the token trip
+/// afterwards.
+pub(crate) fn run_blocks<S, T, N, W>(
+    n_blocks: usize,
+    n_workers: usize,
+    new_scratch: N,
+    work: W,
+) -> Result<(Vec<T>, SpgemmCounts)>
+where
+    T: Send,
+    N: Fn() -> S + Sync,
+    W: Fn(usize, &mut S, &mut SpgemmCounts) -> Result<T> + Sync,
+{
+    let n_workers = n_workers.clamp(1, n_blocks.max(1));
+    let queues = BlockQueues::new(n_blocks, n_workers);
+    let worker = |w: usize| -> Result<(Vec<(usize, T)>, SpgemmCounts)> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut scratch = new_scratch();
+            let mut done = Vec::new();
+            let mut counts = SpgemmCounts::default();
+            loop {
+                let (block, stolen) = match queues.pop_own(w) {
+                    Some(b) => (b, false),
+                    None => match queues.steal(w) {
+                        Some(b) => (b, true),
+                        None => break,
+                    },
+                };
+                counts.steals += u64::from(stolen);
+                done.push((block, work(block, &mut scratch, &mut counts)?));
+            }
+            Ok((done, counts))
+        }))
+        .unwrap_or_else(|payload| Err(worker_panic(payload)))
+    };
+    let worker_results = if n_workers == 1 {
+        vec![worker(0)]
+    } else {
+        crossbeam::thread::scope(|scope| {
+            let worker = &worker;
+            let handles: Vec<_> = (0..n_workers)
+                .map(|w| scope.spawn(move |_| worker(w)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| Err(worker_panic(p))))
+                .collect()
+        })
+        .map_err(worker_panic)?
+    };
+
+    let mut blocks: Vec<(usize, T)> = Vec::with_capacity(n_blocks);
+    let mut counts = SpgemmCounts::default();
+    let mut failure: Option<SparseError> = None;
+    for result in worker_results {
+        match result {
+            Ok((done, worker_counts)) => {
+                blocks.extend(done);
+                counts.merge(&worker_counts);
+            }
+            Err(e) if failure.is_none() || failure == Some(SparseError::Cancelled) => {
+                failure = Some(e);
+            }
+            Err(_) => {}
+        }
+    }
+    if let Some(e) = failure {
+        return Err(e);
+    }
+    blocks.sort_unstable_by_key(|b| b.0);
+    Ok((blocks.into_iter().map(|b| b.1).collect(), counts))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,11 +273,11 @@ mod tests {
         let n_workers = 4;
         let q = BlockQueues::new(n_blocks, n_workers);
         let claimed = Mutex::new(Vec::new());
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for w in 0..n_workers {
                 let q = &q;
                 let claimed = &claimed;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut mine = Vec::new();
                     while let Some(b) = q.pop_own(w).or_else(|| q.steal(w)) {
                         mine.push(b);
@@ -168,8 +285,7 @@ mod tests {
                     claimed.lock().unwrap().extend(mine);
                 });
             }
-        })
-        .unwrap();
+        });
         let got = claimed.into_inner().unwrap();
         assert_eq!(got.len(), n_blocks);
         let distinct: HashSet<usize> = got.iter().copied().collect();

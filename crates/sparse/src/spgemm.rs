@@ -1,24 +1,30 @@
 //! Sparse matrix–matrix multiplication (SpGEMM).
 //!
-//! All variants use Gustavson's row-wise algorithm: row `i` of `C = A·B` is
-//! the linear combination of the rows of `B` selected by the non-zeros of row
-//! `i` of `A`, accumulated in a dense scratch vector with a "touched columns"
-//! list so clearing costs O(row nnz), not O(n).
+//! Gustavson's row-wise algorithm: row `i` of `C = A·B` is the linear
+//! combination of the rows of `B` selected by the non-zeros of row `i` of
+//! `A`, accumulated per row by the adaptive strategies of [`crate::accum`].
+//! The prune threshold is applied *during* emission, which is what makes
+//! the paper's Degree-discounted symmetrization tractable on hub-heavy
+//! graphs: the full product is never materialized (§3.5 of the paper).
 //!
-//! The thresholded variant applies a prune threshold *during* accumulation
-//! output, which is what makes the paper's Degree-discounted symmetrization
-//! tractable on hub-heavy graphs: the full product is never materialized
-//! (§3.5 of the paper). The parallel variant schedules output-row *blocks*
-//! over crossbeam scoped threads with per-thread accumulators and
-//! work-stealing (see [`crate::sched`]): a worker that drains its own block
-//! range steals blocks from a victim's tail, so power-law rows cannot
-//! strand the pool behind one overloaded static chunk. Blocks are
-//! reassembled in index order, so the output and every work counter are
-//! bit-identical for any thread count.
+//! There is one row body per product — [`gustavson_row`] here, the
+//! upper-triangle SYRK row in [`crate::syrk`] — and it accumulates a
+//! **column range** of its row. The in-memory multiply runs it over the
+//! whole row; the out-of-core path in [`crate::panel`] runs the same
+//! function over one panel's columns. Two drivers feed the row bodies to
+//! the one worker pool in [`crate::sched`]: [`run_rows`] schedules 64-row
+//! blocks (a single worker takes all rows as one block, whose buffers
+//! become the output without a copy), the panel driver schedules tiles.
+//! Blocks are reassembled in index order, so the output and every work
+//! counter are bit-identical for any thread count.
 //!
-//! The symmetric `C = X·Xᵀ` case has a dedicated upper-triangle kernel in
-//! [`crate::syrk`] that shares this module's scratch discipline, counters
-//! and scheduler.
+//! [`drive`] is the funnel under both public entry points — [`spgemm`] and
+//! [`crate::syrk::spgemm_syrk_sum`]: it compares the Gustavson bound with
+//! the optional nnz budget and picks the degraded adaptive-threshold loop,
+//! the panel driver, or the row-block driver. [`run_rows_with_epilogue`]
+//! exposes the row-block driver with a caller-supplied per-row epilogue in
+//! place of the threshold filter; R-MCL's expand → inflate → prune step is
+//! its client.
 
 use crate::accum::{
     accum_from_env, gather_scaled, reduce_pairs, scatter_scaled, AccumStrategy, DenseAccum,
@@ -27,8 +33,9 @@ use crate::accum::{
 use crate::cancel::CancelToken;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
-use crate::panel::PanelPlan;
-use crate::sched::{BlockQueues, DEFAULT_BLOCK_ROWS};
+use crate::panel::{run_panels, PanelPlan};
+use crate::sched::{run_blocks, worker_count, DEFAULT_BLOCK_ROWS};
+use crate::syrk::mirror_upper;
 use crate::Result;
 use symclust_obs::MetricsRegistry;
 
@@ -96,8 +103,9 @@ pub mod metric_names {
 }
 
 /// Parses the `SYMCLUST_THREADS` environment variable: the default SpGEMM
-/// thread count used by the symmetrizer option structs (`0` = one thread
-/// per available core). Unset or unparsable means "no preference".
+/// thread count of [`SpgemmOptions`] and the symmetrizer option structs
+/// (`0` = one thread per available core). Unset or unparsable means "no
+/// preference", which every default resolves to one thread.
 pub fn threads_from_env() -> Option<usize> {
     std::env::var("SYMCLUST_THREADS").ok()?.trim().parse().ok()
 }
@@ -116,9 +124,24 @@ pub(crate) struct SpgemmCounts {
     pub(crate) panels: u64,
     pub(crate) panel_spills: u64,
     pub(crate) spill_bytes: u64,
+    /// Blocks executed by a worker other than their initial owner (0 on
+    /// one worker). The one scheduling-dependent count.
+    pub(crate) steals: u64,
 }
 
 impl SpgemmCounts {
+    /// Records one output row under the accumulator it ran on. Called by
+    /// the row bodies on the row's owner range only.
+    #[inline]
+    pub(crate) fn count_row(&mut self, dense: bool) {
+        self.rows += 1;
+        if dense {
+            self.rows_dense += 1;
+        } else {
+            self.rows_sparse += 1;
+        }
+    }
+
     pub(crate) fn merge(&mut self, other: &SpgemmCounts) {
         self.rows += other.rows;
         self.flops += other.flops;
@@ -129,6 +152,7 @@ impl SpgemmCounts {
         self.panels += other.panels;
         self.panel_spills += other.panel_spills;
         self.spill_bytes += other.spill_bytes;
+        self.steals += other.steals;
     }
 
     pub(crate) fn flush(&self, metrics: Option<&MetricsRegistry>) {
@@ -145,6 +169,7 @@ impl SpgemmCounts {
         m.counter(metric_names::PANELS).add(self.panels);
         m.counter(metric_names::PANEL_SPILLS).add(self.panel_spills);
         m.counter(metric_names::SPILL_BYTES).add(self.spill_bytes);
+        m.counter(metric_names::SCHED_STEALS).add(self.steals);
     }
 }
 
@@ -154,8 +179,10 @@ pub struct SpgemmOptions {
     /// Entries with value strictly below this threshold are discarded from
     /// the output (applied to the final accumulated value of each entry).
     pub threshold: f64,
-    /// Number of worker threads for the parallel variant; 0 means "use
-    /// available parallelism".
+    /// Worker threads: `1` runs on the calling thread, `0` uses all
+    /// available cores, `n` uses exactly `n`. The default honors the
+    /// `SYMCLUST_THREADS` environment variable and falls back to 1.
+    /// Output is bit-identical for every setting.
     pub n_threads: usize,
     /// When true, diagonal entries of the output are discarded. Similarity
     /// matrices use this: self-similarity carries no clustering signal.
@@ -178,17 +205,28 @@ pub struct SpgemmOptions {
     /// `SYMCLUST_PANEL_ROWS` / `SYMCLUST_MEMORY_BUDGET` environment
     /// variables.
     pub panel: PanelPlan,
+    /// Output-size budget in stored entries. If the Gustavson upper bound
+    /// on the output nnz fits, the multiply is exact. Otherwise it degrades
+    /// gracefully instead of aborting: it runs on one thread with an
+    /// *adaptive* threshold — whenever the accumulated output exceeds the
+    /// budget, the threshold is raised to the magnitude that keeps roughly
+    /// half the budget's strongest entries and the output built so far is
+    /// compacted. The result is a deterministic, thresholded approximation
+    /// whose memory never grows past O(budget) plus one accumulator row,
+    /// flagged [`SpgemmOutput::degraded`]. Default `None` (always exact).
+    pub nnz_budget: Option<usize>,
 }
 
 impl Default for SpgemmOptions {
     fn default() -> Self {
         SpgemmOptions {
             threshold: 0.0,
-            n_threads: 0,
+            n_threads: threads_from_env().unwrap_or(1),
             drop_diagonal: false,
             accum: accum_from_env().unwrap_or_default(),
             accum_crossover: None,
             panel: PanelPlan::from_env(),
+            nnz_budget: None,
         }
     }
 }
@@ -211,6 +249,24 @@ impl SpgemmOptions {
     }
 }
 
+/// A product plus its degradation provenance.
+#[derive(Debug, Clone)]
+pub struct SpgemmOutput {
+    /// The (possibly additionally thresholded) product.
+    pub matrix: CsrMatrix,
+    /// Whether [`SpgemmOptions::nnz_budget`] forced a degraded (adaptively
+    /// thresholded) computation instead of the exact one.
+    pub degraded: bool,
+    /// The threshold in effect when the last row was produced. Equals
+    /// `opts.threshold` when not degraded.
+    pub threshold_used: f64,
+    /// The Gustavson upper bound on the exact output nnz: every
+    /// multiply-add produces at most one output entry, so the FLOP count
+    /// of the row pass bounds the output size. This is what the budget is
+    /// compared against *before* anything output-sized is allocated.
+    pub estimated_nnz: usize,
+}
+
 fn check_dims(a: &CsrMatrix, b: &CsrMatrix) -> Result<()> {
     if a.n_cols() != b.n_rows() {
         return Err(SparseError::DimensionMismatch {
@@ -222,85 +278,156 @@ fn check_dims(a: &CsrMatrix, b: &CsrMatrix) -> Result<()> {
     Ok(())
 }
 
-/// Resolves an [`SpgemmOptions::n_threads`] request to a concrete count.
-pub(crate) fn resolve_threads(n_threads: usize) -> usize {
-    if n_threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        n_threads
-    }
-}
-
 /// Whether an accumulated entry survives emission for output row `row`.
 #[inline]
 pub(crate) fn emits(v: f64, j: u32, row: usize, opts: &SpgemmOptions) -> bool {
     v != 0.0 && v.abs() >= opts.threshold && !(opts.drop_diagonal && j as usize == row)
 }
 
-/// Computes one output row with the strategy [`SpgemmOptions::row_is_dense`]
-/// picks from the row's Gustavson FLOP estimate, and flushes entries that
-/// pass the threshold into `(indices, values)`. Both strategies emit in
-/// ascending column order with bit-identical values (see [`crate::accum`]),
-/// so the choice never leaks into the output or the downstream block
-/// assembly.
+/// The column range `[lo, hi)` of an output row that one call of a row
+/// body accumulates. The in-memory drivers pass the whole row; a panel
+/// tile passes its column panel. Restricting a row's scatter/gather to a
+/// sorted column subrange preserves, for every output column, the exact
+/// sequence of `f64` adds the whole-row call performs (see
+/// [`crate::panel`]), so concatenating a row's ranges in order is the
+/// whole row, bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ColRange {
+    pub(crate) lo: usize,
+    pub(crate) hi: usize,
+    /// Whether this range records the row's per-row counters (`rows`,
+    /// `rows_dense`, `rows_sparse`). Exactly one range of each row does;
+    /// FLOPs / touched / emitted are counted by every range over its own
+    /// columns and sum to the whole-row totals.
+    pub(crate) owner: bool,
+}
+
+impl ColRange {
+    /// The whole row.
+    pub(crate) fn full(n_cols: usize) -> Self {
+        ColRange {
+            lo: 0,
+            hi: n_cols,
+            owner: true,
+        }
+    }
+
+    /// Restricts one sorted factor row to the range. Rows that already lie
+    /// inside it — every row of a whole-row call — skip the binary search.
+    #[inline]
+    pub(crate) fn clip<'a>(&self, cols: &'a [u32], vals: &'a [f64]) -> (&'a [u32], &'a [f64]) {
+        let start = match cols.first() {
+            Some(&j) if (j as usize) < self.lo => cols.partition_point(|&j| (j as usize) < self.lo),
+            _ => 0,
+        };
+        let end = match cols.last() {
+            Some(&j) if j as usize >= self.hi => cols.partition_point(|&j| (j as usize) < self.hi),
+            _ => cols.len(),
+        };
+        (&cols[start..end], &vals[start..end])
+    }
+}
+
+/// What a Gustavson row does with its accumulated entries.
+pub(crate) enum Finish<'a, E> {
+    /// Emit, in ascending column order, the entries that pass the options'
+    /// threshold and diagonal filter, on the accumulator
+    /// [`SpgemmOptions::row_is_dense`] picks.
+    Filter(&'a SpgemmOptions),
+    /// Hand the row to a caller epilogue and emit what it leaves (see
+    /// [`run_rows_with_epilogue`]).
+    Epilogue(&'a E),
+}
+
+/// The `Finish` of a multiply without an epilogue.
+type NoEpilogue = fn(usize, &mut Vec<(u32, f64)>);
+
+/// The row's Gustavson multiply-add count. It doubles as the §3.6-style
+/// estimate of the row's intermediate width (every product touches at most
+/// one distinct column), so the strategy decision is free and depends only
+/// on the input structure.
+pub(crate) fn gustavson_width(a: &CsrMatrix, b: &CsrMatrix, row: usize) -> usize {
+    a.row_indices(row)
+        .iter()
+        .map(|&k| b.row_nnz(k as usize))
+        .sum()
+}
+
+/// The Gustavson row body: accumulates columns `cols` of row `row` of
+/// `A·B` and appends what `finish` emits to `(indices, values)`, in
+/// ascending column order. The dense/sparse decision uses the *whole-row*
+/// width estimate whatever the range, so the strategy mix — and with it
+/// the add order — is the same for every tiling; both strategies emit
+/// bit-identical values (see [`crate::accum`]), so the choice never leaks
+/// into the output.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn gustavson_row(
+pub(crate) fn gustavson_row<E>(
     a: &CsrMatrix,
     b: &CsrMatrix,
     row: usize,
+    cols: ColRange,
     scratch: &mut RowScratch,
-    opts: &SpgemmOptions,
+    finish: &Finish<'_, E>,
     indices: &mut Vec<u32>,
     values: &mut Vec<f64>,
     counts: &mut SpgemmCounts,
-) {
+) where
+    E: Fn(usize, &mut Vec<(u32, f64)>),
+{
     let emitted_before = indices.len();
-    // The row's exact multiply-add count doubles as the §3.6-style
-    // estimate of its intermediate width (every product touches at most
-    // one distinct column), so the strategy decision is free and depends
-    // only on the input structure.
-    let estimated_width: usize = a
-        .row_indices(row)
-        .iter()
-        .map(|&k| b.row_nnz(k as usize))
-        .sum();
-    counts.flops += estimated_width as u64;
-    if opts.row_is_dense(estimated_width) {
-        counts.rows_dense += 1;
-        let acc = &mut scratch.acc;
-        let touched = &mut scratch.touched;
+    let dense = match finish {
+        Finish::Filter(opts) => opts.row_is_dense(gustavson_width(a, b, row)),
+        Finish::Epilogue(_) => true,
+    };
+    if cols.owner {
+        counts.count_row(dense);
+    }
+    let RowScratch {
+        acc,
+        touched,
+        pairs,
+    } = scratch;
+    if dense {
         acc.begin_row();
         touched.clear();
         for (k, av) in a.row_iter(row) {
-            scatter_scaled(
-                acc,
-                touched,
-                av,
-                b.row_indices(k as usize),
-                b.row_values(k as usize),
-            );
-        }
-        touched.sort_unstable();
-        for &j in touched.iter() {
-            let v = acc.get(j);
-            if emits(v, j, row, opts) {
-                indices.push(j);
-                values.push(v);
-            }
+            let (bcols, bvals) = cols.clip(b.row_indices(k as usize), b.row_values(k as usize));
+            counts.flops += bcols.len() as u64;
+            scatter_scaled(acc, touched, av, bcols, bvals);
         }
         counts.touched += touched.len() as u64;
-    } else {
-        counts.rows_sparse += 1;
-        let pairs = &mut scratch.pairs;
+        match finish {
+            Finish::Filter(opts) => {
+                touched.sort_unstable();
+                for &j in touched.iter() {
+                    let v = acc.get(j);
+                    if emits(v, j, row, opts) {
+                        indices.push(j);
+                        values.push(v);
+                    }
+                }
+            }
+            Finish::Epilogue(epilogue) => {
+                pairs.clear();
+                pairs.extend(touched.iter().map(|&j| (j, acc.get(j))));
+                epilogue(row, pairs);
+                debug_assert!(
+                    pairs.windows(2).all(|w| w[0].0 < w[1].0),
+                    "a row epilogue must leave its entries in ascending column order"
+                );
+                for &(j, v) in pairs.iter() {
+                    indices.push(j);
+                    values.push(v);
+                }
+            }
+        }
+    } else if let Finish::Filter(opts) = finish {
         pairs.clear();
         for (k, av) in a.row_iter(row) {
-            gather_scaled(
-                pairs,
-                av,
-                b.row_indices(k as usize),
-                b.row_values(k as usize),
-            );
+            let (bcols, bvals) = cols.clip(b.row_indices(k as usize), b.row_values(k as usize));
+            counts.flops += bcols.len() as u64;
+            gather_scaled(pairs, av, bcols, bvals);
         }
         counts.touched += reduce_pairs(pairs, |j, v| {
             if emits(v, j, row, opts) {
@@ -309,245 +436,19 @@ fn gustavson_row(
             }
         });
     }
-    counts.rows += 1;
     counts.emitted += (indices.len() - emitted_before) as u64;
-}
-
-/// Output triple (plus work counters) of a row-kernel run, shared between
-/// the general and SYRK entry points.
-#[derive(Debug)]
-pub(crate) struct RowKernelOutput {
-    pub(crate) indptr: Vec<usize>,
-    pub(crate) indices: Vec<u32>,
-    pub(crate) values: Vec<f64>,
-    pub(crate) counts: SpgemmCounts,
-    /// Blocks executed by a non-owner worker (0 on the serial path).
-    pub(crate) steals: u64,
-}
-
-impl RowKernelOutput {
-    pub(crate) fn flush_steals(&self, metrics: Option<&MetricsRegistry>) {
-        if let Some(m) = metrics {
-            m.counter(metric_names::SCHED_STEALS).add(self.steals);
-        }
-    }
-}
-
-pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "(non-string panic payload)".to_string()
-    }
-}
-
-/// Runs `row_kernel` over every output row, serially or under the
-/// work-stealing block scheduler, and assembles the rows in order.
-///
-/// `row_kernel(row, scratch, indices, values, counts)` must append row
-/// `row`'s entries to `(indices, values)` in ascending column order and
-/// leave `scratch` clean for the next row. `new_scratch` builds one
-/// per-worker scratch (dense accumulators + touched list), reused across
-/// every block that worker executes.
-///
-/// The parallel path converts worker panics into
-/// [`SparseError::WorkerPanic`] instead of unwinding: a poisoned kernel
-/// fails the call, not the process.
-pub(crate) fn run_rows<S, N, K>(
-    n_rows: usize,
-    n_threads: usize,
-    token: Option<&CancelToken>,
-    new_scratch: N,
-    row_kernel: K,
-) -> Result<RowKernelOutput>
-where
-    N: Fn() -> S + Sync,
-    K: Fn(usize, &mut S, &mut Vec<u32>, &mut Vec<f64>, &mut SpgemmCounts) + Sync,
-{
-    let n_threads = resolve_threads(n_threads);
-    if n_threads <= 1 || n_rows < 2 * n_threads {
-        return run_rows_serial(n_rows, token, &new_scratch, &row_kernel);
-    }
-
-    let block_rows = DEFAULT_BLOCK_ROWS;
-    let n_blocks = n_rows.div_ceil(block_rows);
-    let n_workers = n_threads.min(n_blocks);
-    let queues = BlockQueues::new(n_blocks, n_workers);
-
-    /// One finished block, tagged for deterministic reassembly.
-    struct BlockOut {
-        block: usize,
-        row_lens: Vec<usize>,
-        indices: Vec<u32>,
-        values: Vec<f64>,
-    }
-    type WorkerResult = Result<(Vec<BlockOut>, SpgemmCounts, u64)>;
-
-    let mut worker_results: Vec<WorkerResult> = Vec::with_capacity(n_workers);
-    let scope_result = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n_workers);
-        for w in 0..n_workers {
-            let queues = &queues;
-            let new_scratch = &new_scratch;
-            let row_kernel = &row_kernel;
-            handles.push(scope.spawn(move |_| -> WorkerResult {
-                let body =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> WorkerResult {
-                        let mut scratch = new_scratch();
-                        let mut outs: Vec<BlockOut> = Vec::new();
-                        let mut counts = SpgemmCounts::default();
-                        let mut steals = 0u64;
-                        loop {
-                            let (block, stolen) = match queues.pop_own(w) {
-                                Some(b) => (b, false),
-                                None => match queues.steal(w) {
-                                    Some(b) => (b, true),
-                                    None => break,
-                                },
-                            };
-                            steals += u64::from(stolen);
-                            let lo = block * block_rows;
-                            let hi = (lo + block_rows).min(n_rows);
-                            let mut row_lens = Vec::with_capacity(hi - lo);
-                            let mut indices = Vec::new();
-                            let mut values = Vec::new();
-                            for row in lo..hi {
-                                if let Some(t) = token {
-                                    t.checkpoint()?;
-                                }
-                                let before = indices.len();
-                                row_kernel(
-                                    row,
-                                    &mut scratch,
-                                    &mut indices,
-                                    &mut values,
-                                    &mut counts,
-                                );
-                                row_lens.push(indices.len() - before);
-                            }
-                            outs.push(BlockOut {
-                                block,
-                                row_lens,
-                                indices,
-                                values,
-                            });
-                        }
-                        Ok((outs, counts, steals))
-                    }));
-                match body {
-                    Ok(r) => r,
-                    Err(payload) => Err(SparseError::WorkerPanic(panic_text(payload.as_ref()))),
-                }
-            }));
-        }
-        for handle in handles {
-            worker_results.push(
-                handle
-                    .join()
-                    .unwrap_or_else(|p| Err(SparseError::WorkerPanic(panic_text(p.as_ref())))),
-            );
-        }
-    });
-    if let Err(payload) = scope_result {
-        return Err(SparseError::WorkerPanic(panic_text(payload.as_ref())));
-    }
-
-    // Error priority: a real failure (panic, invalid input) beats
-    // cancellation — when a worker dies, siblings usually just see the
-    // token trip afterwards.
-    let mut cancelled = false;
-    let mut blocks: Vec<BlockOut> = Vec::with_capacity(n_blocks);
-    let mut counts = SpgemmCounts::default();
-    let mut steals = 0u64;
-    let mut first_error: Option<SparseError> = None;
-    for wr in worker_results {
-        match wr {
-            Ok((outs, worker_counts, worker_steals)) => {
-                blocks.extend(outs);
-                counts.merge(&worker_counts);
-                steals += worker_steals;
-            }
-            Err(SparseError::Cancelled) => cancelled = true,
-            Err(e) => {
-                if first_error.is_none() {
-                    first_error = Some(e);
-                }
-            }
-        }
-    }
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-    if cancelled {
-        return Err(SparseError::Cancelled);
-    }
-
-    blocks.sort_unstable_by_key(|b| b.block);
-    let total_nnz: usize = blocks.iter().map(|b| b.indices.len()).sum();
-    let mut indptr = Vec::with_capacity(n_rows + 1);
-    indptr.push(0usize);
-    let mut indices = Vec::with_capacity(total_nnz);
-    let mut values = Vec::with_capacity(total_nnz);
-    for b in blocks {
-        for len in b.row_lens {
-            indptr.push(indptr.last().unwrap() + len);
-        }
-        indices.extend_from_slice(&b.indices);
-        values.extend_from_slice(&b.values);
-    }
-    debug_assert_eq!(indptr.len(), n_rows + 1, "blocks must cover every row");
-    Ok(RowKernelOutput {
-        indptr,
-        indices,
-        values,
-        counts,
-        steals,
-    })
-}
-
-fn run_rows_serial<S, N, K>(
-    n_rows: usize,
-    token: Option<&CancelToken>,
-    new_scratch: &N,
-    row_kernel: &K,
-) -> Result<RowKernelOutput>
-where
-    N: Fn() -> S,
-    K: Fn(usize, &mut S, &mut Vec<u32>, &mut Vec<f64>, &mut SpgemmCounts),
-{
-    let mut scratch = new_scratch();
-    let mut indptr = Vec::with_capacity(n_rows + 1);
-    indptr.push(0usize);
-    let mut indices = Vec::new();
-    let mut values = Vec::new();
-    let mut counts = SpgemmCounts::default();
-    for row in 0..n_rows {
-        if let Some(t) = token {
-            t.checkpoint()?;
-        }
-        row_kernel(row, &mut scratch, &mut indices, &mut values, &mut counts);
-        indptr.push(indices.len());
-    }
-    Ok(RowKernelOutput {
-        indptr,
-        indices,
-        values,
-        counts,
-        steals: 0,
-    })
 }
 
 /// Per-worker scratch for the general Gustavson kernel: the dense
 /// epoch-stamped accumulator, its duplicate-free touched-column list, and
-/// the pair buffer the sparse strategy gathers into. Both buffers are
-/// reused across every row the worker executes, so a mixed adaptive run
-/// allocates each at its high-water mark once.
+/// the pair buffer the sparse strategy gathers into (and an epilogue edits
+/// its row in). Both buffers are reused across every row the worker
+/// executes, so a mixed adaptive run allocates each at its high-water mark
+/// once.
 pub(crate) struct RowScratch {
-    pub(crate) acc: DenseAccum,
-    pub(crate) touched: Vec<u32>,
-    pub(crate) pairs: Vec<(u32, f64)>,
+    acc: DenseAccum,
+    touched: Vec<u32>,
+    pairs: Vec<(u32, f64)>,
 }
 
 impl RowScratch {
@@ -560,201 +461,142 @@ impl RowScratch {
     }
 }
 
-/// Serial Gustavson SpGEMM: `C = A·B`.
-pub fn spgemm(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
-    spgemm_thresholded(a, b, &SpgemmOptions::default())
+/// Consecutive output rows restricted to one column range: the unit of
+/// work both drivers hand the pool (a row block, or a panel tile).
+/// `row_lens[i]` entries of `(indices, values)` belong to the `i`-th row,
+/// in row-major, ascending-column order.
+#[derive(Debug, Default)]
+pub(crate) struct RowBlock {
+    pub(crate) row_lens: Vec<u32>,
+    pub(crate) indices: Vec<u32>,
+    pub(crate) values: Vec<f64>,
 }
 
-/// Serial Gustavson SpGEMM with on-the-fly pruning per [`SpgemmOptions`].
-pub fn spgemm_thresholded(a: &CsrMatrix, b: &CsrMatrix, opts: &SpgemmOptions) -> Result<CsrMatrix> {
-    spgemm_serial_with_token(a, b, opts, None, None)
-}
-
-/// [`spgemm_thresholded`] that polls `token` between output rows and bails
-/// out with [`SparseError::Cancelled`] once it trips.
-pub fn spgemm_cancellable(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    opts: &SpgemmOptions,
-    token: &CancelToken,
-) -> Result<CsrMatrix> {
-    spgemm_observed(a, b, opts, Some(token), None)
-}
-
-/// The fully instrumented SpGEMM entry point: optional cancellation plus
-/// optional metrics. Dispatches to the parallel kernel unless
-/// `opts.n_threads == 1`. Work counts (rows, flops, intermediate/final
-/// nnz, threshold drops — see [`metric_names`]) are accumulated in locals
-/// and flushed to `metrics` once at the end of the call.
-pub fn spgemm_observed(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    opts: &SpgemmOptions,
+/// Runs `row_kernel` over `rows`, polling `token` before each row.
+/// `row_kernel(row, indices, values)` appends the row's entries.
+pub(crate) fn fill_block(
+    rows: std::ops::Range<usize>,
     token: Option<&CancelToken>,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<CsrMatrix> {
-    if opts.n_threads != 1 {
-        spgemm_parallel_with_token(a, b, opts, token, metrics)
+    mut row_kernel: impl FnMut(usize, &mut Vec<u32>, &mut Vec<f64>),
+) -> Result<RowBlock> {
+    let mut block = RowBlock {
+        row_lens: Vec::with_capacity(rows.len()),
+        ..Default::default()
+    };
+    for row in rows {
+        if let Some(t) = token {
+            t.checkpoint()?;
+        }
+        let before = block.indices.len();
+        row_kernel(row, &mut block.indices, &mut block.values);
+        block.row_lens.push((block.indices.len() - before) as u32);
+    }
+    Ok(block)
+}
+
+/// Output triple (plus work counters) of a driver run, shared between the
+/// general and SYRK entry points.
+#[derive(Debug)]
+pub(crate) struct RowKernelOutput {
+    pub(crate) indptr: Vec<usize>,
+    pub(crate) indices: Vec<u32>,
+    pub(crate) values: Vec<f64>,
+    pub(crate) counts: SpgemmCounts,
+}
+
+/// The row-block driver: runs `kernel` over every output row, whole rows,
+/// under the worker pool, and assembles the rows in order.
+///
+/// `kernel(row, cols, scratch, indices, values, counts)` must append
+/// columns `cols` of row `row` to `(indices, values)` in ascending column
+/// order and leave `scratch` clean for the next row. `new_scratch` builds
+/// one per-worker scratch, reused across every block that worker executes.
+pub(crate) fn run_rows<S, N, K>(
+    n_rows: usize,
+    n_cols: usize,
+    n_threads: usize,
+    token: Option<&CancelToken>,
+    new_scratch: N,
+    kernel: K,
+) -> Result<RowKernelOutput>
+where
+    N: Fn() -> S + Sync,
+    K: Fn(usize, ColRange, &mut S, &mut Vec<u32>, &mut Vec<f64>, &mut SpgemmCounts) + Sync,
+{
+    let n_workers = worker_count(n_threads, n_rows);
+    // A lone worker takes every row as one block: the block's buffers
+    // become the output as they are, where stitching 64-row blocks would
+    // hold a second copy of it.
+    let block_rows = if n_workers == 1 {
+        n_rows.max(1)
     } else {
-        spgemm_serial_with_token(a, b, opts, token, metrics)
-    }
-}
-
-fn spgemm_serial_with_token(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    opts: &SpgemmOptions,
-    token: Option<&CancelToken>,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<CsrMatrix> {
-    check_dims(a, b)?;
-    if opts.panel.engaged() {
-        return crate::panel::spgemm_panel(a, b, opts, token, metrics, 1, false);
-    }
-    let n_rows = a.n_rows();
-    let n_cols = b.n_cols();
-    let out = run_rows_serial(
-        n_rows,
-        token,
-        &|| RowScratch::new(n_cols),
-        &|row, scratch: &mut RowScratch, indices, values, counts| {
-            gustavson_row(a, b, row, scratch, opts, indices, values, counts);
+        DEFAULT_BLOCK_ROWS
+    };
+    let cols = ColRange::full(n_cols);
+    let (blocks, counts) = run_blocks(
+        n_rows.div_ceil(block_rows),
+        n_workers,
+        new_scratch,
+        |block, scratch, counts| {
+            let lo = block * block_rows;
+            let hi = (lo + block_rows).min(n_rows);
+            fill_block(lo..hi, token, |row, indices, values| {
+                kernel(row, cols, scratch, indices, values, counts)
+            })
         },
     )?;
-    out.counts.flush(metrics);
-    Ok(CsrMatrix::from_raw_parts_unchecked(
-        n_rows,
-        n_cols,
-        out.indptr,
-        out.indices,
-        out.values,
-    ))
+
+    let mut indptr = Vec::with_capacity(n_rows + 1);
+    let mut end = 0usize;
+    indptr.push(end);
+    for len in blocks.iter().flat_map(|b| &b.row_lens) {
+        end += *len as usize;
+        indptr.push(end);
+    }
+    debug_assert_eq!(indptr.len(), n_rows + 1, "blocks must cover every row");
+    let mut blocks = blocks.into_iter();
+    let RowBlock {
+        mut indices,
+        mut values,
+        ..
+    } = blocks.next().unwrap_or_default();
+    indices.reserve_exact(end - indices.len());
+    values.reserve_exact(end - values.len());
+    for b in blocks {
+        indices.extend_from_slice(&b.indices);
+        values.extend_from_slice(&b.values);
+    }
+    Ok(RowKernelOutput {
+        indptr,
+        indices,
+        values,
+        counts,
+    })
 }
 
-/// Parallel SpGEMM: output-row blocks are scheduled over workers with
-/// work-stealing; each worker runs Gustavson with its own reusable
-/// accumulator, and blocks are stitched together in index order, so the
-/// result is identical to the serial kernel for any thread count.
-pub fn spgemm_parallel(a: &CsrMatrix, b: &CsrMatrix, opts: &SpgemmOptions) -> Result<CsrMatrix> {
-    spgemm_parallel_with_token(a, b, opts, None, None)
-}
-
-fn spgemm_parallel_with_token(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
+/// The degraded path of an over-budget multiply: whole rows, in order, on
+/// the calling thread, raising the threshold and compacting the output
+/// built so far whenever it outgrows `budget` entries. Returns the output
+/// and the threshold in effect at the last row.
+#[allow(clippy::too_many_arguments)]
+fn run_degraded<S, B>(
+    n_rows: usize,
+    n_cols: usize,
+    budget: usize,
     opts: &SpgemmOptions,
     token: Option<&CancelToken>,
     metrics: Option<&MetricsRegistry>,
-) -> Result<CsrMatrix> {
-    check_dims(a, b)?;
-    if opts.panel.engaged() {
-        return crate::panel::spgemm_panel(a, b, opts, token, metrics, opts.n_threads, true);
-    }
-    let n_rows = a.n_rows();
-    let n_cols = b.n_cols();
-    let out = run_rows(
-        n_rows,
-        opts.n_threads,
-        token,
-        || RowScratch::new(n_cols),
-        |row, scratch: &mut RowScratch, indices, values, counts| {
-            gustavson_row(a, b, row, scratch, opts, indices, values, counts);
-        },
-    )?;
-    out.counts.flush(metrics);
-    out.flush_steals(metrics);
-    Ok(CsrMatrix::from_raw_parts_unchecked(
-        n_rows,
-        n_cols,
-        out.indptr,
-        out.indices,
-        out.values,
-    ))
-}
-
-/// Estimated number of multiply-adds for `A·B` (the paper's Σᵢ dᵢ² bound
-/// specializes this to `A·Aᵀ`). Useful for predicting symmetrization cost.
-pub fn spgemm_flops(a: &CsrMatrix, b: &CsrMatrix) -> usize {
-    (0..a.n_rows())
-        .map(|r| {
-            a.row_indices(r)
-                .iter()
-                .map(|&k| b.row_nnz(k as usize))
-                .sum::<usize>()
-        })
-        .sum()
-}
-
-/// Gustavson upper bound on `nnz(A·B)`: every multiply-add produces at most
-/// one output entry, so the FLOP count of the row pass bounds the output
-/// size. This is the estimate the memory-budget guard compares against its
-/// nnz budget *before* allocating anything output-sized.
-pub fn spgemm_nnz_upper_bound(a: &CsrMatrix, b: &CsrMatrix) -> usize {
-    spgemm_flops(a, b)
-}
-
-/// Outcome of [`spgemm_budgeted`]: the product plus degradation provenance.
-#[derive(Debug, Clone)]
-pub struct BudgetedSpgemm {
-    /// The (possibly additionally thresholded) product.
-    pub matrix: CsrMatrix,
-    /// Whether the budget forced a degraded (adaptively thresholded)
-    /// computation instead of the exact one.
-    pub degraded: bool,
-    /// The threshold in effect when the last row was produced. Equals
-    /// `opts.threshold` when not degraded.
-    pub threshold_used: f64,
-    /// The Gustavson upper bound on the exact output nnz that was compared
-    /// against the budget.
-    pub estimated_nnz: usize,
-}
-
-/// SpGEMM under an output-size budget: if the Gustavson upper bound on
-/// `nnz(A·B)` fits within `budget_nnz`, this is an exact (possibly
-/// parallel) multiply. Otherwise the multiply degrades gracefully instead
-/// of aborting: it runs serially with an *adaptive* threshold — whenever
-/// the accumulated output exceeds the budget, the threshold is raised to
-/// the magnitude that keeps roughly `budget_nnz / 2` of the strongest
-/// entries and the output built so far is compacted. The result is a
-/// deterministic, thresholded approximation whose memory never grows
-/// past O(`budget_nnz`) plus one dense accumulator row.
-pub fn spgemm_budgeted(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    opts: &SpgemmOptions,
-    budget_nnz: usize,
-    token: Option<&CancelToken>,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<BudgetedSpgemm> {
-    check_dims(a, b)?;
-    if budget_nnz == 0 {
-        return Err(SparseError::InvalidArgument(
-            "spgemm budget must be positive".into(),
-        ));
-    }
-    let estimated_nnz = spgemm_nnz_upper_bound(a, b);
-    if estimated_nnz <= budget_nnz {
-        let matrix = if opts.n_threads != 1 {
-            spgemm_parallel_with_token(a, b, opts, token, metrics)?
-        } else {
-            spgemm_serial_with_token(a, b, opts, token, metrics)?
-        };
-        return Ok(BudgetedSpgemm {
-            matrix,
-            degraded: false,
-            threshold_used: opts.threshold,
-            estimated_nnz,
-        });
-    }
-
-    // Degraded path: serial Gustavson with adaptive thresholding.
+    mut scratch: S,
+    body: &B,
+) -> Result<(RowKernelOutput, f64)>
+where
+    B: Fn(usize, ColRange, &mut S, &SpgemmOptions, &mut Vec<u32>, &mut Vec<f64>, &mut SpgemmCounts),
+{
     if let Some(m) = metrics {
         m.counter(metric_names::DEGRADED_FALLBACKS).inc();
     }
+    let cols = ColRange::full(n_cols);
     let mut compactions = 0u64;
-    let n_rows = a.n_rows();
-    let n_cols = b.n_cols();
-    let mut scratch = RowScratch::new(n_cols);
     let mut indptr = Vec::with_capacity(n_rows + 1);
     indptr.push(0usize);
     let mut indices: Vec<u32> = Vec::new();
@@ -765,10 +607,9 @@ pub fn spgemm_budgeted(
         if let Some(t) = token {
             t.checkpoint()?;
         }
-        gustavson_row(
-            a,
-            b,
+        body(
             row,
+            cols,
             &mut scratch,
             &live_opts,
             &mut indices,
@@ -776,8 +617,8 @@ pub fn spgemm_budgeted(
             &mut counts,
         );
         indptr.push(indices.len());
-        if values.len() > budget_nnz {
-            live_opts.threshold = raised_threshold(&values, live_opts.threshold, budget_nnz);
+        if values.len() > budget {
+            live_opts.threshold = raised_threshold(&values, live_opts.threshold, budget);
             compact_thresholded(&mut indptr, &mut indices, &mut values, live_opts.threshold);
             compactions += 1;
         }
@@ -785,16 +626,203 @@ pub fn spgemm_budgeted(
     // Compactions may have removed entries counted as emitted; the final
     // output length is the true final nnz.
     counts.emitted = indices.len() as u64;
-    counts.flush(metrics);
     if let Some(m) = metrics {
         m.counter(metric_names::BUDGET_COMPACTIONS).add(compactions);
     }
-    Ok(BudgetedSpgemm {
+    let out = RowKernelOutput {
+        indptr,
+        indices,
+        values,
+        counts,
+    };
+    Ok((out, live_opts.threshold))
+}
+
+/// The funnel under both entry points: sums the per-row Gustavson bound
+/// (`row_width`), and runs `body` through the degraded loop when the bound
+/// exceeds [`SpgemmOptions::nnz_budget`], through the panel driver when
+/// the plan is engaged, and through the row-block driver otherwise. The
+/// `spgemm.*` work counters are flushed to `metrics` once, on success.
+///
+/// `upper` marks a square upper-triangle (SYRK) product: its panel grid is
+/// triangular, its degraded pass may keep only half the budget, and its
+/// rows are mirrored into the full symmetric matrix (which doubles the
+/// output back) before it is returned.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive<S, N, B>(
+    n_rows: usize,
+    n_cols: usize,
+    upper: bool,
+    opts: &SpgemmOptions,
+    token: Option<&CancelToken>,
+    metrics: Option<&MetricsRegistry>,
+    row_width: impl Fn(usize) -> usize,
+    new_scratch: N,
+    body: B,
+) -> Result<SpgemmOutput>
+where
+    N: Fn() -> S + Sync,
+    B: Fn(usize, ColRange, &mut S, &SpgemmOptions, &mut Vec<u32>, &mut Vec<f64>, &mut SpgemmCounts)
+        + Sync,
+{
+    let estimated_nnz: usize = (0..n_rows).map(&row_width).sum();
+    let over_budget = match opts.nnz_budget {
+        Some(0) => {
+            return Err(SparseError::InvalidArgument(
+                "spgemm budget must be positive".into(),
+            ))
+        }
+        Some(budget) if estimated_nnz > budget => Some(budget),
+        _ => None,
+    };
+    let (out, degraded, threshold_used) = if let Some(budget) = over_budget {
+        let budget = if upper { (budget / 2).max(1) } else { budget };
+        let (out, threshold_used) = run_degraded(
+            n_rows,
+            n_cols,
+            budget,
+            opts,
+            token,
+            metrics,
+            new_scratch(),
+            &body,
+        )?;
+        (out, true, threshold_used)
+    } else {
+        let kernel = |row: usize,
+                      cols: ColRange,
+                      scratch: &mut S,
+                      indices: &mut Vec<u32>,
+                      values: &mut Vec<f64>,
+                      counts: &mut SpgemmCounts| {
+            body(row, cols, scratch, opts, indices, values, counts)
+        };
+        let out = if opts.panel.engaged() {
+            run_panels(
+                n_rows,
+                n_cols,
+                upper,
+                &opts.panel,
+                opts.n_threads,
+                token,
+                row_width,
+                new_scratch,
+                kernel,
+            )?
+        } else {
+            run_rows(n_rows, n_cols, opts.n_threads, token, new_scratch, kernel)?
+        };
+        (out, false, opts.threshold)
+    };
+    let RowKernelOutput {
+        mut indptr,
+        mut indices,
+        mut values,
+        counts,
+    } = out;
+    counts.flush(metrics);
+    if upper {
+        let mirrored;
+        (indptr, indices, values, mirrored) = mirror_upper(n_rows, &indptr, &indices, &values);
+        if let Some(m) = metrics {
+            m.counter(metric_names::SYRK_CALLS).inc();
+            m.counter(metric_names::SYRK_MIRRORED_NNZ).add(mirrored);
+        }
+    }
+    Ok(SpgemmOutput {
         matrix: CsrMatrix::from_raw_parts_unchecked(n_rows, n_cols, indptr, indices, values),
-        degraded: true,
-        threshold_used: live_opts.threshold,
+        degraded,
+        threshold_used,
         estimated_nnz,
     })
+}
+
+/// Gustavson SpGEMM: `C = A·B`, pruned on the fly per [`SpgemmOptions`].
+///
+/// `opts.n_threads` alone decides between one thread and the
+/// work-stealing pool; `token`, when given, is polled between output rows
+/// and trips the call with [`SparseError::Cancelled`]; work counts (rows,
+/// flops, intermediate/final nnz, threshold drops — see [`metric_names`])
+/// are accumulated in locals and flushed to `metrics` once at the end of
+/// the call.
+pub fn spgemm(
+    a: &CsrMatrix,
+    b: &CsrMatrix,
+    opts: &SpgemmOptions,
+    token: Option<&CancelToken>,
+    metrics: Option<&MetricsRegistry>,
+) -> Result<SpgemmOutput> {
+    check_dims(a, b)?;
+    let n_cols = b.n_cols();
+    drive(
+        a.n_rows(),
+        n_cols,
+        false,
+        opts,
+        token,
+        metrics,
+        |row| gustavson_width(a, b, row),
+        || RowScratch::new(n_cols),
+        |row, cols, scratch: &mut RowScratch, opts, indices, values, counts| {
+            let finish = Finish::<NoEpilogue>::Filter(opts);
+            gustavson_row(a, b, row, cols, scratch, &finish, indices, values, counts);
+        },
+    )
+}
+
+/// The row-block driver with a caller-supplied row epilogue in place of
+/// the threshold filter: computes `C = A·B` row by row and lets `epilogue`
+/// decide what each row emits.
+///
+/// `epilogue(row, entries)` receives the accumulated `(column, value)`
+/// entries of row `row` in **first-touch order** — the order the dense
+/// accumulator first saw each column, ascending `k` then ascending column
+/// within `B`'s row `k`; never sorted, so order-sensitive selections (a
+/// `select_nth_unstable` top-k over tied values) see a fixed sequence at
+/// any thread count. It edits `entries` in place; whatever it leaves is
+/// the output row and must be in ascending column order.
+///
+/// Runs on one thread when `n_threads` is 1 (`0` = all cores), polls
+/// `token` before every row, and surfaces a panicking epilogue as
+/// [`SparseError::WorkerPanic`]. Records no metrics.
+pub fn run_rows_with_epilogue<E>(
+    a: &CsrMatrix,
+    b: &CsrMatrix,
+    n_threads: usize,
+    token: Option<&CancelToken>,
+    epilogue: E,
+) -> Result<CsrMatrix>
+where
+    E: Fn(usize, &mut Vec<(u32, f64)>) + Sync,
+{
+    check_dims(a, b)?;
+    let (n_rows, n_cols) = (a.n_rows(), b.n_cols());
+    let finish = Finish::Epilogue(&epilogue);
+    let out = run_rows(
+        n_rows,
+        n_cols,
+        n_threads,
+        token,
+        || RowScratch::new(n_cols),
+        |row, cols, scratch: &mut RowScratch, indices, values, counts| {
+            gustavson_row(a, b, row, cols, scratch, &finish, indices, values, counts);
+        },
+    )?;
+    Ok(CsrMatrix::from_raw_parts_unchecked(
+        n_rows,
+        n_cols,
+        out.indptr,
+        out.indices,
+        out.values,
+    ))
+}
+
+/// Estimated number of multiply-adds for `A·B` (the paper's Σᵢ dᵢ² bound
+/// specializes this to `A·Aᵀ`). Useful for predicting symmetrization cost;
+/// it is also the Gustavson upper bound on `nnz(A·B)` that
+/// [`SpgemmOptions::nnz_budget`] is compared against.
+pub fn spgemm_flops(a: &CsrMatrix, b: &CsrMatrix) -> usize {
+    (0..a.n_rows()).map(|r| gustavson_width(a, b, r)).sum()
 }
 
 /// The adaptive-threshold raise used by the budget-degraded paths: the
@@ -840,6 +868,30 @@ mod tests {
     use super::*;
     use crate::ops::transpose;
 
+    /// `A·B` under `opts`, no token, no metrics.
+    fn mul_with(a: &CsrMatrix, b: &CsrMatrix, opts: &SpgemmOptions) -> CsrMatrix {
+        spgemm(a, b, opts, None, None).unwrap().matrix
+    }
+
+    /// `A·B` on one thread with default options.
+    fn mul(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
+        mul_with(a, b, &threads(1))
+    }
+
+    fn threads(n_threads: usize) -> SpgemmOptions {
+        SpgemmOptions {
+            n_threads,
+            ..Default::default()
+        }
+    }
+
+    fn budget(nnz_budget: usize) -> SpgemmOptions {
+        SpgemmOptions {
+            nnz_budget: Some(nnz_budget),
+            ..Default::default()
+        }
+    }
+
     fn dense_mul(a: &CsrMatrix, b: &CsrMatrix) -> Vec<Vec<f64>> {
         let (n, k, m) = (a.n_rows(), a.n_cols(), b.n_cols());
         let da = a.to_dense();
@@ -862,7 +914,7 @@ mod tests {
     fn spgemm_matches_dense_reference() {
         let a = CsrMatrix::from_dense(&[vec![1.0, 2.0, 0.0], vec![0.0, 3.0, 4.0]]);
         let b = CsrMatrix::from_dense(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![2.0, 2.0]]);
-        let c = spgemm(&a, &b).unwrap();
+        let c = mul(&a, &b);
         c.validate().unwrap();
         assert_eq!(c.to_dense(), dense_mul(&a, &b));
     }
@@ -871,15 +923,15 @@ mod tests {
     fn spgemm_identity_is_noop() {
         let a = CsrMatrix::from_dense(&[vec![1.0, 2.0], vec![3.0, 0.0]]);
         let i = CsrMatrix::identity(2);
-        assert_eq!(spgemm(&a, &i).unwrap(), a);
-        assert_eq!(spgemm(&i, &a).unwrap(), a);
+        assert_eq!(mul(&a, &i), a);
+        assert_eq!(mul(&i, &a), a);
     }
 
     #[test]
     fn spgemm_rejects_bad_dims() {
         let a = CsrMatrix::zeros(2, 3);
         let b = CsrMatrix::zeros(2, 3);
-        assert!(spgemm(&a, &b).is_err());
+        assert!(spgemm(&a, &b, &SpgemmOptions::default(), None, None).is_err());
     }
 
     #[test]
@@ -891,7 +943,7 @@ mod tests {
             vec![0.0, 0.0, 0.0, 0.0],
             vec![0.0, 0.0, 0.0, 0.0],
         ]);
-        let b = spgemm(&a, &transpose(&a)).unwrap();
+        let b = mul(&a, &transpose(&a));
         assert!(b.is_symmetric(0.0));
         assert_eq!(b.get(0, 1), 2.0); // two shared out-links
         assert_eq!(b.get(0, 0), 2.0); // self-similarity = out-degree
@@ -905,8 +957,8 @@ mod tests {
             threshold: 1.2,
             ..Default::default()
         };
-        let c = spgemm_thresholded(&a, &a, &opts).unwrap();
-        let full = spgemm(&a, &a).unwrap();
+        let c = mul_with(&a, &a, &opts);
+        let full = mul(&a, &a);
         for (r, col, v) in full.iter() {
             if v.abs() >= 1.2 {
                 assert_eq!(c.get(r, col as usize), v);
@@ -923,7 +975,7 @@ mod tests {
             drop_diagonal: true,
             ..Default::default()
         };
-        let c = spgemm_thresholded(&a, &a, &opts).unwrap();
+        let c = mul_with(&a, &a, &opts);
         assert_eq!(c.get(0, 0), 0.0);
         assert_eq!(c.get(1, 1), 0.0);
         assert_eq!(c.get(0, 1), 2.0);
@@ -949,12 +1001,8 @@ mod tests {
     fn parallel_matches_serial() {
         // Deterministic pseudo-random matrix, large enough to split.
         let a = pseudo_random_matrix(64, 0x243F6A8885A308D3, 4);
-        let serial = spgemm(&a, &a).unwrap();
-        let opts = SpgemmOptions {
-            n_threads: 4,
-            ..Default::default()
-        };
-        let parallel = spgemm_parallel(&a, &a, &opts).unwrap();
+        let serial = mul(&a, &a);
+        let parallel = mul_with(&a, &a, &threads(4));
         parallel.validate().unwrap();
         assert_eq!(serial.indptr(), parallel.indptr());
         assert_eq!(serial.indices(), parallel.indices());
@@ -968,13 +1016,9 @@ mod tests {
         // Bit-identical output regardless of scheduling: the block
         // assembly is deterministic even when every block is stolen.
         let a = pseudo_random_matrix(200, 0x9E3779B97F4A7C15, 3);
-        let serial = spgemm(&a, &a).unwrap();
+        let serial = mul(&a, &a);
         for n_threads in [2, 3, 5, 8] {
-            let opts = SpgemmOptions {
-                n_threads,
-                ..Default::default()
-            };
-            let parallel = spgemm_parallel(&a, &a, &opts).unwrap();
+            let parallel = mul_with(&a, &a, &threads(n_threads));
             assert_eq!(serial, parallel, "thread count {n_threads}");
         }
     }
@@ -982,12 +1026,7 @@ mod tests {
     #[test]
     fn parallel_small_input_falls_back_to_serial() {
         let a = CsrMatrix::from_dense(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let opts = SpgemmOptions {
-            n_threads: 8,
-            ..Default::default()
-        };
-        let c = spgemm_parallel(&a, &a, &opts).unwrap();
-        assert_eq!(c, spgemm(&a, &a).unwrap());
+        assert_eq!(mul_with(&a, &a, &threads(8)), mul(&a, &a));
     }
 
     #[test]
@@ -996,10 +1035,11 @@ mod tests {
         // SparseError::WorkerPanic from the runner, not kill the process.
         let err = run_rows(
             1024,
+            1,
             4,
             None,
             || (),
-            |row, _scratch: &mut (), indices, values, _counts| {
+            |row, _cols, _scratch: &mut (), indices, values, _counts| {
                 if row == 700 {
                     panic!("injected row failure");
                 }
@@ -1015,14 +1055,70 @@ mod tests {
     }
 
     #[test]
+    fn epilogue_gets_first_touch_order_and_its_output_is_the_row() {
+        let a = pseudo_random_matrix(200, 0x9E3779B97F4A7C15, 3);
+        // First-touch order of row `row`: ascending k, then B's row k in
+        // column order, each column listed where it first appears.
+        let first_touch = |row: usize| {
+            let mut order: Vec<u32> = Vec::new();
+            for &k in a.row_indices(row) {
+                for &j in a.row_indices(k as usize) {
+                    if !order.contains(&j) {
+                        order.push(j);
+                    }
+                }
+            }
+            order
+        };
+        let reference = mul(&a, &a);
+        for n_threads in [1, 4] {
+            let c = run_rows_with_epilogue(&a, &a, n_threads, None, |row, entries| {
+                let cols: Vec<u32> = entries.iter().map(|e| e.0).collect();
+                assert_eq!(cols, first_touch(row), "row {row}");
+                entries.sort_unstable_by_key(|e| e.0);
+            })
+            .unwrap();
+            assert_eq!(c, reference, "threads {n_threads}");
+        }
+    }
+
+    #[test]
+    fn epilogue_cancelling_at_a_row_stops_before_the_next_on_one_thread() {
+        let a = pseudo_random_matrix(64, 0x243F6A8885A308D3, 3);
+        let token = crate::cancel::CancelToken::new();
+        let called = std::sync::Mutex::new(Vec::new());
+        let r = run_rows_with_epilogue(&a, &a, 1, Some(&token), |row, entries| {
+            called.lock().unwrap().push(row);
+            if row == 17 {
+                token.cancel();
+            }
+            entries.sort_unstable_by_key(|e| e.0);
+        });
+        assert_eq!(r.err(), Some(SparseError::Cancelled));
+        assert_eq!(called.into_inner().unwrap(), (0..=17).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn panicking_epilogue_on_the_pool_becomes_worker_panic() {
+        let a = pseudo_random_matrix(300, 0x243F6A8885A308D3, 3);
+        let err = run_rows_with_epilogue(&a, &a, 4, None, |row, entries| {
+            if row == 200 {
+                panic!("injected epilogue failure");
+            }
+            entries.sort_unstable_by_key(|e| e.0);
+        })
+        .unwrap_err();
+        match err {
+            SparseError::WorkerPanic(msg) => assert!(msg.contains("injected epilogue failure")),
+            other => panic!("expected WorkerPanic, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn steals_counter_is_recorded_for_parallel_runs() {
         let a = pseudo_random_matrix(300, 0x243F6A8885A308D3, 3);
         let m = MetricsRegistry::new();
-        let opts = SpgemmOptions {
-            n_threads: 4,
-            ..Default::default()
-        };
-        spgemm_observed(&a, &a, &opts, None, Some(&m)).unwrap();
+        spgemm(&a, &a, &threads(4), None, Some(&m)).unwrap();
         // The steal count itself is scheduling-dependent; what is
         // guaranteed is that the counter exists after a parallel run.
         assert!(m.snapshot().counter(metric_names::SCHED_STEALS).is_some());
@@ -1033,14 +1129,10 @@ mod tests {
         let a = CsrMatrix::from_dense(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let token = crate::cancel::CancelToken::new();
         token.cancel();
-        let serial = spgemm_cancellable(&a, &a, &SpgemmOptions::default(), &token);
-        assert_eq!(serial, Err(SparseError::Cancelled));
-        let opts = SpgemmOptions {
-            n_threads: 4,
-            ..Default::default()
-        };
-        let parallel = spgemm_cancellable(&a, &a, &opts, &token);
-        assert_eq!(parallel, Err(SparseError::Cancelled));
+        let serial = spgemm(&a, &a, &threads(1), Some(&token), None);
+        assert_eq!(serial.err(), Some(SparseError::Cancelled));
+        let parallel = spgemm(&a, &a, &threads(4), Some(&token), None);
+        assert_eq!(parallel.err(), Some(SparseError::Cancelled));
     }
 
     #[test]
@@ -1049,12 +1141,8 @@ mod tests {
         let a = pseudo_random_matrix(128, 0x243F6A8885A308D3, 3);
         let token = crate::cancel::CancelToken::new();
         token.cancel();
-        let opts = SpgemmOptions {
-            n_threads: 4,
-            ..Default::default()
-        };
-        let r = spgemm_cancellable(&a, &a, &opts, &token);
-        assert_eq!(r, Err(SparseError::Cancelled));
+        let r = spgemm(&a, &a, &threads(4), Some(&token), None);
+        assert_eq!(r.err(), Some(SparseError::Cancelled));
     }
 
     #[test]
@@ -1065,8 +1153,8 @@ mod tests {
             vec![1.0, 0.0, 1.0],
         ]);
         let token = crate::cancel::CancelToken::new();
-        let c = spgemm_cancellable(&a, &a, &SpgemmOptions::default(), &token).unwrap();
-        assert_eq!(c, spgemm(&a, &a).unwrap());
+        let c = spgemm(&a, &a, &threads(1), Some(&token), None).unwrap();
+        assert_eq!(c.matrix, mul(&a, &a));
     }
 
     #[test]
@@ -1074,7 +1162,9 @@ mod tests {
         let a = CsrMatrix::from_dense(&[vec![1.0, 1.0], vec![0.0, 1.0]]);
         // row0 of A hits rows 0 and 1 of B (nnz 2 + 1), row1 hits row 1 (1).
         assert_eq!(spgemm_flops(&a, &a), 4);
-        assert_eq!(spgemm_nnz_upper_bound(&a, &a), 4);
+        // The same count is the bound a budget is compared against.
+        let r = spgemm(&a, &a, &SpgemmOptions::default(), None, None).unwrap();
+        assert_eq!(r.estimated_nnz, 4);
     }
 
     #[test]
@@ -1084,10 +1174,10 @@ mod tests {
             vec![0.0, 3.0, 4.0],
             vec![1.0, 0.0, 1.0],
         ]);
-        let r = spgemm_budgeted(&a, &a, &SpgemmOptions::default(), 1_000_000, None, None).unwrap();
+        let r = spgemm(&a, &a, &budget(1_000_000), None, None).unwrap();
         assert!(!r.degraded);
         assert_eq!(r.threshold_used, 0.0);
-        assert_eq!(r.matrix, spgemm(&a, &a).unwrap());
+        assert_eq!(r.matrix, mul(&a, &a));
         assert!(r.estimated_nnz >= r.matrix.nnz());
     }
 
@@ -1106,28 +1196,28 @@ mod tests {
             }
         }
         let a = CsrMatrix::from_dense(&rows);
-        let budget = 64;
-        let r = spgemm_budgeted(&a, &a, &SpgemmOptions::default(), budget, None, None).unwrap();
+        let cap = 64;
+        let r = spgemm(&a, &a, &budget(cap), None, None).unwrap();
         assert!(r.degraded);
         assert!(r.threshold_used > 0.0);
-        assert!(r.estimated_nnz > budget);
+        assert!(r.estimated_nnz > cap);
         // The final compaction keeps the output near the budget (it can
         // exceed budget only transiently, between compactions).
         assert!(
-            r.matrix.nnz() <= budget + n,
-            "nnz {} way over budget {budget}",
+            r.matrix.nnz() <= cap + n,
+            "nnz {} way over budget {cap}",
             r.matrix.nnz()
         );
         r.matrix.validate().unwrap();
         // Every surviving entry matches the exact product and passes the
         // final threshold.
-        let exact = spgemm(&a, &a).unwrap();
+        let exact = mul(&a, &a);
         for (row, col, v) in r.matrix.iter() {
             assert!((exact.get(row, col as usize) - v).abs() < 1e-12);
             assert!(v.abs() >= r.threshold_used);
         }
         // Degraded output is deterministic.
-        let again = spgemm_budgeted(&a, &a, &SpgemmOptions::default(), budget, None, None).unwrap();
+        let again = spgemm(&a, &a, &budget(cap), None, None).unwrap();
         assert_eq!(r.matrix, again.matrix);
     }
 
@@ -1135,11 +1225,7 @@ mod tests {
     fn observed_records_exact_work_counters() {
         let a = CsrMatrix::from_dense(&[vec![1.0, 1.0], vec![0.0, 1.0]]);
         let m = MetricsRegistry::new();
-        let opts = SpgemmOptions {
-            n_threads: 1,
-            ..Default::default()
-        };
-        let c = spgemm_observed(&a, &a, &opts, None, Some(&m)).unwrap();
+        let c = spgemm(&a, &a, &threads(1), None, Some(&m)).unwrap().matrix;
         let snap = m.snapshot();
         assert_eq!(snap.counter(metric_names::CALLS), Some(1));
         assert_eq!(snap.counter(metric_names::ROWS), Some(2));
@@ -1160,17 +1246,9 @@ mod tests {
     fn parallel_observed_counters_match_serial() {
         let a = pseudo_random_matrix(64, 0x243F6A8885A308D3, 4);
         let serial = MetricsRegistry::new();
-        let serial_opts = SpgemmOptions {
-            n_threads: 1,
-            ..Default::default()
-        };
-        spgemm_observed(&a, &a, &serial_opts, None, Some(&serial)).unwrap();
+        spgemm(&a, &a, &threads(1), None, Some(&serial)).unwrap();
         let parallel = MetricsRegistry::new();
-        let parallel_opts = SpgemmOptions {
-            n_threads: 4,
-            ..Default::default()
-        };
-        spgemm_observed(&a, &a, &parallel_opts, None, Some(&parallel)).unwrap();
+        spgemm(&a, &a, &threads(4), None, Some(&parallel)).unwrap();
         for key in [
             metric_names::ROWS,
             metric_names::FLOPS,
@@ -1201,7 +1279,7 @@ mod tests {
         }
         let a = CsrMatrix::from_dense(&rows);
         let m = MetricsRegistry::new();
-        let r = spgemm_budgeted(&a, &a, &SpgemmOptions::default(), 64, None, Some(&m)).unwrap();
+        let r = spgemm(&a, &a, &budget(64), None, Some(&m)).unwrap();
         assert!(r.degraded);
         let snap = m.snapshot();
         assert_eq!(snap.counter(metric_names::DEGRADED_FALLBACKS), Some(1));
@@ -1215,10 +1293,10 @@ mod tests {
     #[test]
     fn budgeted_rejects_zero_budget_and_honors_cancellation() {
         let a = CsrMatrix::from_dense(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
-        assert!(spgemm_budgeted(&a, &a, &SpgemmOptions::default(), 0, None, None).is_err());
+        assert!(spgemm(&a, &a, &budget(0), None, None).is_err());
         let token = crate::cancel::CancelToken::new();
         token.cancel();
-        let r = spgemm_budgeted(&a, &a, &SpgemmOptions::default(), 1, Some(&token), None);
+        let r = spgemm(&a, &a, &budget(1), Some(&token), None);
         assert_eq!(r.err(), Some(SparseError::Cancelled));
     }
 }

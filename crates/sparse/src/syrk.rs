@@ -40,11 +40,13 @@
 //! nnz(Xₜᵀ row k) product count — a deterministic function of the input
 //! structure alone, so the strategy mix never depends on thread count.
 //!
-//! Parallelism, cancellation, budget degradation and observability all
-//! ride on the shared row-runner in [`crate::spgemm`]: work-stealing row
-//! blocks with deterministic assembly, per-row cancellation checkpoints,
-//! adaptive-threshold degraded fallback, and the `spgemm.*` counters plus
-//! the SYRK-specific `spgemm.syrk_calls` / `spgemm.syrk_mirrored_nnz`.
+//! Parallelism, panel tiling, cancellation, budget degradation and
+//! observability all ride on the shared funnel in [`crate::spgemm`]
+//! ([`drive`]): this module supplies only the row body — which, like the
+//! general one, accumulates a column range of its row, `[row, n)` in
+//! memory and `[max(row, c_lo), c_hi)` for a panel tile — and the mirror,
+//! whose entries the funnel tallies under the SYRK-specific
+//! `spgemm.syrk_calls` / `spgemm.syrk_mirrored_nnz` counters.
 
 use crate::accum::{
     gather_scaled_term, reduce_pairs_terms, scatter_scaled_seen, DenseAccum, TouchStamp,
@@ -52,19 +54,16 @@ use crate::accum::{
 use crate::cancel::CancelToken;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
-use crate::ops::transpose;
 use crate::spgemm::{
-    compact_thresholded, emits, metric_names, raised_threshold, run_rows, spgemm_flops,
-    BudgetedSpgemm, RowKernelOutput, SpgemmCounts, SpgemmOptions,
+    drive, emits, gustavson_width, ColRange, SpgemmCounts, SpgemmOptions, SpgemmOutput,
 };
 use crate::Result;
 use symclust_obs::MetricsRegistry;
 
 /// One `X·Xᵀ` term of a symmetric product sum.
 ///
-/// `xt` must be the transpose of `x` — callers that already hold both
-/// factors (the symmetrizers do) pass them directly; [`spgemm_syrk`]
-/// computes the transpose itself. Only dimensions are validated: passing
+/// `xt` must be the transpose of `x` ([`crate::ops::transpose`]); the
+/// symmetrizers already hold both factors. Only dimensions are validated: passing
 /// an `xt` that is not bitwise `transpose(x)` silently computes
 /// `upper(X·Y)` mirrored, which is not `X·Y`.
 #[derive(Debug, Clone, Copy)]
@@ -78,14 +77,14 @@ pub struct SyrkTerm<'a> {
 fn check_terms(terms: &[SyrkTerm<'_>]) -> Result<usize> {
     let Some(first) = terms.first() else {
         return Err(SparseError::InvalidArgument(
-            "spgemm_syrk needs at least one term".into(),
+            "spgemm_syrk_sum needs at least one term".into(),
         ));
     };
     let n = first.x.n_rows();
     for term in terms {
         if term.x.n_rows() != n || term.xt.n_cols() != n || term.x.n_cols() != term.xt.n_rows() {
             return Err(SparseError::DimensionMismatch {
-                op: "spgemm_syrk",
+                op: "spgemm_syrk_sum",
                 lhs: (term.x.n_rows(), term.x.n_cols()),
                 rhs: (term.xt.n_rows(), term.xt.n_cols()),
             });
@@ -97,15 +96,15 @@ fn check_terms(terms: &[SyrkTerm<'_>]) -> Result<usize> {
 /// Per-worker scratch: one epoch-stamped dense accumulator per term, a
 /// shared duplicate-free touched-column list, and the triple buffer used
 /// by sparse rows.
-pub(crate) struct SyrkScratch {
-    pub(crate) accs: Vec<DenseAccum>,
-    pub(crate) seen: TouchStamp,
-    pub(crate) touched: Vec<u32>,
-    pub(crate) pairs: Vec<(u32, u32, f64)>,
+struct SyrkScratch {
+    accs: Vec<DenseAccum>,
+    seen: TouchStamp,
+    touched: Vec<u32>,
+    pairs: Vec<(u32, u32, f64)>,
 }
 
 impl SyrkScratch {
-    pub(crate) fn new(n: usize, n_terms: usize) -> Self {
+    fn new(n: usize, n_terms: usize) -> Self {
         SyrkScratch {
             accs: (0..n_terms).map(|_| DenseAccum::new(n)).collect(),
             seen: TouchStamp::new(n),
@@ -115,11 +114,27 @@ impl SyrkScratch {
     }
 }
 
-/// Accumulates row `row` of `Σₜ Xₜ·Xₜᵀ`, upper triangle only, and emits
-/// the surviving entries in ascending column order.
+/// The row's *whole* product count across terms: a structure-only upper
+/// bound on the upper-triangle work, and the width estimate behind the
+/// accumulator choice. Depends on the input and nothing else, so the
+/// dense/sparse mix is deterministic and thread-independent.
+fn syrk_width(terms: &[SyrkTerm<'_>], row: usize) -> usize {
+    terms
+        .iter()
+        .map(|term| gustavson_width(term.x, term.xt, row))
+        .sum()
+}
+
+/// The SYRK row body: accumulates columns `[max(row, cols.lo), cols.hi)`
+/// of row `row` of `Σₜ Xₜ·Xₜᵀ` and emits the surviving entries in
+/// ascending column order. The per-range column sets partition the row's
+/// upper triangle `[row, n)`, so the exact post-clip `flops` counts sum to
+/// the whole-row total.
+#[allow(clippy::too_many_arguments)]
 fn syrk_row(
     terms: &[SyrkTerm<'_>],
     row: usize,
+    cols: ColRange,
     scratch: &mut SyrkScratch,
     opts: &SpgemmOptions,
     indices: &mut Vec<u32>,
@@ -127,40 +142,34 @@ fn syrk_row(
     counts: &mut SpgemmCounts,
 ) {
     let emitted_before = indices.len();
-    // Width estimate for the strategy choice: the row's *full* product
-    // count across terms, a structure-only upper bound on the
-    // upper-triangle work below. Depends on the input and nothing else,
-    // so the dense/sparse mix is deterministic and thread-independent.
-    // The flops counter keeps its exact post-`partition_point` count.
-    let estimated_width: usize = terms
-        .iter()
-        .map(|term| {
-            term.x
-                .row_indices(row)
-                .iter()
-                .map(|&k| term.xt.row_nnz(k as usize))
-                .sum::<usize>()
-        })
-        .sum();
+    let dense = opts.row_is_dense(syrk_width(terms, row));
+    if cols.owner {
+        counts.count_row(dense);
+    }
+    // Upper triangle only: columns are sorted, so the clip drops j < row
+    // by binary search.
+    let cols = ColRange {
+        lo: cols.lo.max(row),
+        ..cols
+    };
     let SyrkScratch {
         accs,
         seen,
         touched,
         pairs,
     } = scratch;
-    let distinct = if opts.row_is_dense(estimated_width) {
-        counts.rows_dense += 1;
+    let distinct = if dense {
         seen.begin_row();
         touched.clear();
         for (term, acc) in terms.iter().zip(accs.iter_mut()) {
             acc.begin_row();
             for (k, xv) in term.x.row_iter(row) {
-                let cols = term.xt.row_indices(k as usize);
-                let vals = term.xt.row_values(k as usize);
-                // Columns are sorted: everything from `start` on is j >= row.
-                let start = cols.partition_point(|&j| (j as usize) < row);
-                counts.flops += (cols.len() - start) as u64;
-                scatter_scaled_seen(acc, seen, touched, xv, &cols[start..], &vals[start..]);
+                let (tcols, tvals) = cols.clip(
+                    term.xt.row_indices(k as usize),
+                    term.xt.row_values(k as usize),
+                );
+                counts.flops += tcols.len() as u64;
+                scatter_scaled_seen(acc, seen, touched, xv, tcols, tvals);
             }
         }
         // Emit in ascending column order so block-ordered assembly and
@@ -185,15 +194,15 @@ fn syrk_row(
         }
         touched.len() as u64
     } else {
-        counts.rows_sparse += 1;
         pairs.clear();
         for (t, term) in terms.iter().enumerate() {
             for (k, xv) in term.x.row_iter(row) {
-                let cols = term.xt.row_indices(k as usize);
-                let vals = term.xt.row_values(k as usize);
-                let start = cols.partition_point(|&j| (j as usize) < row);
-                counts.flops += (cols.len() - start) as u64;
-                gather_scaled_term(pairs, t as u32, xv, &cols[start..], &vals[start..]);
+                let (tcols, tvals) = cols.clip(
+                    term.xt.row_indices(k as usize),
+                    term.xt.row_values(k as usize),
+                );
+                counts.flops += tcols.len() as u64;
+                gather_scaled_term(pairs, t as u32, xv, tcols, tvals);
             }
         }
         reduce_pairs_terms(pairs, |j, v| {
@@ -203,7 +212,6 @@ fn syrk_row(
             }
         })
     };
-    counts.rows += 1;
     counts.touched += distinct;
     counts.emitted += (indices.len() - emitted_before) as u64;
 }
@@ -262,154 +270,60 @@ pub(crate) fn mirror_upper(
     (indptr, indices, values, mirrored)
 }
 
-pub(crate) fn flush_syrk(out: &RowKernelOutput, mirrored: u64, metrics: Option<&MetricsRegistry>) {
-    out.counts.flush(metrics);
-    out.flush_steals(metrics);
-    if let Some(m) = metrics {
-        m.counter(metric_names::SYRK_CALLS).inc();
-        m.counter(metric_names::SYRK_MIRRORED_NNZ).add(mirrored);
-    }
-}
-
-/// Symmetric SpGEMM: `C = X·Xᵀ`, computing the transpose internally.
-pub fn spgemm_syrk(x: &CsrMatrix, opts: &SpgemmOptions) -> Result<CsrMatrix> {
-    let xt = transpose(x);
-    spgemm_syrk_observed(x, &xt, opts, None, None)
-}
-
-/// Symmetric SpGEMM with a caller-supplied transpose, optional
-/// cancellation and optional metrics.
-pub fn spgemm_syrk_observed(
-    x: &CsrMatrix,
-    xt: &CsrMatrix,
-    opts: &SpgemmOptions,
-    token: Option<&CancelToken>,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<CsrMatrix> {
-    spgemm_syrk_sum_observed(&[SyrkTerm { x, xt }], opts, token, metrics)
-}
-
 /// Fused symmetric product sum: `C = Σₜ Xₜ·Xₜᵀ` in one upper-triangle
 /// pass with per-term accumulators, thresholding the *sum* during
-/// emission (see the module docs for the bit-exactness argument).
-pub fn spgemm_syrk_sum_observed(
+/// emission (see the module docs for the bit-exactness argument), then
+/// mirrored. A single `X·Xᵀ` is the one-term case.
+///
+/// Threads, panel plan, cancellation, metrics and the nnz budget behave as
+/// for [`crate::spgemm::spgemm`]; the budget bounds the *full* symmetric
+/// output.
+pub fn spgemm_syrk_sum(
     terms: &[SyrkTerm<'_>],
     opts: &SpgemmOptions,
     token: Option<&CancelToken>,
     metrics: Option<&MetricsRegistry>,
-) -> Result<CsrMatrix> {
+) -> Result<SpgemmOutput> {
     let n = check_terms(terms)?;
-    if opts.panel.engaged() {
-        return crate::panel::spgemm_syrk_sum_panel(terms, n, opts, token, metrics);
-    }
-    let out = run_rows(
+    drive(
         n,
-        opts.n_threads,
+        n,
+        true,
+        opts,
         token,
+        metrics,
+        |row| syrk_width(terms, row),
         || SyrkScratch::new(n, terms.len()),
-        |row, scratch: &mut SyrkScratch, indices, values, counts| {
-            syrk_row(terms, row, scratch, opts, indices, values, counts);
+        |row, cols, scratch: &mut SyrkScratch, opts, indices, values, counts| {
+            syrk_row(terms, row, cols, scratch, opts, indices, values, counts);
         },
-    )?;
-    let (indptr, indices, values, mirrored) =
-        mirror_upper(n, &out.indptr, &out.indices, &out.values);
-    flush_syrk(&out, mirrored, metrics);
-    Ok(CsrMatrix::from_raw_parts_unchecked(
-        n, n, indptr, indices, values,
-    ))
-}
-
-/// [`spgemm_syrk_sum_observed`] under an output-size budget, mirroring
-/// the degradation contract of [`crate::spgemm::spgemm_budgeted`]: if the
-/// Gustavson bound on the *full* output fits the budget the multiply is
-/// exact (and possibly parallel); otherwise it degrades to a serial
-/// upper-triangle pass with an adaptive threshold, compacting whenever
-/// the upper output exceeds half the budget (the mirror doubles it back).
-pub fn spgemm_syrk_sum_budgeted(
-    terms: &[SyrkTerm<'_>],
-    opts: &SpgemmOptions,
-    budget_nnz: usize,
-    token: Option<&CancelToken>,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<BudgetedSpgemm> {
-    let n = check_terms(terms)?;
-    if budget_nnz == 0 {
-        return Err(SparseError::InvalidArgument(
-            "spgemm budget must be positive".into(),
-        ));
-    }
-    let estimated_nnz: usize = terms.iter().map(|t| spgemm_flops(t.x, t.xt)).sum();
-    if estimated_nnz <= budget_nnz {
-        let matrix = spgemm_syrk_sum_observed(terms, opts, token, metrics)?;
-        return Ok(BudgetedSpgemm {
-            matrix,
-            degraded: false,
-            threshold_used: opts.threshold,
-            estimated_nnz,
-        });
-    }
-
-    if let Some(m) = metrics {
-        m.counter(metric_names::DEGRADED_FALLBACKS).inc();
-    }
-    // The budget bounds the *full* symmetric output; the upper-triangle
-    // pass may keep at most half of it (the mirror restores the rest).
-    let upper_budget = (budget_nnz / 2).max(1);
-    let mut compactions = 0u64;
-    let mut scratch = SyrkScratch::new(n, terms.len());
-    let mut indptr = Vec::with_capacity(n + 1);
-    indptr.push(0usize);
-    let mut indices: Vec<u32> = Vec::new();
-    let mut values: Vec<f64> = Vec::new();
-    let mut live_opts = opts.clone();
-    let mut counts = SpgemmCounts::default();
-    for row in 0..n {
-        if let Some(t) = token {
-            t.checkpoint()?;
-        }
-        syrk_row(
-            terms,
-            row,
-            &mut scratch,
-            &live_opts,
-            &mut indices,
-            &mut values,
-            &mut counts,
-        );
-        indptr.push(indices.len());
-        if values.len() > upper_budget {
-            live_opts.threshold = raised_threshold(&values, live_opts.threshold, upper_budget);
-            compact_thresholded(&mut indptr, &mut indices, &mut values, live_opts.threshold);
-            compactions += 1;
-        }
-    }
-    counts.emitted = indices.len() as u64;
-    let (full_indptr, full_indices, full_values, mirrored) =
-        mirror_upper(n, &indptr, &indices, &values);
-    let out = RowKernelOutput {
-        indptr: full_indptr,
-        indices: full_indices,
-        values: full_values,
-        counts,
-        steals: 0,
-    };
-    flush_syrk(&out, mirrored, metrics);
-    if let Some(m) = metrics {
-        m.counter(metric_names::BUDGET_COMPACTIONS).add(compactions);
-    }
-    Ok(BudgetedSpgemm {
-        matrix: CsrMatrix::from_raw_parts_unchecked(n, n, out.indptr, out.indices, out.values),
-        degraded: true,
-        threshold_used: live_opts.threshold,
-        estimated_nnz,
-    })
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops;
-    use crate::spgemm::{spgemm, spgemm_observed, spgemm_thresholded};
+    use crate::ops::{self, transpose};
+    use crate::spgemm::{metric_names, spgemm};
+
+    /// `A·B` through the general kernel.
+    fn general(a: &CsrMatrix, b: &CsrMatrix, opts: &SpgemmOptions) -> CsrMatrix {
+        spgemm(a, b, opts, None, None).unwrap().matrix
+    }
+
+    /// `X·Xᵀ` through the one-term SYRK sum.
+    fn syrk(x: &CsrMatrix, xt: &CsrMatrix, opts: &SpgemmOptions) -> CsrMatrix {
+        spgemm_syrk_sum(&[SyrkTerm { x, xt }], opts, None, None)
+            .unwrap()
+            .matrix
+    }
+
+    fn threads(n_threads: usize) -> SpgemmOptions {
+        SpgemmOptions {
+            n_threads,
+            ..Default::default()
+        }
+    }
 
     fn pseudo_random_matrix(
         n_rows: usize,
@@ -436,10 +350,9 @@ mod tests {
     fn syrk_matches_general_kernel_exactly() {
         let x = pseudo_random_matrix(60, 40, 0x243F6A8885A308D3, 3);
         let xt = transpose(&x);
-        let general = spgemm(&x, &xt).unwrap();
-        let syrk = spgemm_syrk(&x, &SpgemmOptions::default()).unwrap();
-        syrk.validate().unwrap();
-        assert_eq!(general, syrk);
+        let c = syrk(&x, &xt, &SpgemmOptions::default());
+        c.validate().unwrap();
+        assert_eq!(general(&x, &xt, &SpgemmOptions::default()), c);
     }
 
     #[test]
@@ -448,15 +361,15 @@ mod tests {
         let x = pseudo_random_matrix(37, 5, 0x9E3779B97F4A7C15, 5);
         let xt = transpose(&x);
         assert_eq!(
-            spgemm(&x, &xt).unwrap(),
-            spgemm_syrk(&x, &SpgemmOptions::default()).unwrap()
+            general(&x, &xt, &SpgemmOptions::default()),
+            syrk(&x, &xt, &SpgemmOptions::default())
         );
     }
 
     #[test]
     fn syrk_output_is_symmetric() {
         let x = pseudo_random_matrix(50, 50, 0xB7E151628AED2A6A, 3);
-        let c = spgemm_syrk(&x, &SpgemmOptions::default()).unwrap();
+        let c = syrk(&x, &transpose(&x), &SpgemmOptions::default());
         assert!(c.is_symmetric(0.0));
         assert_eq!(c, transpose(&c));
     }
@@ -470,9 +383,7 @@ mod tests {
             drop_diagonal: true,
             ..Default::default()
         };
-        let general = spgemm_thresholded(&x, &xt, &opts).unwrap();
-        let syrk = spgemm_syrk_observed(&x, &xt, &opts, None, None).unwrap();
-        assert_eq!(general, syrk);
+        assert_eq!(general(&x, &xt, &opts), syrk(&x, &xt, &opts));
     }
 
     #[test]
@@ -480,15 +391,16 @@ mod tests {
         let x = pseudo_random_matrix(40, 30, 0x243F6A8885A308D3, 3);
         let y = pseudo_random_matrix(40, 25, 0x9E3779B97F4A7C15, 3);
         let (xt, yt) = (transpose(&x), transpose(&y));
-        let separate = ops::add(&spgemm(&x, &xt).unwrap(), &spgemm(&y, &yt).unwrap()).unwrap();
-        let fused = spgemm_syrk_sum_observed(
+        let opts = SpgemmOptions::default();
+        let separate = ops::add(&general(&x, &xt, &opts), &general(&y, &yt, &opts)).unwrap();
+        let fused = spgemm_syrk_sum(
             &[SyrkTerm { x: &x, xt: &xt }, SyrkTerm { x: &y, xt: &yt }],
-            &SpgemmOptions::default(),
+            &opts,
             None,
             None,
         )
         .unwrap();
-        assert_eq!(separate, fused);
+        assert_eq!(separate, fused.matrix);
     }
 
     #[test]
@@ -506,7 +418,7 @@ mod tests {
                 threshold: 0.5,
                 ..Default::default()
             };
-            spgemm_syrk_sum_observed(&terms, &opts, None, None).unwrap()
+            spgemm_syrk_sum(&terms, &opts, None, None).unwrap().matrix
         };
         let dense = run(AccumStrategy::Dense, None);
         let sparse = run(AccumStrategy::Sparse, None);
@@ -542,7 +454,7 @@ mod tests {
                 n_threads,
                 ..Default::default()
             };
-            spgemm_syrk_observed(&x, &xt, &opts, None, Some(&m)).unwrap();
+            spgemm_syrk_sum(&[SyrkTerm { x: &x, xt: &xt }], &opts, None, Some(&m)).unwrap();
             let snap = m.snapshot();
             (
                 snap.counter(metric_names::ROWS_DENSE).unwrap(),
@@ -561,17 +473,9 @@ mod tests {
     fn syrk_parallel_is_identical_across_thread_counts() {
         let x = pseudo_random_matrix(300, 200, 0x243F6A8885A308D3, 4);
         let xt = transpose(&x);
-        let serial_opts = SpgemmOptions {
-            n_threads: 1,
-            ..Default::default()
-        };
-        let serial = spgemm_syrk_observed(&x, &xt, &serial_opts, None, None).unwrap();
+        let serial = syrk(&x, &xt, &threads(1));
         for n_threads in [2, 3, 8] {
-            let opts = SpgemmOptions {
-                n_threads,
-                ..Default::default()
-            };
-            let parallel = spgemm_syrk_observed(&x, &xt, &opts, None, None).unwrap();
+            let parallel = syrk(&x, &xt, &threads(n_threads));
             assert_eq!(serial, parallel, "thread count {n_threads}");
         }
     }
@@ -581,13 +485,12 @@ mod tests {
         let x = pseudo_random_matrix(64, 64, 0x243F6A8885A308D3, 3);
         let xt = transpose(&x);
         let general = MetricsRegistry::new();
-        let serial = SpgemmOptions {
-            n_threads: 1,
-            ..Default::default()
-        };
-        spgemm_observed(&x, &xt, &serial, None, Some(&general)).unwrap();
+        spgemm(&x, &xt, &threads(1), None, Some(&general)).unwrap();
         let syrk = MetricsRegistry::new();
-        let c = spgemm_syrk_observed(&x, &xt, &serial, None, Some(&syrk)).unwrap();
+        let terms = [SyrkTerm { x: &x, xt: &xt }];
+        let c = spgemm_syrk_sum(&terms, &threads(1), None, Some(&syrk))
+            .unwrap()
+            .matrix;
         let gsnap = general.snapshot();
         let ssnap = syrk.snapshot();
         let gflops = gsnap.counter(metric_names::FLOPS).unwrap();
@@ -606,11 +509,11 @@ mod tests {
 
     #[test]
     fn syrk_rejects_empty_terms_and_bad_dims() {
-        assert!(spgemm_syrk_sum_observed(&[], &SpgemmOptions::default(), None, None).is_err());
+        assert!(spgemm_syrk_sum(&[], &SpgemmOptions::default(), None, None).is_err());
         let x = CsrMatrix::zeros(3, 4);
         let bad_xt = CsrMatrix::zeros(4, 5); // n_cols != x.n_rows
-        let r = spgemm_syrk_observed(&x, &bad_xt, &SpgemmOptions::default(), None, None);
-        assert!(r.is_err());
+        let terms = [SyrkTerm { x: &x, xt: &bad_xt }];
+        assert!(spgemm_syrk_sum(&terms, &SpgemmOptions::default(), None, None).is_err());
     }
 
     #[test]
@@ -620,12 +523,9 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         for n_threads in [1, 4] {
-            let opts = SpgemmOptions {
-                n_threads,
-                ..Default::default()
-            };
-            let r = spgemm_syrk_observed(&x, &xt, &opts, Some(&token), None);
-            assert_eq!(r, Err(SparseError::Cancelled));
+            let terms = [SyrkTerm { x: &x, xt: &xt }];
+            let r = spgemm_syrk_sum(&terms, &threads(n_threads), Some(&token), None);
+            assert_eq!(r.err(), Some(SparseError::Cancelled));
         }
     }
 
@@ -633,16 +533,13 @@ mod tests {
     fn syrk_budgeted_within_budget_is_exact() {
         let x = pseudo_random_matrix(40, 30, 0x243F6A8885A308D3, 3);
         let xt = transpose(&x);
-        let r = spgemm_syrk_sum_budgeted(
-            &[SyrkTerm { x: &x, xt: &xt }],
-            &SpgemmOptions::default(),
-            1_000_000,
-            None,
-            None,
-        )
-        .unwrap();
+        let opts = SpgemmOptions {
+            nnz_budget: Some(1_000_000),
+            ..Default::default()
+        };
+        let r = spgemm_syrk_sum(&[SyrkTerm { x: &x, xt: &xt }], &opts, None, None).unwrap();
         assert!(!r.degraded);
-        assert_eq!(r.matrix, spgemm(&x, &xt).unwrap());
+        assert_eq!(r.matrix, general(&x, &xt, &SpgemmOptions::default()));
     }
 
     #[test]
@@ -650,16 +547,18 @@ mod tests {
         let x = pseudo_random_matrix(48, 48, 0x9E3779B97F4A7C15, 2);
         let xt = transpose(&x);
         let terms = [SyrkTerm { x: &x, xt: &xt }];
-        let budget = 120;
+        let opts = SpgemmOptions {
+            nnz_budget: Some(120),
+            ..Default::default()
+        };
         let m = MetricsRegistry::new();
-        let r = spgemm_syrk_sum_budgeted(&terms, &SpgemmOptions::default(), budget, None, Some(&m))
-            .unwrap();
+        let r = spgemm_syrk_sum(&terms, &opts, None, Some(&m)).unwrap();
         assert!(r.degraded);
         assert!(r.threshold_used > 0.0);
         r.matrix.validate().unwrap();
         assert!(r.matrix.is_symmetric(0.0));
         // Every surviving entry matches the exact product.
-        let exact = spgemm(&x, &xt).unwrap();
+        let exact = general(&x, &xt, &SpgemmOptions::default());
         for (row, col, v) in r.matrix.iter() {
             assert_eq!(exact.get(row, col as usize), v);
             assert!(v.abs() >= r.threshold_used);
@@ -668,8 +567,7 @@ mod tests {
         assert_eq!(snap.counter(metric_names::DEGRADED_FALLBACKS), Some(1));
         assert!(snap.counter(metric_names::BUDGET_COMPACTIONS).unwrap() > 0);
         // Deterministic.
-        let again = spgemm_syrk_sum_budgeted(&terms, &SpgemmOptions::default(), budget, None, None)
-            .unwrap();
+        let again = spgemm_syrk_sum(&terms, &opts, None, None).unwrap();
         assert_eq!(r.matrix, again.matrix);
     }
 
@@ -682,8 +580,6 @@ mod tests {
             drop_diagonal: true,
             ..Default::default()
         };
-        let general = spgemm_thresholded(&x, &xt, &opts).unwrap();
-        let syrk = spgemm_syrk_observed(&x, &xt, &opts, None, None).unwrap();
-        assert_eq!(general, syrk);
+        assert_eq!(general(&x, &xt, &opts), syrk(&x, &xt, &opts));
     }
 }

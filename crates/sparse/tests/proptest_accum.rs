@@ -17,10 +17,11 @@
 use symclust_obs::MetricsRegistry;
 use symclust_sparse::ops::transpose;
 use symclust_sparse::spgemm::metric_names;
-use symclust_sparse::{
-    spgemm_budgeted, spgemm_observed, spgemm_syrk_sum_budgeted, spgemm_syrk_sum_observed,
-    AccumStrategy, CsrMatrix, SpgemmOptions, SyrkTerm,
-};
+use symclust_sparse::{spgemm, spgemm_syrk_sum, AccumStrategy, CsrMatrix, SpgemmOptions, SyrkTerm};
+
+fn mul(a: &CsrMatrix, b: &CsrMatrix, opts: &SpgemmOptions) -> CsrMatrix {
+    spgemm(a, b, opts, None, None).unwrap().matrix
+}
 
 /// Minimal deterministic generator: Knuth's 64-bit LCG constants.
 struct Lcg(u64);
@@ -69,6 +70,7 @@ fn opts(accum: AccumStrategy, crossover: Option<usize>) -> SpgemmOptions {
     SpgemmOptions {
         accum,
         accum_crossover: crossover,
+        n_threads: 4,
         ..Default::default()
     }
 }
@@ -78,19 +80,11 @@ fn general_kernel_strategies_are_bitwise_identical() {
     for &seed in &SEEDS {
         let a = skewed_matrix(72, 64, seed);
         let b = skewed_matrix(64, 56, seed ^ 0xDEADBEEF);
-        let dense = spgemm_observed(&a, &b, &opts(AccumStrategy::Dense, None), None, None).unwrap();
-        let sparse =
-            spgemm_observed(&a, &b, &opts(AccumStrategy::Sparse, None), None, None).unwrap();
+        let dense = mul(&a, &b, &opts(AccumStrategy::Dense, None));
+        let sparse = mul(&a, &b, &opts(AccumStrategy::Sparse, None));
         assert_eq!(dense, sparse, "seed {seed:#x}");
         for crossover in CROSSOVERS {
-            let adaptive = spgemm_observed(
-                &a,
-                &b,
-                &opts(AccumStrategy::Adaptive, Some(crossover)),
-                None,
-                None,
-            )
-            .unwrap();
+            let adaptive = mul(&a, &b, &opts(AccumStrategy::Adaptive, Some(crossover)));
             assert_eq!(dense, adaptive, "seed {seed:#x} crossover {crossover}");
         }
     }
@@ -107,11 +101,9 @@ fn threshold_and_drop_diagonal_are_strategy_independent() {
                     let o = SpgemmOptions {
                         threshold,
                         drop_diagonal,
-                        accum,
-                        accum_crossover: crossover,
-                        ..Default::default()
+                        ..opts(accum, crossover)
                     };
-                    spgemm_observed(&a, &at, &o, None, None).unwrap()
+                    mul(&a, &at, &o)
                 };
                 let dense = run(AccumStrategy::Dense, None);
                 assert_eq!(
@@ -137,11 +129,9 @@ fn fused_syrk_sum_strategies_are_bitwise_identical() {
                 let o = SpgemmOptions {
                     threshold,
                     drop_diagonal: true,
-                    accum,
-                    accum_crossover: crossover,
-                    ..Default::default()
+                    ..opts(accum, crossover)
                 };
-                spgemm_syrk_sum_observed(&terms, &o, None, None).unwrap()
+                spgemm_syrk_sum(&terms, &o, None, None).unwrap().matrix
             };
             let dense = run(AccumStrategy::Dense, None);
             assert_eq!(
@@ -159,17 +149,14 @@ fn fused_syrk_sum_strategies_are_bitwise_identical() {
 #[test]
 fn strategies_match_across_thread_counts() {
     let a = skewed_matrix(160, 160, SEEDS[0]);
-    let reference = spgemm_observed(
+    let reference = mul(
         &a,
         &a,
         &SpgemmOptions {
             n_threads: 1,
             ..Default::default()
         },
-        None,
-        None,
-    )
-    .unwrap();
+    );
     for accum in [
         AccumStrategy::Dense,
         AccumStrategy::Sparse,
@@ -182,7 +169,7 @@ fn strategies_match_across_thread_counts() {
                 n_threads,
                 ..Default::default()
             };
-            let c = spgemm_observed(&a, &a, &o, None, None).unwrap();
+            let c = mul(&a, &a, &o);
             assert_eq!(reference, c, "{} x {n_threads} threads", accum.name());
         }
     }
@@ -192,10 +179,13 @@ fn strategies_match_across_thread_counts() {
 fn budget_degraded_paths_are_strategy_independent() {
     let a = skewed_matrix(56, 56, SEEDS[1]);
     let at = transpose(&a);
-    let budget = 200;
+    let budgeted = |accum| SpgemmOptions {
+        nnz_budget: Some(200),
+        ..opts(accum, Some(16))
+    };
     let general_run = |accum| {
-        let r = spgemm_budgeted(&a, &at, &opts(accum, Some(16)), budget, None, None).unwrap();
-        assert!(r.degraded, "budget {budget} should force degradation");
+        let r = spgemm(&a, &at, &budgeted(accum), None, None).unwrap();
+        assert!(r.degraded, "budget 200 should force degradation");
         r.matrix
     };
     let dense = general_run(AccumStrategy::Dense);
@@ -204,8 +194,7 @@ fn budget_degraded_paths_are_strategy_independent() {
 
     let terms = [SyrkTerm { x: &a, xt: &at }];
     let syrk_run = |accum| {
-        let r =
-            spgemm_syrk_sum_budgeted(&terms, &opts(accum, Some(16)), budget, None, None).unwrap();
+        let r = spgemm_syrk_sum(&terms, &budgeted(accum), None, None).unwrap();
         assert!(r.degraded);
         r.matrix
     };
@@ -226,7 +215,7 @@ fn row_strategy_counters_are_deterministic_and_exhaustive() {
                 n_threads,
                 ..Default::default()
             };
-            spgemm_observed(&a, &a, &o, None, Some(&m)).unwrap();
+            spgemm(&a, &a, &o, None, Some(&m)).unwrap();
             let snap = m.snapshot();
             (
                 snap.counter(metric_names::ROWS_DENSE).unwrap_or(0),
@@ -254,7 +243,7 @@ fn forced_strategies_count_all_rows_on_one_side() {
     let a = skewed_matrix(48, 48, SEEDS[2]);
     for (accum, expect_dense) in [(AccumStrategy::Dense, true), (AccumStrategy::Sparse, false)] {
         let m = MetricsRegistry::new();
-        spgemm_observed(&a, &a, &opts(accum, None), None, Some(&m)).unwrap();
+        spgemm(&a, &a, &opts(accum, None), None, Some(&m)).unwrap();
         let snap = m.snapshot();
         let d = snap.counter(metric_names::ROWS_DENSE).unwrap_or(0);
         let s = snap.counter(metric_names::ROWS_SPARSE).unwrap_or(0);

@@ -16,8 +16,8 @@ use symclust_obs::MetricsRegistry;
 use symclust_sparse::ops::transpose;
 use symclust_sparse::spgemm::metric_names;
 use symclust_sparse::{
-    spgemm_observed, spgemm_syrk_sum_observed, CancelToken, CsrMatrix, PanelPlan, SparseError,
-    SpgemmOptions, SyrkTerm,
+    spgemm, spgemm_syrk_sum, CancelToken, CsrMatrix, PanelPlan, SparseError, SpgemmOptions,
+    SyrkTerm,
 };
 
 /// Minimal deterministic generator: Knuth's 64-bit LCG constants.
@@ -89,13 +89,13 @@ fn general_kernel_panel_matches_in_memory_across_sizes_and_budgets() {
     for &seed in &SEEDS {
         let a = skewed_matrix(72, 64, seed);
         let b = skewed_matrix(64, 56, seed ^ 0xDEADBEEF);
-        let reference = spgemm_observed(&a, &b, &baseline_opts(), None, None).unwrap();
+        let reference = spgemm(&a, &b, &baseline_opts(), None, None).unwrap().matrix;
         for panel_rows in PANEL_ROWS {
             for budget in BUDGETS {
                 for n_threads in [1, 4] {
                     let mut o = panel_opts(panel_rows, budget);
                     o.n_threads = n_threads;
-                    let c = spgemm_observed(&a, &b, &o, None, None).unwrap();
+                    let c = spgemm(&a, &b, &o, None, None).unwrap().matrix;
                     assert_eq!(
                         reference, c,
                         "seed {seed:#x} panel_rows {panel_rows} budget {budget:?} \
@@ -119,14 +119,14 @@ fn syrk_sum_panel_matches_in_memory_across_thresholds() {
                 let mut base = baseline_opts();
                 base.threshold = threshold;
                 base.drop_diagonal = drop_diagonal;
-                let reference = spgemm_syrk_sum_observed(&terms, &base, None, None).unwrap();
+                let reference = spgemm_syrk_sum(&terms, &base, None, None).unwrap().matrix;
                 for panel_rows in PANEL_ROWS {
                     for budget in [Some(1), None] {
                         let mut o = panel_opts(panel_rows, budget);
                         o.threshold = threshold;
                         o.drop_diagonal = drop_diagonal;
                         o.n_threads = 4;
-                        let c = spgemm_syrk_sum_observed(&terms, &o, None, None).unwrap();
+                        let c = spgemm_syrk_sum(&terms, &o, None, None).unwrap().matrix;
                         assert_eq!(
                             reference, c,
                             "seed {seed:#x} threshold {threshold} drop {drop_diagonal} \
@@ -157,7 +157,7 @@ fn work_and_panel_counters_are_scheduling_independent() {
     let a = skewed_matrix(96, 96, SEEDS[0]);
     let run = |opts: &SpgemmOptions| {
         let m = MetricsRegistry::new();
-        spgemm_observed(&a, &a, opts, None, Some(&m)).unwrap();
+        spgemm(&a, &a, opts, None, Some(&m)).unwrap();
         let snap = m.snapshot();
         let work: Vec<u64> = WORK_KEYS
             .iter()
@@ -249,7 +249,7 @@ fn spill_files_are_removed_on_success() {
     let base = scratch_base("success");
     let a = skewed_matrix(64, 64, SEEDS[1]);
     for n_threads in [1, 4] {
-        spgemm_observed(&a, &a, &spilling_opts(&base, n_threads), None, None).unwrap();
+        spgemm(&a, &a, &spilling_opts(&base, n_threads), None, None).unwrap();
     }
     assert_empty_and_remove(&base, "after successful multiplies");
 }
@@ -259,7 +259,7 @@ fn spill_files_are_removed_on_success() {
 /// (every constructor validates its input), so it is covered by the
 /// `worker_panic_surfaces_and_cleans_up_scratch` unit test inside
 /// `crates/sparse/src/panel.rs`, which injects the panic directly into
-/// the tile runner.
+/// the worker pool.
 #[test]
 fn spill_files_are_removed_on_cancellation() {
     let base = scratch_base("cancel");
@@ -267,8 +267,8 @@ fn spill_files_are_removed_on_cancellation() {
     let token = CancelToken::new();
     token.cancel();
     for n_threads in [1, 4] {
-        let r = spgemm_observed(&a, &a, &spilling_opts(&base, n_threads), Some(&token), None);
-        assert_eq!(r, Err(SparseError::Cancelled), "{n_threads} threads");
+        let r = spgemm(&a, &a, &spilling_opts(&base, n_threads), Some(&token), None);
+        assert_eq!(r.err(), Some(SparseError::Cancelled), "{n_threads} threads");
     }
     assert_empty_and_remove(&base, "after cancelled multiplies");
 }

@@ -9,10 +9,26 @@
 //! and the upper-triangle kernel exist for.
 
 use symclust_sparse::ops::transpose;
-use symclust_sparse::{
-    spgemm, spgemm_observed, spgemm_syrk_observed, spgemm_syrk_sum_observed, CsrMatrix,
-    SpgemmOptions, SyrkTerm,
-};
+use symclust_sparse::{spgemm, spgemm_syrk_sum, CsrMatrix, SpgemmOptions, SyrkTerm};
+
+/// `A·B` through the general kernel.
+fn general(a: &CsrMatrix, b: &CsrMatrix, opts: &SpgemmOptions) -> CsrMatrix {
+    spgemm(a, b, opts, None, None).unwrap().matrix
+}
+
+/// `X·Xᵀ` through the one-term SYRK sum.
+fn syrk(x: &CsrMatrix, xt: &CsrMatrix, opts: &SpgemmOptions) -> CsrMatrix {
+    spgemm_syrk_sum(&[SyrkTerm { x, xt }], opts, None, None)
+        .unwrap()
+        .matrix
+}
+
+fn threads(n_threads: usize) -> SpgemmOptions {
+    SpgemmOptions {
+        n_threads,
+        ..Default::default()
+    }
+}
 
 /// Minimal deterministic generator: Knuth's 64-bit LCG constants.
 struct Lcg(u64);
@@ -67,10 +83,9 @@ fn syrk_equals_general_product_with_transpose() {
     for (case, &seed) in SEEDS.iter().enumerate() {
         let x = hub_matrix(80, 50, seed);
         let xt = transpose(&x);
-        let general = spgemm(&x, &xt).unwrap();
-        let syrk = spgemm_syrk_observed(&x, &xt, &SpgemmOptions::default(), None, None).unwrap();
-        syrk.validate().unwrap();
-        assert_eq!(general, syrk, "case {case}");
+        let c = syrk(&x, &xt, &threads(4));
+        c.validate().unwrap();
+        assert_eq!(general(&x, &xt, &threads(1)), c, "case {case}");
     }
 }
 
@@ -79,7 +94,7 @@ fn syrk_output_is_exactly_symmetric() {
     for &seed in &SEEDS {
         let x = hub_matrix(70, 70, seed);
         let xt = transpose(&x);
-        let c = spgemm_syrk_observed(&x, &xt, &SpgemmOptions::default(), None, None).unwrap();
+        let c = syrk(&x, &xt, &threads(4));
         assert_eq!(c, transpose(&c));
     }
 }
@@ -88,13 +103,9 @@ fn syrk_output_is_exactly_symmetric() {
 fn parallel_general_kernel_matches_serial_across_thread_counts() {
     for &seed in &SEEDS[..2] {
         let a = hub_matrix(200, 200, seed);
-        let serial = spgemm(&a, &a).unwrap();
+        let serial = general(&a, &a, &threads(1));
         for n_threads in [2, 3, 4, 8] {
-            let opts = SpgemmOptions {
-                n_threads,
-                ..Default::default()
-            };
-            let parallel = spgemm_observed(&a, &a, &opts, None, None).unwrap();
+            let parallel = general(&a, &a, &threads(n_threads));
             assert_eq!(serial, parallel, "seed {seed:#x} threads {n_threads}");
         }
     }
@@ -105,17 +116,9 @@ fn parallel_syrk_matches_serial_across_thread_counts() {
     for &seed in &SEEDS[..2] {
         let x = hub_matrix(220, 140, seed);
         let xt = transpose(&x);
-        let serial_opts = SpgemmOptions {
-            n_threads: 1,
-            ..Default::default()
-        };
-        let serial = spgemm_syrk_observed(&x, &xt, &serial_opts, None, None).unwrap();
+        let serial = syrk(&x, &xt, &threads(1));
         for n_threads in [2, 3, 4, 8] {
-            let opts = SpgemmOptions {
-                n_threads,
-                ..Default::default()
-            };
-            let parallel = spgemm_syrk_observed(&x, &xt, &opts, None, None).unwrap();
+            let parallel = syrk(&x, &xt, &threads(n_threads));
             assert_eq!(serial, parallel, "seed {seed:#x} threads {n_threads}");
         }
     }
@@ -134,10 +137,9 @@ fn threshold_and_drop_diagonal_match_general_kernel_on_hub_graphs() {
                     n_threads: 1,
                     ..Default::default()
                 };
-                let general = spgemm_observed(&x, &xt, &opts, None, None).unwrap();
-                let syrk = spgemm_syrk_observed(&x, &xt, &opts, None, None).unwrap();
                 assert_eq!(
-                    general, syrk,
+                    general(&x, &xt, &opts),
+                    syrk(&x, &xt, &opts),
                     "seed {seed:#x} threshold {threshold} drop_diagonal {drop_diagonal}"
                 );
             }
@@ -151,22 +153,20 @@ fn fused_two_term_sum_matches_separate_products() {
         let x = hub_matrix(60, 40, seed);
         let y = hub_matrix(60, 35, seed ^ 0xFFFF_FFFF);
         let (xt, yt) = (transpose(&x), transpose(&y));
-        let separate =
-            symclust_sparse::ops::add(&spgemm(&x, &xt).unwrap(), &spgemm(&y, &yt).unwrap())
-                .unwrap();
+        let separate = symclust_sparse::ops::add(
+            &general(&x, &xt, &threads(1)),
+            &general(&y, &yt, &threads(1)),
+        )
+        .unwrap();
         for n_threads in [1, 4] {
-            let opts = SpgemmOptions {
-                n_threads,
-                ..Default::default()
-            };
-            let fused = spgemm_syrk_sum_observed(
+            let fused = spgemm_syrk_sum(
                 &[SyrkTerm { x: &x, xt: &xt }, SyrkTerm { x: &y, xt: &yt }],
-                &opts,
+                &threads(n_threads),
                 None,
                 None,
             )
             .unwrap();
-            assert_eq!(separate, fused, "seed {seed:#x} threads {n_threads}");
+            assert_eq!(separate, fused.matrix, "seed {seed:#x} threads {n_threads}");
         }
     }
 }

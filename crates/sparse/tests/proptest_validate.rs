@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 use symclust_sparse::{
-    ops, spgemm, spgemm_syrk, validate_parts, CooMatrix, CsrMatrix, SpgemmOptions,
+    ops, spgemm, spgemm_syrk_sum, validate_parts, CooMatrix, CsrMatrix, SpgemmOptions, SyrkTerm,
 };
 
 /// Random sparse matrix with signed values (Laplacian-like inputs).
@@ -64,7 +64,9 @@ proptest! {
     #[test]
     fn spgemm_output_validates(a in graph_matrix(18, 70)) {
         let t = ops::transpose(&a);
-        let c = spgemm(&a, &t).expect("compatible shapes");
+        let c = spgemm(&a, &t, &SpgemmOptions::default(), None, None)
+            .expect("compatible shapes")
+            .matrix;
         prop_assert!(c.validate().is_ok());
         prop_assert!(c.validate_graph().is_ok());
     }
@@ -74,7 +76,11 @@ proptest! {
         // X·Xᵀ through the upper-triangle + mirror kernel must satisfy the
         // strictest validator: structure, non-negativity (entries are sums
         // of products of non-negatives), and bitwise mirror equality.
-        let c = spgemm_syrk(&a, &SpgemmOptions::default()).expect("syrk");
+        let at = ops::transpose(&a);
+        let terms = [SyrkTerm { x: &a, xt: &at }];
+        let c = spgemm_syrk_sum(&terms, &SpgemmOptions::default(), None, None)
+            .expect("syrk")
+            .matrix;
         prop_assert!(c.validate_symmetric().is_ok());
     }
 

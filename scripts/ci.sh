@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(fmt clippy check build test fault debug-assertions threads-matrix oom-matrix serve chaos bench sanitize miri)
+ALL_STAGES=(fmt clippy check build test fault debug-assertions threads-matrix oom-matrix serve chaos bench bench-smoke sanitize miri)
 
 stage_fmt() { cargo fmt --all -- --check; }
 stage_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }
@@ -45,6 +45,15 @@ stage_debug_assertions() {
     cargo test -q --release -p symclust-engine
 }
 stage_bench() { ./scripts/bench_gate.sh; }
+# The repo's benchmark (BENCHMARK.json, benchmark/README.md) is a package
+# of its own that compiles against the library's public names. Its unit
+# tests plus its smoke mode — every workload, traced and untraced, on tiny
+# inputs with every check on — catch a refactor that breaks that compile
+# surface or a fingerprint check before the benchmark pipeline does.
+stage_bench_smoke() {
+  cargo test -q --offline --manifest-path benchmark/Cargo.toml
+  benchmark/run.sh all --smoke
+}
 # Daemon smoke over a real unix socket: upload the bundled graph, cold-
 # compute one symmetrization, restart the daemon over the same store, and
 # require the identical request to come back byte-identical with the
