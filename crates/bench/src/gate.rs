@@ -43,6 +43,9 @@ pub const EXACT_KEYS: &[&str] = &[
     "counter.spgemm.panels",
     "counter.spgemm.panel_spills",
     "counter.spgemm.spill_bytes",
+    "counter.mcl.touched",
+    "counter.mcl.inflated",
+    "counter.mcl.kept",
 ];
 // NOT gated: `counter.spgemm.sched_steals` — the work-stealing scheduler's
 // steal count depends on thread count and machine load, so it is exactly
@@ -51,6 +54,10 @@ pub const EXACT_KEYS: &[&str] = &[
 // the input matrices, panel size and byte budget (DESIGN.md §17), never of
 // thread count or scheduling, so their values are exact for a fixed config
 // (all zero while the default in-memory path is in use).
+// The three R-MCL work counters ARE gated: they are sums over rows of
+// per-row entry counts, and a row's epilogue sees the same entries in the
+// same order at any thread count, so they pin how much of the expansion
+// the epilogue's pre-inflation cut skips (`mcl.inflated / mcl.touched`).
 // The two store health metrics above ARE deterministic on a healthy run:
 // both must be exactly zero unless the disk itself misbehaved, which is
 // precisely what the gate should catch.

@@ -15,15 +15,29 @@
 //! The expansion is not a kernel of this module: [`expand_inflate_prune`]
 //! is a client of `symclust-sparse`'s row runner
 //! ([`run_rows_with_epilogue`]) and supplies only the per-row epilogue —
-//! inflate, cut off, keep the top `max_row_nnz`, sort, normalise. The
-//! Gustavson accumulation, the per-row cancellation poll and the
+//! pre-cut, inflate, cut off, keep the top `max_row_nnz`, sort, normalise.
+//! The Gustavson accumulation, the per-row cancellation poll and the
 //! panic-to-error boundary are the runner's.
+//!
+//! The epilogue's cost is proportional to what can survive the cutoff, not
+//! to what the accumulator touched: inflation is monotone, so an entry
+//! below `vmax · θ^(1/r)` (θ = `prune_threshold`, r = `inflation`, `vmax`
+//! the row's un-inflated maximum) is below `row_max · θ` after inflation
+//! and is dropped *before* its `powf`. The pre-cut keeps a relative margin
+//! of 1e-9 on the safe side, so it only ever removes entries the exact
+//! cutoff removes one step later and the output bytes are those of the
+//! plain inflate-everything pass (DESIGN.md §12 has the argument and the
+//! traps). On a 5 000-node Wikipedia-like graph about one touched entry in
+//! fourteen is inflated; the counters `mcl.touched` / `mcl.inflated` /
+//! `mcl.kept` report the ratio for any run.
 
 use crate::clustering::Clustering;
 use crate::{ClusterError, Result};
+use std::sync::Arc;
+use std::time::Instant;
 use symclust_graph::stats::UnionFind;
 use symclust_graph::UnGraph;
-use symclust_obs::MetricsRegistry;
+use symclust_obs::{Counter, MetricsRegistry};
 use symclust_sparse::spgemm::run_rows_with_epilogue;
 use symclust_sparse::{ops, CancelToken, CsrMatrix};
 
@@ -40,6 +54,19 @@ pub mod metric_names {
     /// Gauge: fraction of nodes whose cluster assignment changed in the
     /// last iteration of the most recent run (0 at convergence).
     pub const FINAL_RESIDUAL: &str = "mcl.final_residual";
+    /// Accumulated entries handed to the row epilogue (the expansion's
+    /// output width, summed over rows and iterations).
+    pub const TOUCHED: &str = "mcl.touched";
+    /// `powf` calls: the entries that survived the pre-inflation cut.
+    /// `INFLATED / TOUCHED` is the share of the epilogue's input it pays
+    /// for.
+    pub const INFLATED: &str = "mcl.inflated";
+    /// Entries emitted into the next flow matrix.
+    pub const KEPT: &str = "mcl.kept";
+    /// Span: one expand-inflate-prune step (one observation per iteration).
+    pub const EXPAND_SPAN: &str = "mcl.expand";
+    /// Span: one convergence vote — `extract_clusters` plus the label diff.
+    pub const VOTE_SPAN: &str = "mcl.vote";
 }
 
 /// Options for [`rmcl`].
@@ -84,10 +111,17 @@ impl Default for MclOptions {
 impl MclOptions {
     /// Rejects settings the flow iteration cannot run with.
     pub(crate) fn validate(&self) -> Result<()> {
-        if self.inflation <= 1.0 {
+        // `NaN <= 1.0` is false: the finiteness test is what rejects NaN.
+        if self.inflation <= 1.0 || !self.inflation.is_finite() {
             return Err(ClusterError::InvalidConfig(format!(
-                "inflation must exceed 1.0, got {}",
+                "inflation must be finite and exceed 1.0, got {}",
                 self.inflation
+            )));
+        }
+        if !(0.0..=1.0).contains(&self.prune_threshold) {
+            return Err(ClusterError::InvalidConfig(format!(
+                "prune_threshold must lie in [0, 1], got {}",
+                self.prune_threshold
             )));
         }
         if self.max_row_nnz == 0 {
@@ -185,12 +219,120 @@ pub fn inflate_and_prune(m: &CsrMatrix, opts: &MclOptions) -> CsrMatrix {
 /// of its self-flow.
 pub const ORPHAN_REATTACH_THRESHOLD: f64 = 0.5;
 
+/// Relative safety margin of the pre-inflation cut: seven orders of
+/// magnitude above what libm's `pow` (< 1 ulp) and the handful of roundings
+/// between the cut and the exact cutoff can add up to.
+const PRE_CUT_MARGIN: f64 = 1e-9;
+
+/// Per-call constants of the epilogue's pre-inflation cut.
+#[derive(Clone, Copy)]
+struct PreCut {
+    /// `θ^(1/r) · (1 − margin)`: a row's entries below `vmax · factor`
+    /// cannot reach `row_max · θ` once inflated.
+    factor: f64,
+    /// Smallest row maximum the argument covers: below it `vmax^r · θ`
+    /// leaves the normal range, the exact cutoff rounds in subnormals (or
+    /// to 0, keeping every positive entry) and a relative margin means
+    /// nothing.
+    min_vmax: f64,
+}
+
+impl PreCut {
+    /// `None` when the cutoff cannot drop anything the cut could foresee:
+    /// θ = 0 keeps every positive entry and θ = 1 keeps exactly the ties
+    /// with the *computed* maximum power, which only `powf` can name.
+    fn new(opts: &MclOptions) -> Option<PreCut> {
+        let theta = opts.prune_threshold;
+        if !(theta > 0.0 && theta < 1.0) {
+            return None;
+        }
+        let root = 1.0 / opts.inflation;
+        Some(PreCut {
+            factor: theta.powf(root) * (1.0 - PRE_CUT_MARGIN),
+            min_vmax: (f64::MIN_POSITIVE / theta).powf(root) * (1.0 + PRE_CUT_MARGIN),
+        })
+    }
+}
+
+/// The R-MCL row epilogue: turns one accumulated row of `M · M_G`, in the
+/// accumulator's first-touch order, into the row of the next flow matrix.
+/// Returns the number of `powf` calls made.
+///
+/// Pre-cut (no `powf`), then inflate → `row_max` of the *computed* powers
+/// → exact `>= row_max · θ` cutoff → top `max_row_nnz` → column sort →
+/// normalise. Every removal before the selection is an order-preserving
+/// `retain`: `select_nth_unstable_by` keeps whichever tied flows it meets
+/// first, so the survivors' sequence is part of the output bytes.
+fn inflate_prune_row(
+    entries: &mut Vec<(u32, f64)>,
+    opts: &MclOptions,
+    pre_cut: Option<PreCut>,
+) -> usize {
+    if let Some(cut) = pre_cut {
+        let vmax = entries.iter().fold(0.0f64, |m, &(_, v)| m.max(v));
+        let floor = vmax * cut.factor;
+        if vmax >= cut.min_vmax && floor.is_normal() {
+            entries.retain(|&(_, v)| v >= floor);
+        }
+    }
+    // Inflate + threshold against the inflated row maximum.
+    let mut inflated = 0usize;
+    let mut row_max = 0.0f64;
+    entries.retain_mut(|(_, v)| {
+        if *v > 0.0 {
+            inflated += 1;
+            *v = v.powf(opts.inflation);
+            if *v > row_max {
+                row_max = *v;
+            }
+        }
+        *v > 0.0
+    });
+    let cutoff = row_max * opts.prune_threshold;
+    entries.retain(|&(_, v)| v >= cutoff);
+    if entries.len() > opts.max_row_nnz {
+        // Partial selection of the top entries, then sort only those.
+        let k = opts.max_row_nnz;
+        entries.select_nth_unstable_by(k - 1, |a, b| b.1.total_cmp(&a.1));
+        entries.truncate(k);
+    }
+    entries.sort_unstable_by_key(|&(c, _)| c);
+    let sum: f64 = entries.iter().map(|&(_, v)| v).sum();
+    if sum > 0.0 {
+        for (_, v) in entries.iter_mut() {
+            *v /= sum;
+        }
+    } else {
+        entries.clear();
+    }
+    inflated
+}
+
+/// Handles to the epilogue's work counters, resolved once per run so a row
+/// costs three relaxed adds and no registry lookup.
+pub(crate) struct EpilogueWork {
+    touched: Arc<Counter>,
+    inflated: Arc<Counter>,
+    kept: Arc<Counter>,
+}
+
+impl EpilogueWork {
+    fn new(metrics: &MetricsRegistry) -> Self {
+        EpilogueWork {
+            touched: metrics.counter(metric_names::TOUCHED),
+            inflated: metrics.counter(metric_names::INFLATED),
+            kept: metrics.counter(metric_names::KEPT),
+        }
+    }
+}
+
 /// Fused expansion + inflation + pruning: computes one R-MCL iteration
 /// `M' = inflate_and_prune(M · M_G)` without materializing the expanded
 /// matrix. The expanded row (potentially `max_row_nnz × avg_degree` wide)
-/// goes straight from the Gustavson accumulator through inflation and
-/// top-`max_row_nnz` selection, skipping the column sort of the wide
-/// intermediate — the dominant cost of the naive two-step pipeline.
+/// goes straight from the Gustavson accumulator into the row epilogue,
+/// which drops what the cutoff is bound to drop before inflating it and
+/// never sorts the wide intermediate by column; the result is bit-identical
+/// to inflating every entry first.
 ///
 /// Runs on one thread; `token`, when given, is polled before every row.
 pub fn expand_inflate_prune(
@@ -199,55 +341,36 @@ pub fn expand_inflate_prune(
     opts: &MclOptions,
     token: Option<&CancelToken>,
 ) -> Result<CsrMatrix> {
-    expand_inflate_prune_on(m, m_g, opts, 1, token)
+    expand_inflate_prune_on(m, m_g, opts, 1, token, None)
 }
 
 /// [`expand_inflate_prune`] on `n_threads` workers of the sparse crate's
-/// pool. The output does not depend on the thread count: each row's
-/// epilogue sees its entries in the accumulator's first-touch order
-/// however rows are scheduled, which is what keeps the unstable top-k
-/// selection below — uniform-block flows are full of tied values —
-/// picking the same survivors.
+/// pool, counting its work into `work` when given. The output does not
+/// depend on the thread count: each row's epilogue sees its entries in the
+/// accumulator's first-touch order however rows are scheduled, which is
+/// what keeps the unstable top-k selection — uniform-block flows are full
+/// of tied values — picking the same survivors.
 pub(crate) fn expand_inflate_prune_on(
     m: &CsrMatrix,
     m_g: &CsrMatrix,
     opts: &MclOptions,
     n_threads: usize,
     token: Option<&CancelToken>,
+    work: Option<&EpilogueWork>,
 ) -> Result<CsrMatrix> {
+    let pre_cut = PreCut::new(opts);
     Ok(run_rows_with_epilogue(
         m,
         m_g,
         n_threads,
         token,
         |_row, entries| {
-            // Inflate + threshold against the inflated row maximum.
-            let mut row_max = 0.0f64;
-            entries.retain_mut(|(_, v)| {
-                if *v > 0.0 {
-                    *v = v.powf(opts.inflation);
-                    if *v > row_max {
-                        row_max = *v;
-                    }
-                }
-                *v > 0.0
-            });
-            let cutoff = row_max * opts.prune_threshold;
-            entries.retain(|&(_, v)| v >= cutoff);
-            if entries.len() > opts.max_row_nnz {
-                // Partial selection of the top entries, then sort only those.
-                let k = opts.max_row_nnz;
-                entries.select_nth_unstable_by(k - 1, |a, b| b.1.total_cmp(&a.1));
-                entries.truncate(k);
-            }
-            entries.sort_unstable_by_key(|&(c, _)| c);
-            let sum: f64 = entries.iter().map(|&(_, v)| v).sum();
-            if sum > 0.0 {
-                for (_, v) in entries.iter_mut() {
-                    *v /= sum;
-                }
-            } else {
-                entries.clear();
+            let touched = entries.len();
+            let inflated = inflate_prune_row(entries, opts, pre_cut);
+            if let Some(work) = work {
+                work.touched.add(touched as u64);
+                work.inflated.add(inflated as u64);
+                work.kept.add(entries.len() as u64);
             }
         },
     )?)
@@ -329,14 +452,23 @@ pub(crate) fn rmcl_iterate_with(
     // the latest iteration (1.0 before the first comparison is possible).
     let mut residual = 1.0f64;
     let mut converged = false;
+    let work = metrics.map(EpilogueWork::new);
     for iter in 1..=max_iter {
         iterations = iter;
-        m = expand_inflate_prune(&m, m_g, opts, token)?;
+        let expand_start = Instant::now();
+        m = expand_inflate_prune_on(&m, m_g, opts, 1, token, work.as_ref())?;
+        let vote_start = Instant::now();
         let assignment = extract_clusters(&m).assignments().to_vec();
         let changed = match prev_assignment.as_deref() {
             Some(prev) => prev.iter().zip(&assignment).filter(|(a, b)| a != b).count(),
             None => assignment.len(),
         };
+        if let Some(metrics) = metrics {
+            let vote = vote_start.elapsed().as_secs_f64();
+            let expand = vote_start.duration_since(expand_start).as_secs_f64();
+            metrics.observe_span_secs(metric_names::EXPAND_SPAN, expand);
+            metrics.observe_span_secs(metric_names::VOTE_SPAN, vote);
+        }
         residual = changed as f64 / assignment.len().max(1) as f64;
         if changed == 0 && prev_assignment.is_some() {
             stable += 1;
@@ -518,19 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_inflation() {
-        let g = UnGraph::from_edges(2, &[(0, 1)]).unwrap();
-        assert!(rmcl(
-            &g,
-            &MclOptions {
-                inflation: 1.0,
-                ..Default::default()
-            }
-        )
-        .is_err());
-    }
-
-    #[test]
     fn rejects_zero_row_cap() {
         let g = UnGraph::from_edges(2, &[(0, 1)]).unwrap();
         let opts = MclOptions {
@@ -543,8 +662,250 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn rejects_bad_inflation_and_threshold() {
+        let g = two_cliques_un(3);
+        let run = |edit: fn(&mut MclOptions)| {
+            let mut opts = MclOptions::default();
+            edit(&mut opts);
+            (opts, rmcl(&g, &opts))
+        };
+        let bad: [fn(&mut MclOptions); 6] = [
+            |o| o.inflation = 1.0,
+            |o| o.inflation = f64::NAN,
+            |o| o.inflation = f64::INFINITY,
+            |o| o.prune_threshold = f64::NAN,
+            |o| o.prune_threshold = 1.5,
+            |o| o.prune_threshold = -1e-9,
+        ];
+        for edit in bad {
+            let (opts, result) = run(edit);
+            assert!(
+                matches!(result, Err(ClusterError::InvalidConfig(_))),
+                "accepted {opts:?}"
+            );
+        }
+        // The closed ends of the threshold range stay legal.
+        let ends: [fn(&mut MclOptions); 2] =
+            [|o| o.prune_threshold = 0.0, |o| o.prune_threshold = 1.0];
+        for edit in ends {
+            let (opts, result) = run(edit);
+            assert!(result.unwrap().flow.nnz() >= 6, "{opts:?} emptied the flow");
+        }
+    }
+
     fn value_bits(m: &CsrMatrix) -> Vec<u64> {
         m.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The epilogue as it was before the pre-inflation cut (commit
+    /// 8ee0566), kept verbatim as the reference the cut must not move a
+    /// bit of: every touched entry is inflated, then cut off.
+    fn inflate_everything_row(entries: &mut Vec<(u32, f64)>, opts: &MclOptions) {
+        let mut row_max = 0.0f64;
+        entries.retain_mut(|(_, v)| {
+            if *v > 0.0 {
+                *v = v.powf(opts.inflation);
+                if *v > row_max {
+                    row_max = *v;
+                }
+            }
+            *v > 0.0
+        });
+        let cutoff = row_max * opts.prune_threshold;
+        entries.retain(|&(_, v)| v >= cutoff);
+        if entries.len() > opts.max_row_nnz {
+            let k = opts.max_row_nnz;
+            entries.select_nth_unstable_by(k - 1, |a, b| b.1.total_cmp(&a.1));
+            entries.truncate(k);
+        }
+        entries.sort_unstable_by_key(|&(c, _)| c);
+        let sum: f64 = entries.iter().map(|&(_, v)| v).sum();
+        if sum > 0.0 {
+            for (_, v) in entries.iter_mut() {
+                *v /= sum;
+            }
+        } else {
+            entries.clear();
+        }
+    }
+
+    /// One step of the kernel under test and of the reference, both
+    /// through the sparse crate's row runner; returns the step's output
+    /// after asserting the two agree bit for bit.
+    fn assert_step_matches_reference(
+        m: &CsrMatrix,
+        m_g: &CsrMatrix,
+        opts: &MclOptions,
+        n_threads: usize,
+    ) -> CsrMatrix {
+        let new = expand_inflate_prune_on(m, m_g, opts, n_threads, None, None).unwrap();
+        let reference = run_rows_with_epilogue(m, m_g, n_threads, None, |_row, entries| {
+            inflate_everything_row(entries, opts)
+        })
+        .unwrap();
+        assert_eq!(new.indptr(), reference.indptr(), "{opts:?} x{n_threads}");
+        assert_eq!(new.indices(), reference.indices(), "{opts:?} x{n_threads}");
+        assert_eq!(
+            value_bits(&new),
+            value_bits(&reference),
+            "{opts:?} x{n_threads}"
+        );
+        new
+    }
+
+    /// Edge weights a decade apart: rows of `M · M_G` then span enough
+    /// orders of magnitude for every cutoff below to bite, and the few
+    /// distinct weights leave them full of tied values.
+    fn decade_weighted_graph(n: usize, raw: &[(usize, usize, u32)]) -> UnGraph {
+        let edges: Vec<(usize, usize, f64)> = raw
+            .iter()
+            .map(|&(u, v, w)| (u % n, v % n, 10f64.powi(-(w as i32))))
+            .collect();
+        UnGraph::from_weighted_edges(n, &edges).unwrap()
+    }
+
+    const THETAS: [f64; 5] = [0.0, 1e-6, 1e-3, 0.3, 1.0];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn pre_cut_epilogue_keeps_the_reference_bits(
+            n in 70usize..150,
+            raw in proptest::collection::vec((0usize..150, 0usize..150, 0u32..4), 300..1200),
+            theta_idx in 0usize..5,
+            inflation in 1.01f64..6.0,
+            max_row_nnz in 3usize..12,
+        ) {
+            let m_g = canonical_flow(&decade_weighted_graph(n, &raw));
+            let opts = MclOptions {
+                inflation,
+                prune_threshold: THETAS[theta_idx],
+                max_row_nnz,
+                ..Default::default()
+            };
+            for n_threads in [1, 3] {
+                // Three steps: the first sees M_G's wide rows, the later
+                // ones capped rows with renormalised, drifting values.
+                let mut m = m_g.clone();
+                for _ in 0..3 {
+                    m = assert_step_matches_reference(&m, &m_g, &opts, n_threads);
+                }
+            }
+        }
+    }
+
+    /// A 1 × n product whose single accumulated row is exactly `values`.
+    fn single_row(values: &[f64]) -> (CsrMatrix, CsrMatrix) {
+        let one = CsrMatrix::from_dense(&[vec![1.0]]);
+        (one, CsrMatrix::from_dense(&[values.to_vec()]))
+    }
+
+    fn ulps_away(x: f64, ulps: i64) -> f64 {
+        f64::from_bits((x.to_bits() as i64 + ulps) as u64)
+    }
+
+    #[test]
+    fn entries_at_the_cut_boundary_keep_the_reference_bits() {
+        let vmax = 0.4375;
+        for (theta, inflation) in [
+            (1e-3, 2.0),
+            (0.3, 1.5),
+            (1e-6, 5.9),
+            (0.5, 3.0),
+            (0.3, 1.01),
+        ] {
+            for max_row_nnz in [4, 64] {
+                let opts = MclOptions {
+                    inflation,
+                    prune_threshold: theta,
+                    max_row_nnz,
+                    ..Default::default()
+                };
+                let cut = PreCut::new(&opts).expect("θ in (0, 1)");
+                // Where the exact cutoff decides, and where the pre-cut does.
+                let exact = vmax * theta.powf(1.0 / inflation);
+                let floor = vmax * cut.factor;
+                let mut values = vec![0.01, vmax, 0.3, 0.3, exact * 0.5, vmax];
+                for centre in [exact, floor] {
+                    for ulps in [0, 1, 2, 1_000_000] {
+                        values.push(ulps_away(centre, ulps));
+                        values.push(ulps_away(centre, -ulps));
+                    }
+                }
+                let (one, row) = single_row(&values);
+                let out = assert_step_matches_reference(&one, &row, &opts, 1);
+                assert!(out.nnz() >= 2 && out.nnz() < values.len());
+                // The cut did skip work on this row, and not the maximum.
+                let mut entries: Vec<(u32, f64)> = (0u32..).zip(values.iter().copied()).collect();
+                let inflated = inflate_prune_row(&mut entries, &opts, Some(cut));
+                assert!(inflated < values.len(), "pre-cut removed nothing");
+                assert!(
+                    inflated >= 2 + 8,
+                    "pre-cut removed an entry above the boundary"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn underflowing_cutoff_takes_the_guard() {
+        // v ~ 1e-160 squares into the subnormals and `row_max · θ` rounds
+        // there too: the exact pass keeps what a relative margin cannot
+        // predict, so the pre-cut must stand aside.
+        let values = [1.0e-160, 3.0e-161, 2.5e-162, 1.0e-163, 9.9e-161, 1.0e-160];
+        let opts = MclOptions::default();
+        let (one, row) = single_row(&values);
+        assert_step_matches_reference(&one, &row, &opts, 1);
+        let mut entries: Vec<(u32, f64)> = (0u32..).zip(values).collect();
+        let inflated = inflate_prune_row(&mut entries, &opts, PreCut::new(&opts));
+        assert_eq!(inflated, values.len(), "the guard must skip the pre-cut");
+    }
+
+    #[test]
+    fn work_counters_show_what_the_cut_saved() {
+        // A fixed pseudo-random graph from the property test's family.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        let raw: Vec<(usize, usize, u32)> = (0..900)
+            .map(|_| (next(120), next(120), next(4) as u32))
+            .collect();
+        let g = decade_weighted_graph(120, &raw);
+        let opts = MclOptions {
+            max_row_nnz: 8,
+            max_iter: 3,
+            ..Default::default()
+        };
+        let m_g = canonical_flow(&g);
+        let metrics = MetricsRegistry::new();
+        let (flow, iterations, _) = rmcl_iterate_with(
+            &m_g,
+            m_g.clone(),
+            &opts,
+            opts.max_iter,
+            None,
+            Some(&metrics),
+        )
+        .unwrap();
+        let snap = metrics.snapshot();
+        let touched = snap.counter(metric_names::TOUCHED).unwrap();
+        let inflated = snap.counter(metric_names::INFLATED).unwrap();
+        let kept = snap.counter(metric_names::KEPT).unwrap();
+        // The pre-cut skipped entries, the exact cutoff or the row cap
+        // dropped more, and every row ended at the cap.
+        assert!(inflated < touched, "{inflated} of {touched} inflated");
+        assert!(kept < inflated, "{kept} kept of {inflated} inflated");
+        assert!(kept >= flow.nnz() as u64);
+        assert_eq!(flow.nnz(), 120 * 8);
+        for name in [metric_names::EXPAND_SPAN, metric_names::VOTE_SPAN] {
+            assert_eq!(snap.span(name).unwrap().count, iterations as u64, "{name}");
+        }
     }
 
     #[test]
@@ -568,7 +929,7 @@ mod tests {
             ..Default::default()
         };
         let serial = expand_inflate_prune(&m_g, &m_g, &opts, None).unwrap();
-        let parallel = expand_inflate_prune_on(&m_g, &m_g, &opts, 3, None).unwrap();
+        let parallel = expand_inflate_prune_on(&m_g, &m_g, &opts, 3, None, None).unwrap();
         assert_eq!(serial.indptr(), parallel.indptr());
         assert_eq!(serial.indices(), parallel.indices());
         assert_eq!(value_bits(&serial), value_bits(&parallel));
@@ -580,7 +941,7 @@ mod tests {
         let m_g = canonical_flow(&g);
         let opts = MclOptions::default();
         let serial = expand_inflate_prune(&m_g, &m_g, &opts, None).unwrap();
-        let parallel = expand_inflate_prune_on(&m_g, &m_g, &opts, 8, None).unwrap();
+        let parallel = expand_inflate_prune_on(&m_g, &m_g, &opts, 8, None, None).unwrap();
         assert_eq!(serial.indptr(), parallel.indptr());
         assert_eq!(serial.indices(), parallel.indices());
         assert_eq!(value_bits(&serial), value_bits(&parallel));

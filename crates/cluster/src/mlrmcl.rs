@@ -312,18 +312,33 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_inflation() {
-        let g = clique_ring(2, 3);
-        assert!(MlrMcl::with_inflation(0.9).cluster_ungraph(&g).is_err());
-    }
-
-    #[test]
     fn rejects_zero_row_cap() {
         let g = clique_ring(2, 3);
         let mut options = MlrMclOptions::default();
         options.mcl.max_row_nnz = 0;
         let err = MlrMcl { options }.cluster_ungraph(&g).unwrap_err();
         assert!(matches!(err, crate::ClusterError::InvalidConfig(_)));
+    }
+
+    #[test]
+    fn rejects_bad_inflation_and_threshold() {
+        let g = clique_ring(2, 3);
+        let reject = |edit: fn(&mut MclOptions)| {
+            let mut options = MlrMclOptions::default();
+            edit(&mut options.mcl);
+            let err = MlrMcl { options }.cluster_ungraph(&g).unwrap_err();
+            assert!(
+                matches!(err, crate::ClusterError::InvalidConfig(_)),
+                "{:?} gave {err:?}",
+                options.mcl
+            );
+        };
+        reject(|o| o.inflation = 0.9);
+        reject(|o| o.inflation = f64::NAN);
+        reject(|o| o.inflation = f64::INFINITY);
+        reject(|o| o.prune_threshold = f64::NAN);
+        reject(|o| o.prune_threshold = 1.5);
+        reject(|o| o.prune_threshold = -0.1);
     }
 
     #[test]

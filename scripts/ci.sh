@@ -40,9 +40,13 @@ stage_chaos() {
   cargo build --release -q -p symclust-cli --features fault-injection
   ./target/release/symclust chaos --seed 42 --cycles 25
 }
+# Release arithmetic with the debug_assert!s left in: the engine suite,
+# and the cluster suite so that the row runner's "epilogue leaves
+# ascending columns" assertion and the R-MCL epilogue's bit-equality
+# property tests run against optimised floating point.
 stage_debug_assertions() {
   RUSTFLAGS="${RUSTFLAGS:-} -C debug-assertions=on" \
-    cargo test -q --release -p symclust-engine
+    cargo test -q --release -p symclust-engine -p symclust-cluster
 }
 stage_bench() { ./scripts/bench_gate.sh; }
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md) is a package
