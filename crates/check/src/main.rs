@@ -21,13 +21,15 @@ USAGE:
         instead, to demonstrate the checker catches races (expected to
         report a violation and exit non-zero).
 
-    symclust-check serve-model [--faulty relaxed-shutdown|overloaded-requeue]
+    symclust-check serve-model
+            [--faulty relaxed-shutdown|overloaded-requeue|inline-before-flag]
         Exhaustively model-check the serve daemon's request lifecycle
         (admission vs shutdown races, worker drain, drain-deadline
-        watchdog, health, client-disconnect cancellation) across the
-        built-in scenarios. --faulty checks a deliberately broken
-        protocol variant instead and prints the concrete witness trace
-        (a lost request or a double completion; exits non-zero).
+        watchdog, health, client-disconnect cancellation, the reader's
+        inline read lane) across the built-in scenarios. --faulty checks
+        a deliberately broken protocol variant instead and prints the
+        concrete witness trace (a lost request, a double completion, or
+        a read answered by a draining daemon; exits non-zero).
 
     symclust-check list-rules
         Print the lint rules and one-line summaries.
@@ -113,20 +115,21 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     }
 }
 
+const FAULTY_VARIANTS: &str = "relaxed-shutdown, overloaded-requeue or inline-before-flag";
+
 fn cmd_serve_model(args: &[String]) -> ExitCode {
     match flag_value(args, "--faulty") {
         Err(e) => {
-            eprintln!("{e} (relaxed-shutdown or overloaded-requeue)");
+            eprintln!("{e} ({FAULTY_VARIANTS})");
             ExitCode::FAILURE
         }
         Ok(Some(variant)) => {
             let protocol = match variant.as_str() {
                 "relaxed-shutdown" => servemodel::Protocol::RelaxedShutdown,
                 "overloaded-requeue" => servemodel::Protocol::OverloadedRequeue,
+                "inline-before-flag" => servemodel::Protocol::InlineBeforeFlag,
                 other => {
-                    eprintln!(
-                        "--faulty expects relaxed-shutdown or overloaded-requeue, got {other:?}"
-                    );
+                    eprintln!("--faulty expects {FAULTY_VARIANTS}, got {other:?}");
                     return ExitCode::FAILURE;
                 }
             };

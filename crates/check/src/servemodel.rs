@@ -18,7 +18,11 @@
 //!   `admit` (the `try_send`: queue full ⇒ `overloaded` response,
 //!   all workers exited ⇒ the channel-`Disconnected` backstop answers an
 //!   internal error, else the job is queued). The window between the two
-//!   steps is exactly the race the real code must tolerate.
+//!   steps is exactly the race the real code must tolerate. A
+//!   [`ReqKind::Read`] — a `query-membership` whose clustering is resident
+//!   in L1 — takes the same `read-flag` step and is then **answered by the
+//!   reader itself** (`answer-inline`, the read lane): it never enters the
+//!   queue and no worker ever steps for it.
 //! * **workers** — `dequeue` (pops the FIFO head; a job whose client is
 //!   gone is dropped silently, mirroring the `client_gone` check),
 //!   `complete` (writes the one response; executing the `shutdown` op
@@ -51,15 +55,20 @@
 //!    the flag never queues that request (checked at `admit`);
 //! 5. **queue-bound** — the FIFO never exceeds its capacity;
 //! 6. **health-answerable** — the probe step is enabled in every state
-//!    until taken, and answered by termination.
+//!    until taken, and answered by termination;
+//! 7. **no-answer-after-shutdown-observed** — the read lane answers only
+//!    behind a `false` flag observation; a read the reader picks up with
+//!    the flag already set is refused like any other op.
 //!
-//! Two deliberately broken variants demonstrate the checker has teeth:
+//! Three deliberately broken variants demonstrate the checker has teeth:
 //! [`Protocol::RelaxedShutdown`] models a `Relaxed` shutdown flag with a
 //! hand-rolled queue (stale `false` reads, no channel-`Disconnected`
 //! backstop) and yields a **lost request**; [`Protocol::OverloadedRequeue`]
 //! models a TOCTOU double-submit on the full-queue path (the overloaded
 //! response is written but the job is enqueued anyway once a slot frees)
-//! and yields a **double completion**.
+//! and yields a **double completion**; [`Protocol::InlineBeforeFlag`]
+//! puts the lane in front of the flag load, where `health` sits, and
+//! yields a **read answered by a draining daemon**.
 
 use std::collections::{HashMap, HashSet};
 
@@ -78,6 +87,10 @@ pub enum Protocol {
     /// the job pending and enqueues it once a slot frees — the classic
     /// check-then-act double submit. Expected witness: a double completion.
     OverloadedRequeue,
+    /// Broken variant: the read lane answers before the reader loads the
+    /// shutdown flag (the position of the `health` branch). Expected
+    /// witness: a read answered although shutdown was observable.
+    InlineBeforeFlag,
 }
 
 /// What a modelled request does when a worker executes it.
@@ -92,6 +105,9 @@ pub enum ReqKind {
     /// (client disconnect or watchdog fire) — what the drain deadline
     /// exists to bound.
     Stuck,
+    /// An L1-resident `query-membership`: answered inline by the reader
+    /// after its flag check, never queued, never touched by a worker.
+    Read,
 }
 
 /// One model-checking scenario.
@@ -175,6 +191,9 @@ enum Req {
     Responded,
     /// Dropped without a response because the client was gone at dequeue.
     CancelledSilent,
+    /// [`Protocol::InlineBeforeFlag`] only: the lane answered a read the
+    /// reader picked up with the flag already set.
+    AnsweredDraining,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -304,7 +323,21 @@ fn successors(cfg: &Config, state: &State) -> Vec<Transition> {
     if let Some(i) = state.reader_next() {
         if !state.client_gone {
             let observed_true = state.shutdown;
-            if observed_true {
+            if cfg.protocol == Protocol::InlineBeforeFlag && cfg.requests[i] == ReqKind::Read {
+                // The bug: the lane sits before the flag load, so the
+                // read is answered whatever the flag says.
+                let mut next = state.clone();
+                next.reqs[i] = if observed_true {
+                    Req::AnsweredDraining
+                } else {
+                    Req::Responded
+                };
+                out.push(Transition {
+                    next,
+                    label: format!("reader: req {i} answer-inline before the flag load (bug)"),
+                    responded: Some(i),
+                });
+            } else if observed_true {
                 let mut next = state.clone();
                 next.reqs[i] = Req::Refused;
                 out.push(Transition {
@@ -334,9 +367,20 @@ fn successors(cfg: &Config, state: &State) -> Vec<Transition> {
         }
     }
 
-    // Reader, step 2: `try_send` the job it is holding.
+    // Reader, step 2: answer a resident read inline, or `try_send` the
+    // job it is holding.
     if let Some(i) = state.reader_admitting() {
-        if state.all_workers_done() && cfg.protocol != Protocol::RelaxedShutdown {
+        if cfg.requests[i] == ReqKind::Read {
+            // The lane needs no worker and no queue slot: enabled even
+            // with the pool exited or the queue full.
+            let mut next = state.clone();
+            next.reqs[i] = Req::Responded;
+            out.push(Transition {
+                next,
+                label: format!("reader: req {i} answer-inline (L1 read, not queued)"),
+                responded: Some(i),
+            });
+        } else if state.all_workers_done() && cfg.protocol != Protocol::RelaxedShutdown {
             // Every worker exited ⇒ the receiver side of the channel is
             // dropped ⇒ `TrySendError::Disconnected` ⇒ internal error.
             let mut next = state.clone();
@@ -582,6 +626,16 @@ fn dfs(
                 }));
             }
         }
+        if let Some(r) = next.reqs.iter().position(|r| *r == Req::AnsweredDraining) {
+            return Err(Box::new(ModelViolation {
+                invariant: "no-answer-after-shutdown-observed",
+                message: format!(
+                    "read {r} answered inline by a draining daemon (scenario `{}`, {:?})",
+                    cfg.name, cfg.protocol
+                ),
+                trace: trace.clone(),
+            }));
+        }
         let sub = dfs(cfg, &next, visited, paths, transitions, trace)?;
         count = count.saturating_add(sub);
         trace.pop();
@@ -719,6 +773,33 @@ pub fn scenarios() -> Vec<Config> {
             health_probe: true,
             protocol: Protocol::Shipped,
         },
+        // The read lane. A hung kernel holds the only worker and the only
+        // queue slot is free or not — the read behind it is answered by
+        // the reader either way; SIGTERM is what eventually frees the
+        // worker, so the read also meets every phase of the drain.
+        Config {
+            name: "read-lane-passes-stuck-worker",
+            n_workers: 1,
+            queue_cap: 1,
+            requests: vec![ReqKind::Stuck, ReqKind::Read, ReqKind::Read],
+            external_sigterm: true,
+            client_disconnect: false,
+            health_probe: false,
+            protocol: Protocol::Shipped,
+        },
+        // A read racing the `shutdown` op ahead of it: answered when its
+        // reader saw the flag down (even if the pool has exited by the
+        // time it writes), refused once the flag is up.
+        Config {
+            name: "read-lane-refused-by-drain",
+            n_workers: 1,
+            queue_cap: 1,
+            requests: vec![ReqKind::Shutdown, ReqKind::Read, ReqKind::Normal],
+            external_sigterm: false,
+            client_disconnect: true,
+            health_probe: false,
+            protocol: Protocol::Shipped,
+        },
     ]
 }
 
@@ -757,6 +838,16 @@ pub fn faulty_config(protocol: Protocol) -> Config {
             health_probe: false,
             protocol,
         },
+        Protocol::InlineBeforeFlag => Config {
+            name: "inline-before-flag",
+            n_workers: 1,
+            queue_cap: 1,
+            requests: vec![ReqKind::Shutdown, ReqKind::Read],
+            external_sigterm: false,
+            client_disconnect: false,
+            health_probe: false,
+            protocol,
+        },
         Protocol::Shipped => Config {
             name: "shipped",
             n_workers: 1,
@@ -786,6 +877,8 @@ mod tests {
             ("sigterm-rescues-stuck-request", 304, 10_142),
             ("client-disconnect-cancels", 490, 66_132),
             ("overload-then-drain", 258, 24_172),
+            ("read-lane-passes-stuck-worker", 91, 210),
+            ("read-lane-refused-by-drain", 95, 301),
         ];
         for ((name, r), (exp_name, states, schedules)) in reports.iter().zip(expected) {
             assert_eq!(name, exp_name);
@@ -824,6 +917,60 @@ mod tests {
             "trace: {:#?}",
             err.trace
         );
+    }
+
+    #[test]
+    fn inline_before_flag_answers_a_read_while_draining() {
+        let err = check_config(&faulty_config(Protocol::InlineBeforeFlag))
+            .expect_err("a lane in front of the flag load must answer a draining read");
+        assert_eq!(err.invariant, "no-answer-after-shutdown-observed");
+        let flag_set = err.trace.iter().position(|s| s.contains("flag set"));
+        let answered = err.trace.iter().position(|s| s.contains("before the flag"));
+        assert!(
+            matches!((flag_set, answered), (Some(f), Some(a)) if f < a),
+            "trace: {:#?}",
+            err.trace
+        );
+    }
+
+    /// Takes the one enabled step whose label contains `what`.
+    fn step(cfg: &Config, state: &State, what: &str) -> State {
+        let mut matching = successors(cfg, state)
+            .into_iter()
+            .filter(|t| t.label.contains(what));
+        let t = matching
+            .next()
+            .unwrap_or_else(|| panic!("no enabled step `{what}`"));
+        assert!(matching.next().is_none(), "`{what}` is ambiguous");
+        t.next
+    }
+
+    #[test]
+    fn a_resident_read_completes_without_any_worker_step() {
+        let cfg = scenarios()
+            .into_iter()
+            .find(|c| c.name == "read-lane-passes-stuck-worker")
+            .unwrap();
+        let mut s = State::initial(&cfg);
+        for what in [
+            "req 0 read-flag -> false",
+            "req 0 try_send -> queued",
+            "worker 0: dequeue req 0",
+            "req 1 read-flag -> false",
+            "req 1 answer-inline",
+        ] {
+            s = step(&cfg, &s, what);
+        }
+        // Answered, with the only worker still inside the hung kernel
+        // and no drain under way: no worker step served the read.
+        assert_eq!(s.reqs[1], Req::Responded);
+        assert_eq!(s.workers, vec![Worker::Running(0)]);
+        assert!(!s.shutdown && s.queue.is_empty());
+
+        // And once the flag is up, the next read is refused, not answered.
+        s = step(&cfg, &s, "SIGTERM");
+        s = step(&cfg, &s, "req 2 read-flag -> true, refuse");
+        assert_eq!(s.reqs[2], Req::Refused);
     }
 
     #[test]

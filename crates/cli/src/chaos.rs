@@ -134,10 +134,10 @@ pub fn chaos(args: &ParsedArgs) -> CmdResult {
 
 /// The fault schedule for cycle `c`: family and target operation are
 /// both derived from the run seed via [`mix`], so a failing cycle can be
-/// re-run in isolation from its printed spec alone. Ops land in `0..80`;
+/// re-run in isolation from its printed spec alone. Ops land in `0..32`;
 /// a target past the workload's op count is a legitimate no-fault cycle.
 fn cycle_spec(seed: u64, cycle: u64) -> FaultSpec {
-    let op = mix(seed, 2 * cycle + 1) % 80;
+    let op = mix(seed, 2 * cycle + 1) % 32;
     let mut spec = FaultSpec {
         seed: mix(seed, cycle ^ 0x5eed),
         ..FaultSpec::default()

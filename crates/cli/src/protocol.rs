@@ -8,7 +8,11 @@
 //!
 //! Requests carry an `op` plus op-specific fields; `id` (echoed back
 //! verbatim) and `timeout-ms` (per-request deadline) are accepted on any
-//! op. Responses are **deterministic**: for a given request they contain
+//! op. A client that pipelines correlates by `id`: responses on one
+//! connection are not guaranteed to come back in request order (two
+//! workers may finish out of order, and a memory-resident
+//! `query-membership` is answered by the reader thread ahead of queued
+//! work). Responses are **deterministic**: for a given request they contain
 //! only content-derived fields (keys, dimensions, content checksums) —
 //! never timings, tiers, or hit/miss markers — so two identical requests
 //! produce byte-identical response lines whether they were computed,

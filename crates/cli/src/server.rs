@@ -15,7 +15,14 @@
 //!   connection the moment its client disconnects;
 //! - artifacts flow through the two-tier cache ([`TieredCache`]): L1
 //!   memory → verified disk blob → kernel. Hits run no kernel at all, so
-//!   a repeated request is served without touching `spgemm.calls`.
+//!   a repeated request is served without touching `spgemm.calls`, and
+//!   its response is rendered from the summary the artifact got when it
+//!   entered L1 ([`symclust_store::Cached`]), not from its arrays;
+//! - a `query-membership` whose clustering is resident in L1 never
+//!   reaches the queue: the **reader thread answers it inline** (the read
+//!   lane), so a cheap read does not wait behind another client's cold
+//!   compute. Responses on one pipelined connection may therefore come
+//!   back out of request order — correlate by `id`.
 //!
 //! Responses are deterministic (only content-derived fields — see
 //! [`crate::protocol`]); cache behavior is visible through the `stats`
@@ -41,16 +48,17 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use symclust_cluster::Clustering;
-use symclust_engine::fingerprint::{graph_fingerprint, matrix_fingerprint, Fnv64};
+use symclust_engine::fingerprint::graph_fingerprint;
 use symclust_graph::io::read_edge_list;
 use symclust_graph::{DiGraph, UnGraph};
 use symclust_obs::MetricsRegistry;
 use symclust_sparse::{CancelToken, CsrMatrix};
 use symclust_store::{
-    cluster_cached, cluster_key, symmetrize_cached, DiskStore, StoreOptions, TieredCache,
+    cluster_cached, cluster_key, symmetrize_cached, symmetrize_key, DiskStore, StoreOptions,
+    TieredCache,
 };
 
 use crate::protocol::{self, Envelope, ErrorCode, Request};
@@ -59,8 +67,16 @@ use crate::protocol::{self, Envelope, ErrorCode, Request};
 pub mod metric_names {
     /// Counter: connections accepted.
     pub const SERVE_CONNECTIONS: &str = "serve.connections";
-    /// Counter: requests dequeued by a worker.
+    /// Counter: requests taken up for an answer — dequeued by a worker,
+    /// or answered inline by the read lane.
     pub const SERVE_REQUESTS: &str = "serve.requests";
+    /// Counter: `query-membership` requests the reader thread answered
+    /// from L1 without queueing (a subset of `serve.requests`).
+    pub const SERVE_INLINE_READS: &str = "serve.inline_reads";
+    /// Span: admission (`try_send`) to dequeue, one per queued request.
+    /// Its counterpart `serve.service.<op>` (dequeue to response written)
+    /// is named per op at the recording site in `worker_loop`.
+    pub const SERVE_WAIT: &str = "serve.wait";
     /// Counter: error responses sent (any error code).
     pub const SERVE_ERRORS: &str = "serve.errors";
     /// Counter: requests rejected because the admission queue was full.
@@ -237,6 +253,8 @@ struct Job {
     writer: SharedWriter,
     registry: Arc<ConnTokens>,
     slot: usize,
+    /// When the reader handed the job to the queue (`serve.wait` starts).
+    admitted: Instant,
     /// Slot in the server-wide [`ServerState::active`] registry, which
     /// the drain watchdog cancels when the deadline passes.
     active_slot: usize,
@@ -544,10 +562,13 @@ fn accept_loop(listener: Listener, state: &Arc<ServerState>, queue: &SyncSender<
     }
 }
 
-fn write_line(writer: &SharedWriter, line: &str) {
+/// Sends one response line. The newline travels in the same write as the
+/// line: the socket is unbuffered, so every write is a syscall and a
+/// chance to wake the client before its line is complete.
+fn write_line(writer: &SharedWriter, mut line: String) {
+    line.push('\n');
     let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
     let _ = w.write_all(line.as_bytes());
-    let _ = w.write_all(b"\n");
     let _ = w.flush();
 }
 
@@ -579,7 +600,7 @@ fn handle_connection(
                 state.metrics.counter(metric_names::SERVE_ERRORS).inc();
                 write_line(
                     &writer,
-                    &protocol::response_error(None, None, ErrorCode::BadRequest, &detail),
+                    protocol::response_error(None, None, ErrorCode::BadRequest, &detail),
                 );
                 continue;
             }
@@ -587,7 +608,7 @@ fn handle_connection(
         // Health is answered here, out-of-band of the admission queue:
         // a probe must work when the queue is full and while draining.
         if matches!(env.request, Request::Health) {
-            write_line(&writer, &health_response(state, &env));
+            write_line(&writer, health_response(state, &env));
             continue;
         }
         // Once draining, no new work is admitted; queued work finishes.
@@ -595,7 +616,7 @@ fn handle_connection(
             state.metrics.counter(metric_names::SERVE_ERRORS).inc();
             write_line(
                 &writer,
-                &protocol::response_error(
+                protocol::response_error(
                     Some(protocol::op_name(&env.request)),
                     env.id.as_deref(),
                     ErrorCode::Internal,
@@ -603,6 +624,27 @@ fn handle_connection(
                 ),
             );
             continue;
+        }
+        // The read lane. A membership query on a clustering resident in
+        // L1 costs less than its trip through the queue, so the reader
+        // answers it here (after the flag check: a draining daemon refuses
+        // it like any other op). It bypasses the bounded queue, which is
+        // safe because this reader serialises its own connection's reads;
+        // an L1 miss (disk tier, unknown key) is admitted as usual.
+        if let Request::QueryMembership { cluster_key, node } = &env.request {
+            if let Some(clustering) = state.cluster_cache.l1().get(*cluster_key) {
+                state.metrics.counter(metric_names::SERVE_REQUESTS).inc();
+                state
+                    .metrics
+                    .counter(metric_names::SERVE_INLINE_READS)
+                    .inc();
+                let id = env.id.as_deref();
+                write_line(
+                    &writer,
+                    membership_response(state, id, *cluster_key, *node, &clustering),
+                );
+                continue;
+            }
         }
         let token = match env.timeout_ms.or(state.default_timeout_ms) {
             Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
@@ -617,6 +659,7 @@ fn handle_connection(
             writer: Arc::clone(&writer),
             registry: Arc::clone(&registry),
             slot,
+            admitted: Instant::now(),
             active_slot,
         };
         // Count the job in *before* sending: a worker may dequeue (and
@@ -634,7 +677,7 @@ fn handle_connection(
                 state.metrics.counter(metric_names::SERVE_ERRORS).inc();
                 write_line(
                     &job.writer,
-                    &protocol::response_overloaded(
+                    protocol::response_overloaded(
                         Some(protocol::op_name(&job.env.request)),
                         job.env.id.as_deref(),
                         "admission queue is full; retry later",
@@ -646,7 +689,7 @@ fn handle_connection(
                 state.queue_depth.fetch_sub(1, Ordering::Relaxed);
                 write_line(
                     &job.writer,
-                    &protocol::response_error(
+                    protocol::response_error(
                         Some(protocol::op_name(&job.env.request)),
                         job.env.id.as_deref(),
                         ErrorCode::Internal,
@@ -685,14 +728,21 @@ fn worker_loop(state: &Arc<ServerState>, rx: &Arc<Mutex<Receiver<Job>>>) {
             Err(RecvTimeoutError::Disconnected) => break,
         };
         state.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        state.metrics.observe_span_secs(
+            metric_names::SERVE_WAIT,
+            job.admitted.elapsed().as_secs_f64(),
+        );
         state.metrics.counter(metric_names::SERVE_REQUESTS).inc();
         let is_shutdown = matches!(job.env.request, Request::Shutdown);
         if job.client_gone.load(Ordering::Acquire) {
             // Nobody is listening; don't run the kernel, don't respond.
             state.metrics.counter(metric_names::SERVE_CANCELLED).inc();
         } else {
+            // `serve.service.<op>`: dequeue to response written.
+            let op = protocol::op_name(&job.env.request);
+            let _service = state.metrics.span(&format!("serve.service.{op}"));
             let response = execute(state, &job);
-            write_line(&job.writer, &response);
+            write_line(&job.writer, response);
         }
         job.release(state);
         if is_shutdown {
@@ -740,33 +790,45 @@ fn kernel_error(state: &ServerState, job: &Job, op: &str, cancelled: bool, detai
     protocol::response_error(Some(op), job.env.id.as_deref(), code, detail)
 }
 
-fn client_error(state: &ServerState, job: &Job, op: &str, code: ErrorCode, detail: &str) -> String {
+fn client_error(
+    state: &ServerState,
+    id: Option<&str>,
+    op: &str,
+    code: ErrorCode,
+    detail: &str,
+) -> String {
     state.metrics.counter(metric_names::SERVE_ERRORS).inc();
-    protocol::response_error(Some(op), job.env.id.as_deref(), code, detail)
+    protocol::response_error(Some(op), id, code, detail)
 }
 
-/// Number of undirected edges in a symmetric adjacency (off-diagonal
-/// entries count once per pair, self-loops once).
-fn undirected_edge_count(m: &CsrMatrix) -> usize {
-    let mut diag = 0usize;
-    for r in 0..m.n_rows() {
-        if m.get(r, r) != 0.0 {
-            diag += 1;
-        }
+/// Renders a `query-membership` answer from a resident clustering. The
+/// reader's inline lane and the worker both end here, so the bytes of an
+/// answer cannot depend on which thread gave it.
+fn membership_response(
+    state: &ServerState,
+    id: Option<&str>,
+    cluster_key: u64,
+    node: usize,
+    clustering: &Clustering,
+) -> String {
+    let op = "query-membership";
+    if node >= clustering.n_nodes() {
+        return client_error(
+            state,
+            id,
+            op,
+            ErrorCode::BadRequest,
+            &format!(
+                "node {node} out of range (clustering covers {} nodes)",
+                clustering.n_nodes()
+            ),
+        );
     }
-    (m.nnz() - diag) / 2 + diag
-}
-
-/// Content checksum of a clustering, spelled into `cluster` responses so
-/// clients can compare results without fetching assignments.
-fn clustering_checksum(c: &Clustering) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(c.n_clusters() as u64)
-        .write_u64(u64::from(c.converged()));
-    for &a in c.assignments() {
-        h.write_u64(u64::from(a));
-    }
-    h.finish()
+    let mut resp = protocol::response_ok(op, id);
+    resp.string("key", &protocol::key_hex(cluster_key));
+    resp.number("node", node as f64);
+    resp.number("cluster", f64::from(clustering.cluster_of(node)));
+    resp.finish()
 }
 
 /// Executes one request and renders its response line. Every branch
@@ -783,7 +845,7 @@ fn execute(state: &ServerState, job: &Job) -> String {
         Request::UploadGraph { edges } => match read_edge_list(edges.as_bytes()) {
             Err(e) => client_error(
                 state,
-                job,
+                id,
                 op,
                 ErrorCode::BadRequest,
                 &format!("bad edge list: {e}"),
@@ -814,7 +876,7 @@ fn execute(state: &ServerState, job: &Job) -> String {
             let Some(g) = state.resolve_graph(*graph_fp) else {
                 return client_error(
                     state,
-                    job,
+                    id,
                     op,
                     ErrorCode::NotFound,
                     "unknown graph fingerprint; upload-graph first",
@@ -831,11 +893,12 @@ fn execute(state: &ServerState, job: &Job) -> String {
             ) {
                 Err(e) => kernel_error(state, job, op, e.is_cancelled(), &e.to_string()),
                 Ok((m, _tier, key)) => {
+                    let summary = m.summary();
                     let mut resp = protocol::response_ok(op, id);
                     resp.string("key", &protocol::key_hex(key));
-                    resp.number("nodes", m.n_rows() as f64);
-                    resp.number("edges", undirected_edge_count(&m) as f64);
-                    resp.string("checksum", &protocol::key_hex(matrix_fingerprint(&m)));
+                    resp.number("nodes", summary.nodes as f64);
+                    resp.number("edges", summary.edges as f64);
+                    resp.string("checksum", &protocol::key_hex(summary.fingerprint));
                     resp.finish()
                 }
             }
@@ -849,31 +912,36 @@ fn execute(state: &ServerState, job: &Job) -> String {
             let Some(g) = state.resolve_graph(*graph_fp) else {
                 return client_error(
                     state,
-                    job,
+                    id,
                     op,
                     ErrorCode::NotFound,
                     "unknown graph fingerprint; upload-graph first",
                 );
             };
-            let (adj, sym_key) = match symmetrize_cached(
-                &state.sym_cache,
-                &g,
-                *graph_fp,
-                method,
-                *budget,
-                &job.token,
-                Some(&state.metrics),
-            ) {
-                Err(e) => return kernel_error(state, job, op, e.is_cancelled(), &e.to_string()),
-                Ok((m, _tier, key)) => (m, key),
-            };
+            // Both keys are pure functions of the request, so a hit on
+            // the clustering never touches the matrix tier: after a
+            // restart that is a 6 MB blob not read, checksummed and
+            // validated just to learn an address.
+            let sym_key = symmetrize_key(*graph_fp, method, *budget);
             let ckey = cluster_key(sym_key, clusterer);
-            // Probe both tiers before paying for the UnGraph clone the
-            // cold compute path needs.
             let clustering = match state.cluster_cache.get(ckey) {
                 Some((c, _tier)) => c,
                 None => {
-                    let ungraph = UnGraph::from_symmetric_unchecked((*adj).clone());
+                    let adj = match symmetrize_cached(
+                        &state.sym_cache,
+                        &g,
+                        *graph_fp,
+                        method,
+                        *budget,
+                        &job.token,
+                        Some(&state.metrics),
+                    ) {
+                        Err(e) => {
+                            return kernel_error(state, job, op, e.is_cancelled(), &e.to_string())
+                        }
+                        Ok((m, _tier, _key)) => m,
+                    };
+                    let ungraph = UnGraph::from_symmetric_unchecked(CsrMatrix::clone(&adj));
                     match cluster_cached(
                         &state.cluster_cache,
                         &ungraph,
@@ -889,45 +957,31 @@ fn execute(state: &ServerState, job: &Job) -> String {
                     }
                 }
             };
+            let summary = clustering.summary();
             let mut resp = protocol::response_ok(op, id);
             resp.string("key", &protocol::key_hex(ckey));
             resp.string("sym-key", &protocol::key_hex(sym_key));
-            resp.number("nodes", clustering.n_nodes() as f64);
-            resp.number("clusters", clustering.n_clusters() as f64);
-            resp.boolean("converged", clustering.converged());
-            resp.string(
-                "checksum",
-                &protocol::key_hex(clustering_checksum(&clustering)),
-            );
+            resp.number("nodes", summary.nodes as f64);
+            resp.number("clusters", summary.clusters as f64);
+            resp.boolean("converged", summary.converged);
+            resp.string("checksum", &protocol::key_hex(summary.checksum));
             resp.finish()
         }
+        // Reaches a worker only when the reader's L1 probe missed: the
+        // clustering is on disk (promoted here) or unknown.
         Request::QueryMembership { cluster_key, node } => {
-            let Some((clustering, _tier)) = state.cluster_cache.get(*cluster_key) else {
-                return client_error(
+            match state.cluster_cache.get(*cluster_key) {
+                Some((clustering, _tier)) => {
+                    membership_response(state, id, *cluster_key, *node, &clustering)
+                }
+                None => client_error(
                     state,
-                    job,
+                    id,
                     op,
                     ErrorCode::NotFound,
                     "unknown clustering artifact; run cluster first",
-                );
-            };
-            if *node >= clustering.n_nodes() {
-                return client_error(
-                    state,
-                    job,
-                    op,
-                    ErrorCode::BadRequest,
-                    &format!(
-                        "node {node} out of range (clustering covers {} nodes)",
-                        clustering.n_nodes()
-                    ),
-                );
+                ),
             }
-            let mut resp = protocol::response_ok(op, id);
-            resp.string("key", &protocol::key_hex(*cluster_key));
-            resp.number("node", *node as f64);
-            resp.number("cluster", f64::from(clustering.cluster_of(*node)));
-            resp.finish()
         }
         Request::Stats => {
             let s = state.store.stats();
@@ -957,6 +1011,23 @@ fn execute(state: &ServerState, job: &Job) -> String {
                 "overloaded",
                 state.metrics.counter(metric_names::SERVE_OVERLOADED).get() as f64,
             );
+            // The daemon's own counters and clocks (DESIGN.md §11): `serve.wait`
+            // and every `serve.service.<op>` as `wait-*` / `service-<op>-*`.
+            let snap = state.metrics.snapshot();
+            let count = |name: &str| snap.counter(name).unwrap_or(0) as f64;
+            resp.number(
+                "summaries-computed",
+                count(symclust_store::metric_names::SUMMARIES_COMPUTED),
+            );
+            resp.number("inline-reads", count(metric_names::SERVE_INLINE_READS));
+            for span in &snap.spans {
+                if let Some(short) = span.name.strip_prefix("serve.") {
+                    let short = short.replace('.', "-");
+                    resp.number(&format!("{short}-count"), span.stats.count as f64);
+                    resp.number(&format!("{short}-ms-mean"), span.stats.mean_secs() * 1e3);
+                    resp.number(&format!("{short}-ms-max"), span.stats.max_secs * 1e3);
+                }
+            }
             resp.finish()
         }
         // Health never reaches the queue (the reader answers it inline);
@@ -970,6 +1041,7 @@ fn execute(state: &ServerState, job: &Job) -> String {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use symclust_engine::fingerprint::matrix_fingerprint;
 
     static TEST_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -1235,14 +1307,262 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    const EDGES: &str = r"0 1\n1 2\n2 0\n2 3\n3 4\n4 5\n5 3\n";
+    const SYM: &str = r#""method":"bib""#;
+    const CLUSTER: &str = r#""method":"bib","algo":"metis","k":2"#;
+
+    fn counter(server: &Server, name: &str) -> u64 {
+        server.metrics().counter(name).get()
+    }
+
+    fn summaries(server: &Server) -> u64 {
+        counter(server, symclust_store::metric_names::SUMMARIES_COMPUTED)
+    }
+
+    fn field(response: &str, name: &str) -> String {
+        let fields = symclust_engine::json::parse_object(response).unwrap();
+        let value = fields.get(name).and_then(|v| v.as_str());
+        value
+            .unwrap_or_else(|| panic!("no {name} in {response}"))
+            .to_string()
+    }
+
+    /// A daemon on `dir` with [`EDGES`] uploaded: the connection, and the
+    /// `symmetrize` / `cluster` request lines for it.
+    fn start_uploaded(dir: &std::path::Path) -> (Server, UnixStream, String, String) {
+        let mut opts = ServeOptions::unix(dir.join("sock"), dir.join("store"));
+        opts.workers = 1;
+        let server = Server::start(opts).unwrap();
+        let mut c = connect(&server);
+        c.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        let upload = roundtrip(
+            &mut c,
+            &format!(r#"{{"op":"upload-graph","edges":"{EDGES}"}}"#),
+        );
+        let graph = field(&upload, "graph");
+        let sym = format!(r#"{{"op":"symmetrize","graph":"{graph}",{SYM}}}"#);
+        let cluster = format!(r#"{{"op":"cluster","graph":"{graph}",{CLUSTER}}}"#);
+        (server, c, sym, cluster)
+    }
+
+    fn stop(server: Server, conn: UnixStream) {
+        drop(conn);
+        server.shutdown();
+        server.join();
+    }
+
     #[test]
-    fn edge_count_helper_counts_pairs_once_and_loops_once() {
-        // 0-1 edge plus a self-loop at 2.
-        let m = CsrMatrix::from_dense(&[
-            vec![0.0, 1.0, 0.0],
-            vec![1.0, 0.0, 0.0],
-            vec![0.0, 0.0, 2.0],
-        ]);
-        assert_eq!(undirected_edge_count(&m), 2);
+    fn repeated_hits_are_byte_identical_and_compute_no_summary() {
+        let dir = temp_dir("o1_hits");
+        let (server, mut c, sym, cluster) = start_uploaded(&dir);
+        let cold_sym = roundtrip(&mut c, &sym);
+        let cold_cluster = roundtrip(&mut c, &cluster);
+        assert!(cold_sym.contains(r#""ok":true"#), "{cold_sym}");
+        assert!(cold_cluster.contains(r#""ok":true"#), "{cold_cluster}");
+        // One matrix and one clustering entered L1.
+        assert_eq!(summaries(&server), 2);
+        for _ in 0..50 {
+            assert_eq!(roundtrip(&mut c, &sym), cold_sym);
+            assert_eq!(roundtrip(&mut c, &cluster), cold_cluster);
+        }
+        assert_eq!(summaries(&server), 2, "a hit must not summarize again");
+        stop(server, c);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn restarted_daemon_answers_the_same_bytes_and_summarizes_each_artifact_once() {
+        let dir = temp_dir("o1_restart");
+        let (server, mut c, sym, cluster) = start_uploaded(&dir);
+        let cold_sym = roundtrip(&mut c, &sym);
+        let cold_cluster = roundtrip(&mut c, &cluster);
+        stop(server, c);
+
+        // Same store, empty L1: both artifacts come back from disk.
+        let (server, mut c, _, _) = start_uploaded(&dir);
+        for _ in 0..3 {
+            assert_eq!(roundtrip(&mut c, &sym), cold_sym);
+            assert_eq!(roundtrip(&mut c, &cluster), cold_cluster);
+        }
+        assert_eq!(summaries(&server), 2, "one per promoted blob");
+        assert_eq!(counter(&server, "spgemm.calls"), 0, "no kernel on a hit");
+        stop(server, c);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn corrupted_blob_is_recomputed_to_the_same_bytes() {
+        let dir = temp_dir("o1_corrupt");
+        let (server, mut c, sym, _) = start_uploaded(&dir);
+        let cold_sym = roundtrip(&mut c, &sym);
+        stop(server, c);
+
+        let blob = dir
+            .join("store/blobs/matrix")
+            .join(format!("{}.blob", field(&cold_sym, "key")));
+        let mut bytes = std::fs::read(&blob).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(&blob, bytes).unwrap();
+
+        let (server, mut c, _, _) = start_uploaded(&dir);
+        assert_eq!(roundtrip(&mut c, &sym), cold_sym);
+        assert_eq!(roundtrip(&mut c, &sym), cold_sym);
+        assert_eq!(server.store().stats().quarantined, 1);
+        assert_eq!(summaries(&server), 1, "the recomputed matrix, once");
+        stop(server, c);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn cluster_hit_after_restart_reads_only_the_clustering_blob() {
+        let dir = temp_dir("cluster_hit");
+        let (server, mut c, _, cluster) = start_uploaded(&dir);
+        let cold_cluster = roundtrip(&mut c, &cluster);
+        stop(server, c);
+
+        // The re-upload fills the graph map without a store load, so the
+        // only blob this `cluster` may read is the clustering itself.
+        let (server, mut c, _, _) = start_uploaded(&dir);
+        let hits = server.store().stats().hits;
+        assert_eq!(roundtrip(&mut c, &cluster), cold_cluster);
+        assert_eq!(server.store().stats().hits, hits + 1);
+        assert_eq!(summaries(&server), 1, "the matrix tier was not touched");
+        stop(server, c);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn membership_read_is_answered_while_the_only_worker_is_held() {
+        let dir = temp_dir("lane_held");
+        let (server, mut c, _, cluster) = start_uploaded(&dir);
+        let key = field(&roundtrip(&mut c, &cluster), "key");
+
+        // Hold the worker: own the in-flight marker of the key a
+        // `symmetrize` is about to ask for, and keep it until released.
+        let graph_fp = u64::from_str_radix(&field(&cluster, "graph"), 16).unwrap();
+        let aat = symclust_engine::SymMethod::PlusTranspose;
+        let slow_key = symmetrize_key(graph_fp, &aat, None);
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let (holding, held) = std::sync::mpsc::channel::<()>();
+        let state = Arc::clone(&server.state);
+        let holder = std::thread::spawn(move || {
+            state
+                .sym_cache
+                .get_or_compute(slow_key, || {
+                    holding.send(()).unwrap();
+                    released.recv().unwrap();
+                    Ok::<_, ()>(CsrMatrix::from_dense(&[vec![0.0, 1.0], vec![1.0, 0.0]]))
+                })
+                .unwrap();
+        });
+        held.recv().unwrap();
+
+        // One write: the reader admits the symmetrize (which parks the
+        // worker behind the marker) before it sees the membership read.
+        use std::io::Write as _;
+        let graph = field(&cluster, "graph");
+        let slow = format!(r#"{{"op":"symmetrize","graph":"{graph}","method":"aat","id":"slow"}}"#);
+        let fast = format!(r#"{{"op":"query-membership","key":"{key}","node":3,"id":"fast"}}"#);
+        c.write_all(format!("{slow}\n{fast}\n").as_bytes()).unwrap();
+        let mut reader = BufReader::new(c.try_clone().unwrap());
+        let mut first = String::new();
+        reader.read_line(&mut first).unwrap();
+        assert_eq!(
+            field(&first, "id"),
+            "fast",
+            "the read must overtake: {first}"
+        );
+        assert!(first.contains(r#""cluster":"#), "{first}");
+        assert_eq!(counter(&server, metric_names::SERVE_INLINE_READS), 1);
+
+        release.send(()).unwrap();
+        holder.join().unwrap();
+        let mut second = String::new();
+        reader.read_line(&mut second).unwrap();
+        assert_eq!(field(&second, "id"), "slow");
+        assert!(second.contains(r#""ok":true"#), "{second}");
+        // upload, cluster, symmetrize on the worker + the inline read.
+        assert_eq!(counter(&server, metric_names::SERVE_REQUESTS), 4);
+        stop(server, c);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn draining_daemon_refuses_a_membership_read() {
+        let dir = temp_dir("lane_drain");
+        let (server, mut c, _, cluster) = start_uploaded(&dir);
+        let key = field(&roundtrip(&mut c, &cluster), "key");
+        let query = format!(r#"{{"op":"query-membership","key":"{key}","node":0}}"#);
+        assert!(roundtrip(&mut c, &query).contains(r#""cluster":"#));
+        server.shutdown();
+        let refused = roundtrip(&mut c, &query);
+        assert!(refused.contains(r#""error":"internal""#), "{refused}");
+        assert!(refused.contains("draining"), "{refused}");
+        assert_eq!(counter(&server, metric_names::SERVE_INLINE_READS), 1);
+        drop(c);
+        server.join();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn membership_read_of_an_l1_cold_key_goes_through_the_queue() {
+        let dir = temp_dir("lane_cold");
+        let (server, mut c, _, cluster) = start_uploaded(&dir);
+        let key = field(&roundtrip(&mut c, &cluster), "key");
+        let query = format!(r#"{{"op":"query-membership","key":"{key}","node":4}}"#);
+        let warm = roundtrip(&mut c, &query);
+        stop(server, c);
+
+        let (server, mut c, _, _) = start_uploaded(&dir);
+        // Disk tier: a worker promotes the blob and answers.
+        assert_eq!(roundtrip(&mut c, &query), warm);
+        assert_eq!(counter(&server, metric_names::SERVE_INLINE_READS), 0);
+        assert_eq!(
+            server
+                .metrics()
+                .snapshot()
+                .span(metric_names::SERVE_WAIT)
+                .unwrap()
+                .count,
+            2
+        );
+        // Now resident: the lane takes it, same bytes.
+        assert_eq!(roundtrip(&mut c, &query), warm);
+        assert_eq!(counter(&server, metric_names::SERVE_INLINE_READS), 1);
+        // An unknown key is a worker's not-found, not the lane's.
+        let missing = roundtrip(
+            &mut c,
+            r#"{"op":"query-membership","key":"00000000000000aa","node":0}"#,
+        );
+        assert!(missing.contains(r#""error":"not-found""#), "{missing}");
+        assert_eq!(counter(&server, metric_names::SERVE_INLINE_READS), 1);
+        stop(server, c);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stats_reports_the_daemons_own_counters_and_clocks() {
+        let dir = temp_dir("stats_obs");
+        let (server, mut c, sym, _) = start_uploaded(&dir);
+        roundtrip(&mut c, &sym);
+        let stats = roundtrip(&mut c, r#"{"op":"stats"}"#);
+        let fields = symclust_engine::json::parse_object(&stats).unwrap();
+        let number = |name: &str| {
+            fields
+                .get(name)
+                .and_then(|v| v.as_f64())
+                .unwrap_or_else(|| panic!("no {name} in {stats}"))
+        };
+        assert_eq!(number("summaries-computed"), 1.0);
+        assert_eq!(number("inline-reads"), 0.0);
+        // upload, symmetrize and this stats request were dequeued; the
+        // first two have finished their service span.
+        assert_eq!(number("wait-count"), 3.0);
+        assert_eq!(number("service-symmetrize-count"), 1.0);
+        assert_eq!(number("service-upload-graph-count"), 1.0);
+        assert!(number("service-symmetrize-ms-max") >= number("service-symmetrize-ms-mean"));
+        stop(server, c);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

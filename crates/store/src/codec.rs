@@ -166,6 +166,15 @@ pub trait Artifact: Sized {
     /// Which blob kind this type serializes as.
     const KIND: ArtifactKind;
 
+    /// The content-derived fields a response about this artifact spells
+    /// out (DESIGN.md §14). A pure function of the artifact, so it is
+    /// taken once when the artifact enters the memory tier
+    /// ([`Cached`](crate::tiered::Cached)) and never per request.
+    type Summary: std::fmt::Debug + PartialEq;
+
+    /// Computes the summary: one pass over the artifact's arrays.
+    fn summarize(&self) -> Self::Summary;
+
     /// Serializes into a complete blob (header + payload + checksum).
     fn encode(&self) -> Vec<u8>;
 
@@ -361,8 +370,66 @@ fn expect_drained(r: &Reader<'_>, what: &'static str) -> Result<(), StoreError> 
     Ok(())
 }
 
+/// What a `symmetrize` response says about its matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MatrixSummary {
+    /// Rows (= nodes of the symmetrized graph).
+    pub nodes: usize,
+    /// Undirected edges of a symmetric adjacency: an off-diagonal pair
+    /// counts once, a self-loop once; a stored zero on the diagonal is
+    /// not a loop.
+    pub edges: usize,
+    /// The engine's [`matrix_fingerprint`] of the exact CSR content.
+    ///
+    /// [`matrix_fingerprint`]: symclust_engine::fingerprint::matrix_fingerprint
+    pub fingerprint: u64,
+}
+
+/// What a `cluster` response says about its clustering.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClusteringSummary {
+    /// Nodes covered.
+    pub nodes: usize,
+    /// Distinct clusters.
+    pub clusters: usize,
+    /// Whether the clusterer reported convergence.
+    pub converged: bool,
+    /// FNV-1a over (clusters, converged, every assignment), so clients
+    /// can compare results without fetching assignments.
+    pub checksum: u64,
+}
+
 impl Artifact for CsrMatrix {
     const KIND: ArtifactKind = ArtifactKind::Matrix;
+    type Summary = MatrixSummary;
+
+    /// Hashes the arrays in `matrix_fingerprint`'s order and counts the
+    /// loops while the column indices go by — each array is read once and
+    /// no row is searched.
+    fn summarize(&self) -> MatrixSummary {
+        let (indptr, indices, values) = (self.indptr(), self.indices(), self.values());
+        let mut h = Fnv64::new();
+        h.write_u64(self.n_rows() as u64)
+            .write_u64(self.nnz() as u64);
+        for &p in indptr {
+            h.write_u64(p as u64);
+        }
+        let mut loops = 0usize;
+        for (row, span) in indptr.windows(2).enumerate() {
+            for k in span[0]..span[1] {
+                h.write_u64(u64::from(indices[k]));
+                loops += usize::from(indices[k] as usize == row && values[k] != 0.0);
+            }
+        }
+        for &v in values {
+            h.write_f64(v);
+        }
+        MatrixSummary {
+            nodes: self.n_rows(),
+            edges: (self.nnz() - loops) / 2 + loops,
+            fingerprint: h.finish(),
+        }
+    }
 
     fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new(ArtifactKind::Matrix);
@@ -396,6 +463,22 @@ impl Artifact for CsrMatrix {
 
 impl Artifact for Clustering {
     const KIND: ArtifactKind = ArtifactKind::Clustering;
+    type Summary = ClusteringSummary;
+
+    fn summarize(&self) -> ClusteringSummary {
+        let mut h = Fnv64::new();
+        h.write_u64(self.n_clusters() as u64)
+            .write_u64(u64::from(self.converged()));
+        for &a in self.assignments() {
+            h.write_u64(u64::from(a));
+        }
+        ClusteringSummary {
+            nodes: self.n_nodes(),
+            clusters: self.n_clusters(),
+            converged: self.converged(),
+            checksum: h.finish(),
+        }
+    }
 
     fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new(ArtifactKind::Clustering);
@@ -476,6 +559,37 @@ mod tests {
             assert_eq!(back.converged(), converged);
             assert_eq!(blob, back.encode());
         }
+    }
+
+    #[test]
+    fn matrix_summary_counts_pairs_once_and_loops_once() {
+        // 0-1 edge, a self-loop at 2, and a *stored* zero on the diagonal
+        // at 3: an entry but not a loop, so it lands in the halved
+        // remainder — (4 - 1) / 2 + 1, the arithmetic responses always had.
+        let m = CsrMatrix::from_raw_parts_unchecked(
+            4,
+            4,
+            vec![0, 1, 2, 3, 4],
+            vec![1, 0, 2, 3],
+            vec![1.0, 1.0, 2.0, 0.0],
+        );
+        let s = m.summarize();
+        assert_eq!((s.nodes, s.edges), (4, 2));
+        assert_eq!(
+            s.fingerprint,
+            symclust_engine::fingerprint::matrix_fingerprint(&m)
+        );
+    }
+
+    #[test]
+    fn clustering_summary_separates_content_and_convergence() {
+        let a = Clustering::from_assignments(&[0, 1, 0, 2, 1]);
+        let s = a.summarize();
+        assert_eq!((s.nodes, s.clusters, s.converged), (5, 3, a.converged()));
+        let flipped = a.clone().with_converged(!a.converged()).summarize();
+        assert_ne!(s.checksum, flipped.checksum);
+        let other = Clustering::from_assignments(&[0, 1, 0, 2, 2]).summarize();
+        assert_ne!(s.checksum, other.checksum);
     }
 
     #[test]

@@ -31,10 +31,15 @@
 //!
 //! The hit/miss/put/eviction/quarantine counters are cumulative across
 //! process restarts: they are persisted to `stats.json` (atomic
-//! write-then-rename, no fsync — losing the very last update in a crash
-//! costs a counter tick, not correctness) and reloaded on open, so a
-//! daemon's `stats` response survives restarts. Persist failures are
-//! counted (`store.stats_persist_errors`), never silently dropped.
+//! write-then-rename, no fsync) and reloaded on open, so a daemon's
+//! `stats` response survives restarts. The sidecar is rewritten at once
+//! by an incident (quarantine, failed put), by [`DiskStore::flush_stats`]
+//! and when the store is dropped; the routine events (hit, miss, put)
+//! only rewrite it every [`STATS_PERSIST_EVERY`]-th time, so a crash
+//! costs at most that many counter ticks, never correctness, and a
+//! request does not pay a file replacement per store event. Persist
+//! failures are counted (`store.stats_persist_errors`), never silently
+//! dropped.
 //!
 //! Every filesystem call goes through the [`crate::faultfs`] shim (the
 //! `store-faultfs` lint enforces it), so the chaos harness can inject
@@ -66,6 +71,12 @@ const BLOB_EXT: &str = "blob";
 /// actually touches the disk to probe whether space came back; the rest
 /// return immediately without publishing.
 pub const DEGRADED_PROBE_INTERVAL: u64 = 16;
+
+/// Routine store events (hit, miss, put) between two rewrites of the
+/// `stats.json` sidecar. A count, not a clock: the store stays free of
+/// time sources and the sequence of filesystem operations stays a
+/// function of the sequence of calls.
+pub const STATS_PERSIST_EVERY: u64 = 64;
 
 /// The raw OS error number for `ENOSPC` ("no space left on device").
 const ENOSPC: i32 = 28;
@@ -134,6 +145,8 @@ pub struct DiskStore {
     quarantined: AtomicU64,
     put_errors: AtomicU64,
     stats_persist_errors: AtomicU64,
+    // Routine events counted since the sidecar was last rewritten.
+    unpersisted: AtomicU64,
     // ENOSPC degraded mode: publication suspended, hits still served.
     degraded: AtomicBool,
     degraded_probe: AtomicU64,
@@ -209,6 +222,7 @@ impl DiskStore {
             quarantined: AtomicU64::new(persisted.quarantined),
             put_errors: AtomicU64::new(persisted.put_errors),
             stats_persist_errors: AtomicU64::new(persisted.stats_persist_errors),
+            unpersisted: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
             degraded_probe: AtomicU64::new(0),
             metrics: None,
@@ -249,6 +263,11 @@ impl DiskStore {
             .set(if self.is_degraded() { 1.0 } else { 0.0 });
         self.metrics = Some(metrics);
         self
+    }
+
+    /// The attached registry, for the tiers stacked on this store.
+    pub(crate) fn metrics(&self) -> Option<&MetricsRegistry> {
+        self.metrics.as_ref()
     }
 
     /// The store's root directory.
@@ -374,7 +393,7 @@ impl DiskStore {
         if let Some(m) = &self.metrics {
             m.counter(metric_names::STORE_PUTS).inc();
         }
-        self.persist_stats();
+        self.routine_event();
         self.publish_gauges();
         Ok(())
     }
@@ -426,8 +445,8 @@ impl DiskStore {
     }
 
     /// Persists the cumulative counters right now. The daemon calls this
-    /// once during drain, so a graceful shutdown never loses the final
-    /// ticks between the last store event and process exit.
+    /// once during drain, so a graceful shutdown never loses the ticks
+    /// counted since the sidecar was last rewritten.
     pub fn flush_stats(&self) {
         self.persist_stats();
     }
@@ -497,7 +516,7 @@ impl DiskStore {
         if let Some(m) = &self.metrics {
             m.counter(metric_names::STORE_HITS).inc();
         }
-        self.persist_stats();
+        self.routine_event();
     }
 
     fn count_miss(&self) {
@@ -505,7 +524,15 @@ impl DiskStore {
         if let Some(m) = &self.metrics {
             m.counter(metric_names::STORE_MISSES).inc();
         }
-        self.persist_stats();
+        self.routine_event();
+    }
+
+    /// A hit, miss or put was counted: rewrite the sidecar once per
+    /// [`STATS_PERSIST_EVERY`] of them.
+    fn routine_event(&self) {
+        if self.unpersisted.fetch_add(1, Ordering::Relaxed) + 1 >= STATS_PERSIST_EVERY {
+            self.persist_stats();
+        }
     }
 
     fn publish_gauges(&self) {
@@ -532,6 +559,7 @@ impl DiskStore {
     /// (`store.stats_persist_errors`) and surfaced via [`Self::stats`],
     /// so a daemon whose sidecar silently stopped updating is visible.
     fn persist_stats(&self) {
+        self.unpersisted.store(0, Ordering::Relaxed);
         let mut obj = JsonObject::new();
         obj.number("hits", self.hits.load(Ordering::Relaxed) as f64);
         obj.number("misses", self.misses.load(Ordering::Relaxed) as f64);
@@ -556,6 +584,16 @@ impl DiskStore {
             if let Some(m) = &self.metrics {
                 m.counter(metric_names::STORE_STATS_PERSIST_ERRORS).inc();
             }
+        }
+    }
+}
+
+impl Drop for DiskStore {
+    /// The last owner going away is the library's graceful shutdown: the
+    /// ticks counted since the last rewrite reach the sidecar.
+    fn drop(&mut self) {
+        if self.unpersisted.load(Ordering::Relaxed) > 0 {
+            self.persist_stats();
         }
     }
 }
@@ -687,6 +725,29 @@ mod tests {
     }
 
     #[test]
+    fn routine_events_rewrite_the_sidecar_once_per_interval() {
+        let dir = temp_store_dir("stats_interval");
+        let sidecar = dir.join(STATS_FILE);
+        let persisted_misses = || load_stats_sidecar(&sidecar).misses;
+        let store = DiskStore::open(&dir, StoreOptions::default()).unwrap();
+        for key in 1..STATS_PERSIST_EVERY {
+            assert!(store.load::<CsrMatrix>(key).is_none());
+        }
+        assert!(!sidecar.exists(), "a routine event paid a file replacement");
+        assert!(store.load::<CsrMatrix>(0).is_none());
+        assert_eq!(persisted_misses(), STATS_PERSIST_EVERY);
+        // The ticks in between reach the sidecar on flush and on drop.
+        assert!(store.load::<CsrMatrix>(0).is_none());
+        assert_eq!(persisted_misses(), STATS_PERSIST_EVERY);
+        store.flush_stats();
+        assert_eq!(persisted_misses(), STATS_PERSIST_EVERY + 1);
+        assert!(store.load::<CsrMatrix>(0).is_none());
+        drop(store);
+        assert_eq!(persisted_misses(), STATS_PERSIST_EVERY + 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn corrupt_blob_is_quarantined_not_served() {
         let dir = temp_store_dir("quarantine");
         let store = DiskStore::open(&dir, StoreOptions::default()).unwrap();
@@ -713,6 +774,8 @@ mod tests {
         );
         let s = store.stats();
         assert_eq!((s.quarantined, s.misses, s.hits), (1, 1, 0));
+        // An incident reaches the sidecar at once, not at the next interval.
+        assert_eq!(load_stats_sidecar(&dir.join(STATS_FILE)).quarantined, 1);
         // The key is free again: a recompute-and-put republishes it.
         store.put(5, &matrix(2.0)).unwrap();
         assert!(store.load::<CsrMatrix>(5).is_some());
@@ -939,20 +1002,22 @@ mod fault_tests {
         let dir = temp_store_dir("persist_err");
         let store = DiskStore::open(&dir, StoreOptions::default()).unwrap();
 
-        // A miss runs: read (op 0), then persist_stats = write (op 1) +
-        // rename (op 2). Injecting EIO into the sidecar write must be
-        // counted, not dropped on the floor.
+        // A flush is persist_stats = write (op 0) + rename (op 1).
+        // Injecting EIO into the sidecar write must be counted, not
+        // dropped on the floor.
+        assert!(store.load::<CsrMatrix>(7).is_none());
         faultfs::arm(FaultSpec {
-            err_at: Some((1, FaultErrno::Eio)),
+            err_at: Some((0, FaultErrno::Eio)),
             ..FaultSpec::default()
         });
-        assert!(store.load::<CsrMatrix>(7).is_none());
+        store.flush_stats();
         faultfs::reset();
         let s = store.stats();
         assert_eq!((s.misses, s.stats_persist_errors), (1, 1));
 
-        // The next successful persist carries the failure count into the
-        // sidecar, so it survives a restart like every other counter.
+        // The next successful persist (here: the drop) carries the
+        // failure count into the sidecar, so it survives a restart like
+        // every other counter.
         assert!(store.load::<CsrMatrix>(8).is_none());
         drop(store);
         let store = DiskStore::open(&dir, StoreOptions::default()).unwrap();

@@ -27,10 +27,10 @@ pub mod disk;
 pub mod faultfs;
 pub mod tiered;
 
-pub use codec::{Artifact, ArtifactKind, StoreError};
+pub use codec::{Artifact, ArtifactKind, ClusteringSummary, MatrixSummary, StoreError};
 pub use disk::{DiskStore, StoreOptions, StoreStats};
 pub use tiered::{
-    cluster_cached, cluster_key, symmetrize_cached, symmetrize_key, Tier, TieredCache,
+    cluster_cached, cluster_key, symmetrize_cached, symmetrize_key, Cached, Tier, TieredCache,
 };
 
 /// Metric names recorded by the store (documented in DESIGN.md §11).
@@ -52,6 +52,11 @@ pub mod metric_names {
     /// Counter: failed attempts to persist the `stats.json` sidecar
     /// (write or rename error; the in-memory counters stay authoritative).
     pub const STORE_STATS_PERSIST_ERRORS: &str = "store.stats_persist_errors";
+    /// Counter: artifacts that entered a [`TieredCache`](crate::TieredCache)'s
+    /// memory tier (fresh compute or promoted disk blob), each paying for
+    /// its content summary once. Named for the daemon whose responses the
+    /// summary renders; a hit never moves it.
+    pub const SUMMARIES_COMPUTED: &str = "serve.summaries_computed";
     /// Gauge: total bytes of published blobs currently on disk.
     pub const STORE_BYTES: &str = "store.bytes";
     /// Gauge: 1 while the store is in `ENOSPC` degraded mode (publication

@@ -8,6 +8,11 @@
 //! published to disk (best-effort — a full disk degrades to compute-only,
 //! it never fails a request).
 //!
+//! What L1 holds is a [`Cached`] artifact: the value plus its content
+//! summary ([`Artifact::summarize`]), taken once by whichever request
+//! brings the artifact into memory. A response about a resident artifact
+//! is rendered from the summary and touches none of its arrays.
+//!
 //! [`symmetrize_cached`] and [`cluster_cached`] are the kernel-facing
 //! entry points shared by the serve daemon and the bench gate's
 //! `serve-check`: they derive the content address exactly the way the
@@ -26,6 +31,7 @@ use symclust_sparse::{CancelToken, CsrMatrix};
 
 use crate::codec::Artifact;
 use crate::disk::DiskStore;
+use crate::metric_names;
 
 /// Which tier satisfied a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,13 +61,36 @@ impl Tier {
     }
 }
 
+/// A memory-resident artifact with the summary taken when it entered L1.
+/// Dereferences to the artifact.
+#[derive(Debug, PartialEq)]
+pub struct Cached<T: Artifact> {
+    value: T,
+    summary: T::Summary,
+}
+
+impl<T: Artifact> Cached<T> {
+    /// The content summary (O(1): computed once, on entry to L1).
+    pub fn summary(&self) -> &T::Summary {
+        &self.summary
+    }
+}
+
+impl<T: Artifact> std::ops::Deref for Cached<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
 /// An L1 in-memory cache stacked on the shared disk store.
 ///
 /// One `TieredCache` exists per artifact type (the daemon holds one for
 /// matrices and one for clusterings); the [`DiskStore`] behind them is
 /// shared.
-pub struct TieredCache<T> {
-    l1: ArtifactCache<T>,
+pub struct TieredCache<T: Artifact> {
+    l1: ArtifactCache<Cached<T>>,
     disk: Arc<DiskStore>,
 }
 
@@ -79,21 +108,36 @@ impl<T: Artifact> TieredCache<T> {
         &self.disk
     }
 
-    /// The in-memory L1 cache (for stats).
-    pub fn l1(&self) -> &ArtifactCache<T> {
+    /// The in-memory L1 cache: stats, and the memory-only probe
+    /// (`l1().get(key)`) behind the daemon's read lane.
+    pub fn l1(&self) -> &ArtifactCache<Cached<T>> {
         &self.l1
+    }
+
+    /// Wraps an artifact on its way into L1; the only place a summary is
+    /// computed, counted so "once per artifact, never per hit" is a
+    /// number and not a timing.
+    fn admit(&self, value: T) -> Cached<T> {
+        if let Some(m) = self.disk.metrics() {
+            m.counter(metric_names::SUMMARIES_COMPUTED).inc();
+        }
+        let summary = value.summarize();
+        Cached { value, summary }
     }
 
     /// Looks `key` up without computing: L1 first, then the disk store
     /// (promoting a disk hit into L1).
-    pub fn get(&self, key: u64) -> Option<(Arc<T>, Tier)> {
+    pub fn get(&self, key: u64) -> Option<(Arc<Cached<T>>, Tier)> {
         if let Some(v) = self.l1.get(key) {
             return Some((v, Tier::Memory));
         }
         let from_disk = self.disk.load::<T>(key)?;
         // Promote through get_or_compute so a concurrent requester of the
         // same key dedups instead of re-reading the blob.
-        match self.l1.get_or_compute(key, || Ok::<_, ()>(from_disk)) {
+        match self
+            .l1
+            .get_or_compute(key, || Ok::<_, ()>(self.admit(from_disk)))
+        {
             Ok((v, _)) => Some((v, Tier::Disk)),
             Err(()) => None,
         }
@@ -107,17 +151,17 @@ impl<T: Artifact> TieredCache<T> {
         &self,
         key: u64,
         compute: impl FnOnce() -> Result<T, E>,
-    ) -> Result<(Arc<T>, Tier), E> {
+    ) -> Result<(Arc<Cached<T>>, Tier), E> {
         let mut tier = Tier::Computed;
         let (value, l1_hit) = self.l1.get_or_compute(key, || {
             if let Some(v) = self.disk.load::<T>(key) {
                 tier = Tier::Disk;
-                return Ok(v);
+                return Ok(self.admit(v));
             }
             let v = compute()?;
             // Best-effort publication: the store counts failures.
             let _ = self.disk.put(key, &v);
-            Ok(v)
+            Ok(self.admit(v))
         })?;
         Ok((value, if l1_hit { Tier::Memory } else { tier }))
     }
@@ -141,7 +185,8 @@ pub fn cluster_key(sym_key: u64, clusterer: &Clusterer) -> u64 {
 /// Symmetrizes `g` with `method` through the tiered cache. On any hit
 /// ([`Tier::is_hit`]) no kernel runs — in particular `spgemm.calls` stays
 /// untouched for the similarity methods. Returns the symmetrized
-/// adjacency, the tier that served it, and the artifact key.
+/// adjacency with its summary, the tier that served it, and the artifact
+/// key.
 pub fn symmetrize_cached(
     cache: &TieredCache<CsrMatrix>,
     g: &DiGraph,
@@ -150,7 +195,7 @@ pub fn symmetrize_cached(
     nnz_budget: Option<usize>,
     token: &CancelToken,
     metrics: Option<&MetricsRegistry>,
-) -> symclust_core::Result<(Arc<CsrMatrix>, Tier, u64)> {
+) -> symclust_core::Result<(Arc<Cached<CsrMatrix>>, Tier, u64)> {
     let key = symmetrize_key(graph_fp, method, nnz_budget);
     let (matrix, tier) = cache.get_or_compute(key, || -> symclust_core::Result<CsrMatrix> {
         let sym = method.symmetrize_observed_with_budget(g, token, nnz_budget, metrics)?;
@@ -169,7 +214,7 @@ pub fn cluster_cached(
     clusterer: &Clusterer,
     token: &CancelToken,
     metrics: Option<&MetricsRegistry>,
-) -> symclust_cluster::Result<(Arc<Clustering>, Tier, u64)> {
+) -> symclust_cluster::Result<(Arc<Cached<Clustering>>, Tier, u64)> {
     let key = cluster_key(sym_key, clusterer);
     let (clustering, tier) =
         cache.get_or_compute(key, || clusterer.cluster_observed(sym, token, metrics))?;
@@ -219,10 +264,44 @@ mod tests {
             .get_or_compute(1, || panic!("must not recompute"))
             .unwrap_or_else(|_: ()| unreachable!());
         assert_eq!(tier, Tier::Disk);
-        assert_eq!(*v, m);
+        assert_eq!(**v, m);
         // And the promotion makes the next lookup a memory hit.
         let (_, tier) = cache2.get(1).unwrap();
         assert_eq!(tier, Tier::Memory);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn summary_is_taken_once_per_entry_into_l1_and_never_on_a_hit() {
+        let dir = temp_store("summary").1;
+        let metrics = MetricsRegistry::new();
+        let open = || {
+            let store = DiskStore::open(&dir, StoreOptions::default()).unwrap();
+            Arc::new(store.with_metrics(metrics.clone()))
+        };
+        let computed = || metrics.counter(metric_names::SUMMARIES_COMPUTED).get();
+        let m = CsrMatrix::from_dense(&[vec![2.0, 1.0], vec![1.0, 0.0]]);
+
+        let cache: TieredCache<CsrMatrix> = TieredCache::new(open());
+        let (cold, _) = cache.get_or_compute(1, || Ok::<_, ()>(m.clone())).unwrap();
+        assert_eq!(*cold.summary(), m.summarize());
+        assert_eq!(computed(), 1);
+        for _ in 0..10 {
+            let (hit, tier) = cache.get(1).unwrap();
+            assert_eq!(tier, Tier::Memory);
+            assert_eq!(hit.summary(), cold.summary());
+        }
+        assert_eq!(computed(), 1, "L1 hits must not summarize");
+
+        // A promoted disk blob is summarized once more, to the same value.
+        let restarted: TieredCache<CsrMatrix> = TieredCache::new(open());
+        let (warm, tier) = restarted.get(1).unwrap();
+        assert_eq!(tier, Tier::Disk);
+        assert_eq!(warm.summary(), cold.summary());
+        restarted.get(1).unwrap();
+        assert_eq!(computed(), 2);
+        assert!(restarted.get(2).is_none());
+        assert_eq!(computed(), 2, "a miss enters nothing");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -21,7 +21,16 @@ stage_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }
 stage_check() {
   cargo run -q -p symclust-check -- lint
   cargo run -q -p symclust-check -- sched-model
-  cargo run -q -p symclust-check -- serve-model
+  # The sweep must include the read-lane scenarios, not just pass.
+  local sweep
+  sweep="$(cargo run -q -p symclust-check -- serve-model)"
+  echo "$sweep"
+  for scenario in read-lane-passes-stuck-worker read-lane-refused-by-drain; do
+    grep -q "$scenario" <<<"$sweep" || {
+      echo "check: serve-model did not sweep $scenario" >&2
+      return 1
+    }
+  done
 }
 stage_build() { cargo build --release; }
 # One workspace pass covers the tier-1 crates too; the old separate
@@ -35,7 +44,10 @@ stage_fault() { cargo test -q -p symclust-engine --features fault-injection; }
 # a torn stats.json, a replay that is not byte-identical, or an LRU
 # budget overrun after recovery.
 stage_chaos() {
-  cargo test -q -p symclust-store --features fault-injection
+  # One test thread: the armed fault schedule is process-global, and the
+  # store's ordinary filesystem tests (which hold no FAULT_TEST_LOCK)
+  # would otherwise consume the operations an armed test is counting.
+  cargo test -q -p symclust-store --features fault-injection -- --test-threads=1
   cargo test -q -p symclust-cli --features fault-injection
   cargo build --release -q -p symclust-cli --features fault-injection
   ./target/release/symclust chaos --seed 42 --cycles 25
@@ -59,9 +71,10 @@ stage_bench_smoke() {
   benchmark/run.sh all --smoke
 }
 # Daemon smoke over a real unix socket: upload the bundled graph, cold-
-# compute one symmetrization, restart the daemon over the same store, and
-# require the identical request to come back byte-identical with the
-# store reporting a hit (no recompute).
+# compute one symmetrization and one clustering, restart the daemon over
+# the same store, and require the identical requests to come back
+# byte-identical — twice each: the first from the disk tier (a store
+# hit, no recompute), the second from L1 (no further store hit).
 SERVE_PID=""
 serve_cleanup() { [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true; }
 serve_wait_ready() {
@@ -98,28 +111,45 @@ stage_serve() {
     echo "serve: no graph key in: $upload" >&2
     return 1
   }
-  r1="$("${client[@]}" --op symmetrize --graph "$graph" --method bib)"
+  local sym=(--op symmetrize --graph "$graph" --method bib)
+  local cluster=(--op cluster --graph "$graph" --method bib --algo metis --k 4)
+  local r1 c1
+  r1="$("${client[@]}" "${sym[@]}")"
+  c1="$("${client[@]}" "${cluster[@]}")"
   "${client[@]}" --op shutdown >/dev/null
   wait "$SERVE_PID"
 
   ./target/release/symclust serve --socket "$sock" --store "$store" >"$log" 2>&1 &
   SERVE_PID=$!
   serve_wait_ready "$sock" "$log"
-  local r2 stats hits
-  r2="$("${client[@]}" --op symmetrize --graph "$graph" --method bib)"
-  stats="$("${client[@]}" --op stats)"
+  # store-hits after each of: symmetrize x2, cluster x2.
+  store_hits() {
+    sed -n 's/.*"store-hits":\([0-9]*\).*/\1/p' <<<"$("${client[@]}" --op stats)"
+  }
+  local r2 r3 c2 c3 h0 h1 h2 h3 h4
+  h0="$(store_hits)"
+  r2="$("${client[@]}" "${sym[@]}")"
+  h1="$(store_hits)"
+  r3="$("${client[@]}" "${sym[@]}")"
+  h2="$(store_hits)"
+  c2="$("${client[@]}" "${cluster[@]}")"
+  h3="$(store_hits)"
+  c3="$("${client[@]}" "${cluster[@]}")"
+  h4="$(store_hits)"
   "${client[@]}" --op shutdown >/dev/null
   wait "$SERVE_PID"
   SERVE_PID=""
-  [ "$r1" = "$r2" ] || {
+  [ "$r1" = "$r2" ] && [ "$r1" = "$r3" ] && [ "$c1" = "$c2" ] && [ "$c1" = "$c3" ] || {
     echo "serve: responses differ across restart:" >&2
-    echo "  $r1" >&2
-    echo "  $r2" >&2
+    printf '  %s\n' "$r1" "$r2" "$r3" "$c1" "$c2" "$c3" >&2
     return 1
   }
-  hits="$(sed -n 's/.*"store-hits":\([0-9]*\).*/\1/p' <<<"$stats")"
-  [ "${hits:-0}" -ge 1 ] || {
-    echo "serve: expected a store hit after restart, got: $stats" >&2
+  [ "$h1" -gt "$h0" ] && [ "$h3" -gt "$h2" ] || {
+    echo "serve: expected store hits after restart, got $h0 $h1 $h2 $h3 $h4" >&2
+    return 1
+  }
+  [ "$h2" = "$h1" ] && [ "$h4" = "$h3" ] || {
+    echo "serve: a repeated request went back to the store: $h0 $h1 $h2 $h3 $h4" >&2
     return 1
   }
 }
