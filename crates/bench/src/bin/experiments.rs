@@ -11,12 +11,11 @@
 //! suite can be run quickly at reduced scale or pushed harder.
 
 use std::time::Instant;
-use symclust_bench::runner::{
-    measure, print_records, save_records, select_thresholds, Clusterer, RunRecord, SymMethod,
-};
+use symclust_bench::runner::{self, print_records, save_records, Clusterer, RunRecord, SymMethod};
 use symclust_cluster::{BestWCut, BestWCutOptions, ClusterAlgorithm, MetisLike, MlrMcl};
 use symclust_core::{
-    DegreeDiscounted, DegreeDiscountedOptions, DiscountExponent, PlusTranspose, Symmetrizer,
+    DegreeDiscounted, DegreeDiscountedOptions, DiscountExponent, PlusTranspose, SymmetrizedGraph,
+    Symmetrizer,
 };
 use symclust_datasets::{
     cora_like_scaled, flickr_like_scaled, livejournal_like_scaled, wikipedia_like_scaled, Dataset,
@@ -25,7 +24,33 @@ use symclust_engine::{Engine, EngineOptions, PipelineInput, PipelineSpec};
 use symclust_eval::{avg_f_score, correctly_clustered, sign_test};
 use symclust_graph::generators::{figure1_graph, guzmania_graph};
 use symclust_graph::stats::{DegreeHistogram, GraphStats};
+use symclust_graph::{DiGraph, GroundTruth};
 use symclust_sparse::ops::top_k_entries_upper;
+use symclust_sparse::Tuning;
+
+// The experiments run on generated in-memory graphs, where a failing stage
+// is a bug worth a loud exit: the registry's fallible calls, unwrapped once.
+
+fn symmetrize(method: &SymMethod, g: &DiGraph) -> SymmetrizedGraph {
+    method
+        .build(None, &Tuning::default())
+        .symmetrize(g)
+        .expect("symmetrization cannot fail on a valid graph")
+}
+
+fn measure(
+    dataset: &str,
+    method: &SymMethod,
+    sym: &SymmetrizedGraph,
+    clusterer: Clusterer,
+    truth: Option<&GroundTruth>,
+) -> RunRecord {
+    runner::measure(dataset, method, sym, clusterer, truth).expect("clustering succeeds")
+}
+
+fn select_thresholds(g: &DiGraph, target_avg_degree: f64) -> (f64, f64) {
+    runner::select_thresholds(g, target_avg_degree).expect("threshold selection succeeds")
+}
 
 struct Config {
     scale: f64,
@@ -154,14 +179,16 @@ fn table2(cfg: &Config) {
         } else {
             select_thresholds(&d.graph, 60.0)
         };
-        let pt = SymMethod::PlusTranspose.symmetrize(&d.graph);
-        let bib = SymMethod::Bibliometric { threshold: bib_t }.symmetrize(&d.graph);
-        let dd = SymMethod::DegreeDiscounted {
-            alpha: 0.5,
-            beta: 0.5,
-            threshold: dd_t,
-        }
-        .symmetrize(&d.graph);
+        let pt = symmetrize(&SymMethod::PlusTranspose, &d.graph);
+        let bib = symmetrize(&SymMethod::Bibliometric { threshold: bib_t }, &d.graph);
+        let dd = symmetrize(
+            &SymMethod::DegreeDiscounted {
+                alpha: 0.5,
+                beta: 0.5,
+                threshold: dd_t,
+            },
+            &d.graph,
+        );
         println!(
             "{:<18} {:>12} {:>14} {:>9.1} {:>14} {:>9.4} {:>11}",
             d.name,
@@ -183,7 +210,7 @@ fn fig4(cfg: &Config) {
     println!("\n== Figure 4: degree distributions of symmetrized wikipedia_like ==");
     println!("(bin lower bounds are powers of two; counts per bin)");
     for method in SymMethod::lineup(bib_t, dd_t) {
-        let sym = method.symmetrize(&d.graph);
+        let sym = symmetrize(&method, &d.graph);
         let h = DegreeHistogram::of_ungraph(sym.graph());
         let degrees = sym.graph().degrees();
         let frac_mid = DegreeHistogram::fraction_in_range(&degrees, 50, 200);
@@ -268,7 +295,7 @@ fn fig6(cfg: &Config) {
         beta: 0.5,
         threshold: 0.0,
     };
-    let sym = dd.symmetrize(&d.graph);
+    let sym = symmetrize(&dd, &d.graph);
     let mut records: Vec<RunRecord> = Vec::new();
     for k in [20, 40, 70, 100, 140] {
         records.push(measure(
@@ -464,7 +491,7 @@ fn table3(cfg: &Config) {
             beta: 0.5,
             threshold: t,
         };
-        let sym = method.symmetrize(&d.graph);
+        let sym = symmetrize(&method, &d.graph);
         let m1 = measure(
             &d.name,
             &method,
@@ -576,7 +603,7 @@ fn table5(cfg: &Config) {
             threshold: dd_t,
         },
     ] {
-        let sym = method.symmetrize(&d.graph);
+        let sym = symmetrize(&method, &d.graph);
         println!("--- {} ---", method.name());
         for (u, v, w) in top_k_entries_upper(sym.adjacency(), 5) {
             let label = |x: usize| {
@@ -611,13 +638,15 @@ fn signtest_exp(cfg: &Config) {
     let d = cfg.cora();
     let truth = d.truth.as_ref().expect("cora has truth");
     let k = truth.n_categories();
-    let dd_sym = SymMethod::DegreeDiscounted {
-        alpha: 0.5,
-        beta: 0.5,
-        threshold: 0.0,
-    }
-    .symmetrize(&d.graph);
-    let aat_sym = SymMethod::PlusTranspose.symmetrize(&d.graph);
+    let dd_sym = symmetrize(
+        &SymMethod::DegreeDiscounted {
+            alpha: 0.5,
+            beta: 0.5,
+            threshold: 0.0,
+        },
+        &d.graph,
+    );
+    let aat_sym = symmetrize(&SymMethod::PlusTranspose, &d.graph);
 
     let dd_metis = MetisLike::with_k(k).cluster(&dd_sym).unwrap();
     let aat_metis = MetisLike::with_k(k).cluster(&aat_sym).unwrap();
@@ -655,15 +684,17 @@ fn casestudy() {
     println!("\n== Case study: Figure 1 graph ==");
     let g = figure1_graph();
     for (name, sym) in [
-        ("A+A'", SymMethod::PlusTranspose.symmetrize(&g)),
+        ("A+A'", symmetrize(&SymMethod::PlusTranspose, &g)),
         (
             "Degree-discounted",
-            SymMethod::DegreeDiscounted {
-                alpha: 0.5,
-                beta: 0.5,
-                threshold: 0.0,
-            }
-            .symmetrize(&g),
+            symmetrize(
+                &SymMethod::DegreeDiscounted {
+                    alpha: 0.5,
+                    beta: 0.5,
+                    threshold: 0.0,
+                },
+                &g,
+            ),
         ),
     ] {
         let w = sym.adjacency().get(4, 5);
@@ -712,12 +743,14 @@ fn ablations(cfg: &Config) {
 
     let cora = cfg.cora();
     let truth = cora.truth.as_ref().expect("cora has truth");
-    let dd_sym = SymMethod::DegreeDiscounted {
-        alpha: 0.5,
-        beta: 0.5,
-        threshold: 0.0,
-    }
-    .symmetrize(&cora.graph);
+    let dd_sym = symmetrize(
+        &SymMethod::DegreeDiscounted {
+            alpha: 0.5,
+            beta: 0.5,
+            threshold: 0.0,
+        },
+        &cora.graph,
+    );
 
     println!("\n== Ablation 1: MLR-MCL canonical-flow row cap ==");
     println!("{:<10} {:>6} {:>8} {:>9}", "cap", "k", "F", "time(s)");
@@ -846,7 +879,7 @@ fn sweep(cfg: &Config) {
         .iter()
         .enumerate()
         {
-            let sym = method.symmetrize(&g.graph);
+            let sym = symmetrize(method, &g.graph);
             let c = MetisLike::with_k(20).cluster(&sym).expect("metis");
             out[i] = avg_f_score(c.assignments(), &g.truth).avg_f;
         }

@@ -4,12 +4,12 @@
 //! The schema (DESIGN.md §11) is a flat JSON object holding exactly the
 //! metrics that are *deterministic* for a fixed input graph and spec —
 //! SpGEMM work counters, prune edge flow, cache hit/miss counts, R-MCL
-//! iteration totals — plus `wall_secs`, the only timing-dependent value.
-//! The gate fails on any mismatch of a deterministic counter (an nnz
-//! change means the kernels changed behaviour, not speed) and on a
-//! wall-clock regression beyond a relative tolerance. Scheduling-dependent
-//! metrics (in-flight dedups, queue depth, span timings) are deliberately
-//! excluded: they vary run to run on a healthy build.
+//! iteration totals — and nothing that depends on a clock. The gate fails
+//! on any mismatch (an nnz change means the kernels changed behaviour,
+//! not speed). Scheduling-dependent metrics (in-flight dedups, queue
+//! depth, span timings) and elapsed time are deliberately excluded: they
+//! vary run to run on a healthy build, and time is measured by
+//! `benchmark/`, not here.
 
 use std::collections::HashMap;
 use symclust_engine::json::{parse_object, JsonObject, JsonValue};
@@ -62,22 +62,11 @@ pub const EXACT_KEYS: &[&str] = &[
 // both must be exactly zero unless the disk itself misbehaved, which is
 // precisely what the gate should catch.
 
-/// Wall-clock slack floor in seconds: below this, a "25% regression" is
-/// scheduler noise, not a finding. The gate allows
-/// `baseline · (1 + tolerance)` or `baseline + WALL_SLACK_FLOOR_SECS`,
-/// whichever is larger.
-pub const WALL_SLACK_FLOOR_SECS: f64 = 0.5;
-
 /// Extracts the BENCH schema from a parsed `--metrics-out` object:
-/// every [`EXACT_KEYS`] entry present (prefix stripped) plus `wall_secs`.
+/// every [`EXACT_KEYS`] entry present (prefix stripped).
 pub fn emit_bench_json(metrics: &HashMap<String, JsonValue>) -> Result<String, String> {
     let mut obj = JsonObject::new();
     obj.string("bench", "pipeline");
-    let wall = metrics
-        .get("wall_secs")
-        .and_then(JsonValue::as_f64)
-        .ok_or("metrics JSON has no numeric wall_secs key")?;
-    obj.number("wall_secs", wall);
     let mut found = 0;
     for key in EXACT_KEYS {
         if let Some(v) = metrics.get(*key).and_then(JsonValue::as_f64) {
@@ -97,10 +86,8 @@ pub fn emit_bench_json(metrics: &HashMap<String, JsonValue>) -> Result<String, S
 /// Compares a current BENCH file against a baseline. Returns the list of
 /// violations (empty = gate passes):
 ///
-/// * every non-`wall_secs` numeric key in the baseline must be present in
-///   the current file with the *exact* same value;
-/// * `wall_secs` may grow to `baseline · (1 + wall_tolerance)` or
-///   `baseline + `[`WALL_SLACK_FLOOR_SECS`], whichever is larger;
+/// * every numeric key in the baseline must be present in the current
+///   file with the *exact* same value;
 /// * every numeric key in the current file must also exist in the
 ///   baseline. A key the current build emits that the baseline lacks
 ///   means [`EXACT_KEYS`] grew without the baseline being refreshed in
@@ -109,7 +96,6 @@ pub fn emit_bench_json(metrics: &HashMap<String, JsonValue>) -> Result<String, S
 pub fn compare(
     baseline: &HashMap<String, JsonValue>,
     current: &HashMap<String, JsonValue>,
-    wall_tolerance: f64,
 ) -> Vec<String> {
     let mut violations = Vec::new();
     let mut keys: Vec<&String> = baseline.keys().collect();
@@ -122,16 +108,7 @@ pub fn compare(
             violations.push(format!("{key}: missing from current run (baseline {base})"));
             continue;
         };
-        if key == "wall_secs" {
-            let allowed = (base * (1.0 + wall_tolerance)).max(base + WALL_SLACK_FLOOR_SECS);
-            if cur > allowed {
-                violations.push(format!(
-                    "wall_secs: {cur:.3}s exceeds allowed {allowed:.3}s \
-                     (baseline {base:.3}s, tolerance {:.0}%)",
-                    wall_tolerance * 100.0
-                ));
-            }
-        } else if cur != base {
+        if cur != base {
             violations.push(format!("{key}: {cur} != baseline {base}"));
         }
     }
@@ -175,7 +152,6 @@ mod tests {
             ("counter.engine.inflight_dedups", 3.0), // excluded from BENCH
             ("gauge.engine.queue_depth_hwm", 7.0),   // excluded from BENCH
             ("span.stage.cluster.total_secs", 0.2),  // excluded from BENCH
-            ("wall_secs", 2.0),
         ])
     }
 
@@ -186,7 +162,6 @@ mod tests {
         assert_eq!(parsed["bench"].as_str(), Some("pipeline"));
         assert_eq!(parsed["spgemm.flops"].as_f64(), Some(1234.0));
         assert_eq!(parsed["engine.cache_misses"].as_f64(), Some(4.0));
-        assert_eq!(parsed["wall_secs"].as_f64(), Some(2.0));
         assert!(!parsed.contains_key("engine.inflight_dedups"));
         assert!(!parsed.contains_key("gauge.engine.queue_depth_hwm"));
         assert!(!bench.contains("span."));
@@ -195,14 +170,12 @@ mod tests {
     #[test]
     fn emit_rejects_non_metrics_input() {
         assert!(emit_bench_json(&metrics(&[("unrelated", 1.0)])).is_err());
-        // wall_secs alone is not enough: no gated counter present.
-        assert!(emit_bench_json(&metrics(&[("wall_secs", 1.0)])).is_err());
     }
 
     #[test]
     fn identical_runs_pass() {
         let b = parse_object(&emit_bench_json(&sample_metrics()).unwrap()).unwrap();
-        assert!(compare(&b, &b, 0.25).is_empty());
+        assert!(compare(&b, &b).is_empty());
     }
 
     #[test]
@@ -211,30 +184,9 @@ mod tests {
         let mut m = sample_metrics();
         m.insert("counter.spgemm.nnz_final".into(), JsonValue::Num(501.0));
         let cur = parse_object(&emit_bench_json(&m).unwrap()).unwrap();
-        let violations = compare(&base, &cur, 0.25);
+        let violations = compare(&base, &cur);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("spgemm.nnz_final"), "{violations:?}");
-    }
-
-    #[test]
-    fn wall_time_honours_tolerance_and_slack_floor() {
-        let base = parse_object(&emit_bench_json(&sample_metrics()).unwrap()).unwrap();
-        // 2.0s baseline, 25% tolerance → 2.5s allowed; floor is lower here.
-        let mut m = sample_metrics();
-        m.insert("wall_secs".into(), JsonValue::Num(2.49));
-        let cur = parse_object(&emit_bench_json(&m).unwrap()).unwrap();
-        assert!(compare(&base, &cur, 0.25).is_empty());
-        m.insert("wall_secs".into(), JsonValue::Num(2.51));
-        let cur = parse_object(&emit_bench_json(&m).unwrap()).unwrap();
-        assert_eq!(compare(&base, &cur, 0.25).len(), 1);
-        // Tiny baselines get the absolute slack floor instead: a 0.01s run
-        // may take up to 0.51s before the gate complains.
-        let mut tiny = sample_metrics();
-        tiny.insert("wall_secs".into(), JsonValue::Num(0.01));
-        let tiny_base = parse_object(&emit_bench_json(&tiny).unwrap()).unwrap();
-        tiny.insert("wall_secs".into(), JsonValue::Num(0.4));
-        let tiny_cur = parse_object(&emit_bench_json(&tiny).unwrap()).unwrap();
-        assert!(compare(&tiny_base, &tiny_cur, 0.25).is_empty());
     }
 
     #[test]
@@ -243,7 +195,7 @@ mod tests {
         let mut m = sample_metrics();
         m.remove("counter.engine.cache_misses");
         let cur = parse_object(&emit_bench_json(&m).unwrap()).unwrap();
-        let violations = compare(&base, &cur, 0.25);
+        let violations = compare(&base, &cur);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("missing"), "{violations:?}");
     }
@@ -254,7 +206,7 @@ mod tests {
         small.remove("counter.spgemm.nnz_final");
         let base = parse_object(&emit_bench_json(&small).unwrap()).unwrap();
         let cur = parse_object(&emit_bench_json(&sample_metrics()).unwrap()).unwrap();
-        let violations = compare(&base, &cur, 0.25);
+        let violations = compare(&base, &cur);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
             violations[0].contains("spgemm.nnz_final")

@@ -30,18 +30,22 @@ mod tests {
         let lineup = SymMethod::lineup(1.0, 0.001);
         assert_eq!(lineup.len(), 4);
         let method = SymMethod::PlusTranspose;
-        let sym = method.symmetrize(&g.graph);
+        let sym = method
+            .build(None, &symclust_sparse::Tuning::default())
+            .symmetrize(&g.graph)
+            .unwrap();
         let rec = measure(
             "t",
             &method,
             &sym,
             Clusterer::Metis { k: 5 },
             Some(&g.truth),
-        );
+        )
+        .unwrap();
         assert_eq!(rec.n_clusters, 5);
         assert!(rec.f_score.unwrap() > 0.0);
         assert!(!rec.to_json().is_empty());
-        let (bib, dd) = select_thresholds(&g.graph, 30.0);
+        let (bib, dd) = select_thresholds(&g.graph, 30.0).unwrap();
         assert!(bib > 0.0 && dd > 0.0);
     }
 }

@@ -18,6 +18,7 @@ use symclust_graph::generators::{
 };
 use symclust_graph::stats::GraphStats;
 use symclust_graph::{io, DiGraph, GroundTruth, UnGraph};
+use symclust_sparse::Tuning;
 
 type CmdResult = Result<(), String>;
 
@@ -196,7 +197,7 @@ pub fn symmetrize(args: &ParsedArgs) -> CmdResult {
     // Construction is delegated to the engine's method registry so the
     // CLI, bench harness, and pipeline executor share one factory.
     let sym = parse_sym_method(&method, alpha, beta, threshold)?
-        .build()
+        .build(None, &Tuning::default())
         .symmetrize(&g)
         .map_err(|e| e.to_string())?;
 
@@ -267,7 +268,7 @@ pub fn pipeline(args: &ParsedArgs) -> CmdResult {
     // target average degree, or fixed via --threshold (default 0 = keep all).
     let (bib_t, dd_t) = match args.get::<f64>("target-degree")? {
         Some(target) => {
-            let (bib_t, dd_t) = select_thresholds(&graph, target);
+            let (bib_t, dd_t) = select_thresholds(&graph, target).map_err(|e| e.to_string())?;
             println!("selected thresholds: bibliometric {bib_t:.6}, degree-discounted {dd_t:.6}");
             (bib_t, dd_t)
         }
@@ -311,6 +312,19 @@ pub fn pipeline(args: &ParsedArgs) -> CmdResult {
     if retries == 0 {
         return Err("--retries must be at least 1 (it counts total attempts)".into());
     }
+    // The three `--sym-*` flags override the environment's tuning, field
+    // by field, so `--sym-panel-rows` composes with a spill budget set in
+    // `SYMCLUST_MEMORY_BUDGET`.
+    let mut tuning = Tuning::from_env();
+    if let Some(threads) = args.get("sym-threads")? {
+        tuning.threads = threads;
+    }
+    if let Some(accum) = args.get("sym-accum")? {
+        tuning.accum = accum;
+    }
+    if let Some(rows) = args.get("sym-panel-rows")? {
+        tuning.panel.panel_rows = Some(rows);
+    }
     let opts = EngineOptions {
         threads: args.get_or("threads", 0usize)?,
         stage_deadline: args
@@ -321,15 +335,7 @@ pub fn pipeline(args: &ParsedArgs) -> CmdResult {
             ..Default::default()
         },
         memory_budget: args.get::<usize>("memory-budget")?,
-        spgemm_threads: args.get::<usize>("sym-threads")?,
-        spgemm_accum: args.get::<symclust_sparse::AccumStrategy>("sym-accum")?,
-        spgemm_panel: args.get::<usize>("sym-panel-rows")?.map(|rows| {
-            // Start from the env plan so `--sym-panel-rows` composes with a
-            // SYMCLUST_MEMORY_BUDGET spill budget set in the environment.
-            let mut plan = symclust_sparse::PanelPlan::from_env();
-            plan.panel_rows = Some(rows);
-            plan
-        }),
+        tuning,
         journal: args.optional("resume").map(std::path::PathBuf::from),
         metrics: None,
         paranoid: args.get_or("paranoid", false)?,
@@ -387,8 +393,8 @@ pub fn pipeline(args: &ParsedArgs) -> CmdResult {
         }
     }
     if let Some(path) = args.optional("metrics-out") {
-        // The stable flat key scheme (DESIGN.md §11), plus the run's wall
-        // time — the contract `scripts/bench_gate.sh` regresses against.
+        // The stable flat key scheme (DESIGN.md §11) — `bench_gate emit`
+        // projects its deterministic counters — plus the run's wall time.
         let mut obj = symclust_engine::json::JsonObject::new();
         for (key, value) in result.metrics.to_flat() {
             obj.number(&key, value);
@@ -871,6 +877,56 @@ mod tests {
         assert!(num("wall_secs") > 0.0);
         // MCL counters from the mlrmcl chains.
         assert_eq!(num("counter.mcl.runs"), 4.0);
+    }
+
+    #[test]
+    fn sym_flags_fill_the_tuning_and_zero_panel_rows_is_no_preference() {
+        let counters = |name: &str, flags: &[&str]| {
+            let out = tmp(name);
+            let mut flat: Vec<String> = [
+                "--model",
+                "dsbm",
+                "--nodes",
+                "200",
+                "--clusters",
+                "4",
+                "--clusterers",
+                "metis",
+                "--quiet",
+                "--metrics-out",
+                &out,
+            ]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+            flat.extend(flags.iter().map(|s| s.to_string()));
+            pipeline(&ParsedArgs::parse(&flat).unwrap()).unwrap();
+            let obj = symclust_engine::json::parse_object(&std::fs::read_to_string(&out).unwrap())
+                .unwrap();
+            move |key: &str| obj[key].as_f64().unwrap()
+        };
+        // `0` means "no preference" however it is spelled (flag, env var,
+        // struct literal): the sweep stays in memory.
+        let zero = counters("tuning_zero.json", &["--sym-panel-rows", "0"]);
+        assert_eq!(zero("counter.spgemm.panels"), 0.0);
+        assert!(zero("counter.spgemm.rows_dense") > 0.0);
+        let tuned = counters(
+            "tuning_flags.json",
+            &[
+                "--sym-panel-rows",
+                "64",
+                "--sym-threads",
+                "2",
+                "--sym-accum",
+                "sparse",
+            ],
+        );
+        assert!(tuned("counter.spgemm.panels") > 2.0);
+        assert_eq!(tuned("counter.spgemm.rows_dense"), 0.0);
+        assert_eq!(
+            tuned("counter.spgemm.nnz_final"),
+            zero("counter.spgemm.nnz_final")
+        );
     }
 
     #[test]

@@ -25,6 +25,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use symclust_graph::UnGraph;
+use symclust_obs::MetricsRegistry;
+use symclust_sparse::CancelToken;
 
 /// Options for [`GraclusLike`].
 #[derive(Debug, Clone, Copy)]
@@ -203,7 +205,13 @@ impl ClusterAlgorithm for GraclusLike {
         "Graclus".to_string()
     }
 
-    fn cluster_ungraph(&self, g: &UnGraph) -> Result<Clustering> {
+    fn cluster_observed(
+        &self,
+        g: &UnGraph,
+        token: &CancelToken,
+        _metrics: Option<&MetricsRegistry>,
+    ) -> Result<Clustering> {
+        token.checkpoint()?;
         let k = self.options.k;
         let n = g.n_nodes();
         if k == 0 {

@@ -126,39 +126,23 @@ pub trait ClusterAlgorithm {
     /// Short human-readable algorithm name.
     fn name(&self) -> String;
 
-    /// Clusters the undirected graph.
-    fn cluster_ungraph(&self, g: &UnGraph) -> Result<Clustering>;
-
-    /// [`cluster_ungraph`](Self::cluster_ungraph) with cooperative
-    /// cancellation.
-    ///
-    /// The default implementation only checks the token before starting —
-    /// fine for the fast partitioners. [`MlrMcl`] overrides it to poll
-    /// between R-MCL iterations, so long flows stop promptly.
-    fn cluster_ungraph_cancellable(
-        &self,
-        g: &UnGraph,
-        token: &symclust_sparse::CancelToken,
-    ) -> Result<Clustering> {
-        token.checkpoint()?;
-        self.cluster_ungraph(g)
-    }
-
-    /// [`cluster_ungraph_cancellable`](Self::cluster_ungraph_cancellable)
-    /// that also records algorithm counters (iterations, convergence —
-    /// DESIGN.md §11) into `metrics`.
-    ///
-    /// The default implementation ignores the registry; [`MlrMcl`]
-    /// overrides it to record R-MCL iteration counts and convergence
-    /// residuals from inside the flow loop.
+    /// Clusters the undirected graph, polling `token` (a tripped token
+    /// yields [`ClusterError::Cancelled`] before any work; [`MlrMcl`] also
+    /// polls between R-MCL iterations and inside each expansion) and
+    /// recording algorithm counters (iterations, convergence — DESIGN.md
+    /// §11) into `metrics` when given. The one method an implementer
+    /// writes.
     fn cluster_observed(
         &self,
         g: &UnGraph,
         token: &symclust_sparse::CancelToken,
         metrics: Option<&symclust_obs::MetricsRegistry>,
-    ) -> Result<Clustering> {
-        let _ = metrics;
-        self.cluster_ungraph_cancellable(g, token)
+    ) -> Result<Clustering>;
+
+    /// [`cluster_observed`](Self::cluster_observed) under a fresh token
+    /// and no registry.
+    fn cluster_ungraph(&self, g: &UnGraph) -> Result<Clustering> {
+        self.cluster_observed(g, &symclust_sparse::CancelToken::new(), None)
     }
 
     /// Clusters anything viewable as an undirected graph (ergonomic entry
@@ -168,5 +152,55 @@ pub trait ClusterAlgorithm {
         Self: Sized,
     {
         self.cluster_ungraph(g.as_ungraph())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use symclust_core::{DegreeDiscounted, Symmetrizer};
+    use symclust_graph::generators::{shared_link_dsbm, SharedLinkDsbmConfig};
+    use symclust_sparse::CancelToken;
+
+    fn lineup() -> Vec<Box<dyn ClusterAlgorithm>> {
+        vec![
+            Box::new(MlrMcl::default()),
+            Box::new(MetisLike::with_k(4)),
+            Box::new(GraclusLike::with_k(4)),
+            Box::new(SpectralClustering::with_k(4)),
+        ]
+    }
+
+    #[test]
+    fn plain_and_observed_agree_and_every_clusterer_honours_a_tripped_token() {
+        let directed = shared_link_dsbm(&SharedLinkDsbmConfig {
+            n_nodes: 120,
+            n_clusters: 4,
+            seed: 24,
+            ..Default::default()
+        })
+        .unwrap()
+        .graph;
+        let sym = DegreeDiscounted::with_threshold(0.05)
+            .symmetrize(&directed)
+            .unwrap();
+        let g = sym.graph();
+        let tripped = CancelToken::new();
+        tripped.cancel();
+        for algo in lineup() {
+            let name = algo.name();
+            let plain = algo.cluster_ungraph(g).unwrap();
+            assert!(plain.n_clusters() > 1, "{name}");
+            let registry = symclust_obs::MetricsRegistry::new();
+            let observed = algo
+                .cluster_observed(g, &CancelToken::new(), Some(&registry))
+                .unwrap();
+            assert_eq!(plain.assignments(), observed.assignments(), "{name}");
+            assert_eq!(plain.converged(), observed.converged(), "{name}");
+            let err = algo
+                .cluster_observed(g, &tripped, Some(&registry))
+                .unwrap_err();
+            assert!(err.is_cancelled(), "{name}: got {err:?}");
+        }
     }
 }

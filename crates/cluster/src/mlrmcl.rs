@@ -126,20 +126,22 @@ fn project_flow(coarse_flow: &CsrMatrix, map: &[u32], n_fine: usize) -> CsrMatri
     CsrMatrix::from_raw_parts_unchecked(n_fine, n_fine, indptr, indices, values)
 }
 
-impl MlrMcl {
-    fn cluster_with(
+impl ClusterAlgorithm for MlrMcl {
+    fn name(&self) -> String {
+        "MLR-MCL".to_string()
+    }
+
+    fn cluster_observed(
         &self,
         g: &UnGraph,
-        token: Option<&CancelToken>,
+        token: &CancelToken,
         metrics: Option<&MetricsRegistry>,
     ) -> Result<Clustering> {
         self.options.mcl.validate()?;
         if g.n_nodes() == 0 {
             return Ok(Clustering::single_cluster(0));
         }
-        if let Some(t) = token {
-            t.checkpoint()?;
-        }
+        token.checkpoint()?;
         let levels = coarsen_graph(g, &self.options.coarsen)?;
 
         // R-MCL to convergence on the coarsest graph.
@@ -150,15 +152,13 @@ impl MlrMcl {
             m_g_coarse.clone(),
             &self.options.mcl,
             self.options.mcl.max_iter,
-            token,
+            Some(token),
             metrics,
         )?;
 
         // Walk back up the hierarchy, refining at each level.
         for level_idx in (0..levels.len()).rev() {
-            if let Some(t) = token {
-                t.checkpoint()?;
-            }
+            token.checkpoint()?;
             let fine_graph = if level_idx == 0 {
                 g
             } else {
@@ -177,7 +177,7 @@ impl MlrMcl {
                 projected,
                 &self.options.mcl,
                 iters,
-                token,
+                Some(token),
                 metrics,
             )?;
             flow = refined;
@@ -190,29 +190,6 @@ impl MlrMcl {
             }
         }
         Ok(extract_clusters(&flow).with_converged(converged))
-    }
-}
-
-impl ClusterAlgorithm for MlrMcl {
-    fn name(&self) -> String {
-        "MLR-MCL".to_string()
-    }
-
-    fn cluster_ungraph(&self, g: &UnGraph) -> Result<Clustering> {
-        self.cluster_with(g, None, None)
-    }
-
-    fn cluster_ungraph_cancellable(&self, g: &UnGraph, token: &CancelToken) -> Result<Clustering> {
-        self.cluster_with(g, Some(token), None)
-    }
-
-    fn cluster_observed(
-        &self,
-        g: &UnGraph,
-        token: &CancelToken,
-        metrics: Option<&MetricsRegistry>,
-    ) -> Result<Clustering> {
-        self.cluster_with(g, Some(token), metrics)
     }
 }
 
@@ -359,28 +336,6 @@ mod tests {
         let best_effort = MlrMcl { options }.cluster_ungraph(&g).unwrap();
         assert!(!best_effort.converged());
         assert_eq!(best_effort.n_nodes(), g.n_nodes());
-    }
-
-    #[test]
-    fn cancelled_token_aborts_clustering() {
-        let g = clique_ring(8, 6);
-        let token = CancelToken::new();
-        token.cancel();
-        let err = MlrMcl::default()
-            .cluster_ungraph_cancellable(&g, &token)
-            .unwrap_err();
-        assert!(err.is_cancelled(), "got {err:?}");
-    }
-
-    #[test]
-    fn live_token_matches_plain_clustering() {
-        let g = clique_ring(8, 6);
-        let token = CancelToken::new();
-        let with_token = MlrMcl::default()
-            .cluster_ungraph_cancellable(&g, &token)
-            .unwrap();
-        let plain = MlrMcl::default().cluster_ungraph(&g).unwrap();
-        assert_eq!(with_token.assignments(), plain.assignments());
     }
 
     #[test]

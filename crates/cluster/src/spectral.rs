@@ -10,7 +10,8 @@ use crate::clustering::Clustering;
 use crate::kmeans::{kmeans, KMeansOptions};
 use crate::{ClusterAlgorithm, ClusterError, Result};
 use symclust_graph::UnGraph;
-use symclust_sparse::{lanczos_smallest, ops, CsrMatrix, LanczosOptions};
+use symclust_obs::MetricsRegistry;
+use symclust_sparse::{lanczos_smallest, ops, CancelToken, CsrMatrix, LanczosOptions};
 
 /// Options for [`SpectralClustering`].
 #[derive(Debug, Clone, Copy)]
@@ -102,7 +103,13 @@ impl ClusterAlgorithm for SpectralClustering {
         "Spectral".to_string()
     }
 
-    fn cluster_ungraph(&self, g: &UnGraph) -> Result<Clustering> {
+    fn cluster_observed(
+        &self,
+        g: &UnGraph,
+        token: &CancelToken,
+        _metrics: Option<&MetricsRegistry>,
+    ) -> Result<Clustering> {
+        token.checkpoint()?;
         let k = self.options.k;
         let n = g.n_nodes();
         if k == 0 {

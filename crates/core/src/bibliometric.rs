@@ -17,10 +17,7 @@ use crate::{Result, SymmetrizedGraph, Symmetrizer};
 use std::time::Instant;
 use symclust_graph::{DiGraph, UnGraph};
 use symclust_obs::MetricsRegistry;
-use symclust_sparse::{
-    accum_from_env, ops, spgemm_syrk_sum, threads_from_env, AccumStrategy, CancelToken, PanelPlan,
-    SpgemmOptions, SyrkTerm,
-};
+use symclust_sparse::{ops, spgemm_syrk_sum, CancelToken, SpgemmOptions, SyrkTerm, Tuning};
 
 /// Options for [`Bibliometric`].
 #[derive(Debug, Clone)]
@@ -31,27 +28,14 @@ pub struct BibliometricOptions {
     /// multiply (Table 2 uses e.g. 25 for Wikipedia, 0 for Cora).
     /// Default 0.
     pub threshold: f64,
-    /// SpGEMM worker threads: `1` runs serially, `0` uses all available
-    /// cores, `n` uses exactly `n`. The default honors the
-    /// `SYMCLUST_THREADS` environment variable and falls back to serial.
-    /// Output is bit-identical for every setting.
-    pub n_threads: usize,
     /// Memory budget as a cap on the stored nnz of the similarity matrix.
     /// When the Gustavson upper bound exceeds it, the product degrades to
     /// an adaptively thresholded multiply instead of aborting; the result
     /// is flagged [`SymmetrizedGraph::degraded`]. Default `None` (exact).
     pub nnz_budget: Option<usize>,
-    /// Per-row accumulator strategy for the SpGEMM kernels. Like
-    /// `n_threads`, this never changes output bytes — only which code path
-    /// produces them. The default honors `SYMCLUST_ACCUM` and falls back
-    /// to adaptive.
-    pub accum: AccumStrategy,
-    /// Out-of-core panel plan for the SpGEMM kernels. When engaged the
-    /// multiply runs tile by tile and may spill partial products to scratch
-    /// files, bit-identical to the in-memory path. Never part of cache
-    /// keys. The default honors `SYMCLUST_PANEL_ROWS` /
-    /// `SYMCLUST_MEMORY_BUDGET` and falls back to disengaged (in-memory).
-    pub panel: PanelPlan,
+    /// How the SpGEMM kernel runs (threads, accumulator, panel plan).
+    /// Never changes the output; the default is [`Tuning::from_env`].
+    pub tuning: Tuning,
 }
 
 impl Default for BibliometricOptions {
@@ -59,10 +43,8 @@ impl Default for BibliometricOptions {
         BibliometricOptions {
             add_identity: true,
             threshold: 0.0,
-            n_threads: threads_from_env().unwrap_or(1),
             nnz_budget: None,
-            accum: accum_from_env().unwrap_or_default(),
-            panel: PanelPlan::from_env(),
+            tuning: Tuning::default(),
         }
     }
 }
@@ -84,11 +66,17 @@ impl Bibliometric {
             },
         }
     }
+}
 
-    fn symmetrize_with(
+impl Symmetrizer for Bibliometric {
+    fn name(&self) -> String {
+        "Bibliometric".to_string()
+    }
+
+    fn symmetrize_observed(
         &self,
         g: &DiGraph,
-        token: Option<&CancelToken>,
+        token: &CancelToken,
         metrics: Option<&MetricsRegistry>,
     ) -> Result<SymmetrizedGraph> {
         let start = Instant::now();
@@ -106,17 +94,14 @@ impl Bibliometric {
         let opts = SpgemmOptions {
             threshold: self.options.threshold,
             drop_diagonal: true,
-            n_threads: self.options.n_threads,
-            accum: self.options.accum,
-            panel: self.options.panel.clone(),
             nnz_budget: self.options.nnz_budget,
-            ..Default::default()
+            tuning: self.options.tuning.clone(),
         };
         let terms = [
             SyrkTerm { x: &a, xt: &at }, // AAᵀ (coupling)
             SyrkTerm { x: &at, xt: &a }, // AᵀA (co-citation)
         ];
-        let u = spgemm_syrk_sum(&terms, &opts, token, metrics)?;
+        let u = spgemm_syrk_sum(&terms, &opts, Some(token), metrics)?;
         let mut un = UnGraph::from_symmetric_unchecked(u.matrix);
         if let Some(labels) = g.labels() {
             un = un.with_labels(labels.to_vec())?;
@@ -125,29 +110,6 @@ impl Bibliometric {
             SymmetrizedGraph::new(un, self.name(), self.options.threshold, start.elapsed())
                 .with_degraded(u.degraded),
         )
-    }
-}
-
-impl Symmetrizer for Bibliometric {
-    fn name(&self) -> String {
-        "Bibliometric".to_string()
-    }
-
-    fn symmetrize(&self, g: &DiGraph) -> Result<SymmetrizedGraph> {
-        self.symmetrize_with(g, None, None)
-    }
-
-    fn symmetrize_cancellable(&self, g: &DiGraph, token: &CancelToken) -> Result<SymmetrizedGraph> {
-        self.symmetrize_with(g, Some(token), None)
-    }
-
-    fn symmetrize_observed(
-        &self,
-        g: &DiGraph,
-        token: &CancelToken,
-        metrics: Option<&MetricsRegistry>,
-    ) -> Result<SymmetrizedGraph> {
-        self.symmetrize_with(g, Some(token), metrics)
     }
 }
 
@@ -167,27 +129,11 @@ mod tests {
 
     #[test]
     fn kernel_thread_default_is_one_value_everywhere() {
-        // Serial-vs-parallel is chosen by `n_threads` alone, so the three
-        // defaults must agree — under any `SYMCLUST_THREADS`.
-        let kernel = SpgemmOptions::default().n_threads;
-        assert_eq!(BibliometricOptions::default().n_threads, kernel);
-        assert_eq!(crate::DegreeDiscountedOptions::default().n_threads, kernel);
-    }
-
-    #[test]
-    fn cancelled_token_aborts_and_live_token_matches() {
-        let g = figure1_graph();
-        let token = CancelToken::new();
-        let same = Bibliometric::default()
-            .symmetrize_cancellable(&g, &token)
-            .unwrap();
-        let plain = Bibliometric::default().symmetrize(&g).unwrap();
-        assert_eq!(same.adjacency(), plain.adjacency());
-        token.cancel();
-        let err = Bibliometric::default()
-            .symmetrize_cancellable(&g, &token)
-            .unwrap_err();
-        assert!(err.is_cancelled(), "got {err:?}");
+        // Serial-vs-parallel is chosen by `Tuning::threads` alone, so the
+        // three defaults must agree — under any `SYMCLUST_*`.
+        let kernel = SpgemmOptions::default().tuning;
+        assert_eq!(BibliometricOptions::default().tuning, kernel);
+        assert_eq!(crate::DegreeDiscountedOptions::default().tuning, kernel);
     }
 
     #[test]
@@ -266,7 +212,10 @@ mod tests {
         let serial = Bibliometric::default().symmetrize(&g).unwrap();
         let parallel = Bibliometric {
             options: BibliometricOptions {
-                n_threads: 0,
+                tuning: Tuning {
+                    threads: 0,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
         }

@@ -30,8 +30,7 @@ use std::time::Instant;
 use symclust_graph::{DiGraph, UnGraph};
 use symclust_obs::MetricsRegistry;
 use symclust_sparse::{
-    accum_from_env, ops, spgemm_syrk_sum, threads_from_env, AccumStrategy, CancelToken, CsrMatrix,
-    PanelPlan, SpgemmOptions, SyrkTerm,
+    ops, spgemm_syrk_sum, CancelToken, CsrMatrix, SpgemmOptions, SyrkTerm, Tuning,
 };
 
 /// How a node's degree discounts its similarity contributions (Table 4 rows).
@@ -89,27 +88,14 @@ pub struct DegreeDiscountedOptions {
     /// Apply `A := A + I` first (off by default; the paper describes the
     /// `+I` trick for Bibliometric).
     pub add_identity: bool,
-    /// SpGEMM worker threads: `1` runs serially, `0` uses all available
-    /// cores, `n` uses exactly `n`. The default honors the
-    /// `SYMCLUST_THREADS` environment variable and falls back to serial.
-    /// Output is bit-identical for every setting.
-    pub n_threads: usize,
     /// Memory budget as a cap on the stored nnz of the similarity matrix.
     /// When the Gustavson upper bound exceeds it, the product degrades to
     /// an adaptively thresholded multiply instead of aborting; the result
     /// is flagged [`SymmetrizedGraph::degraded`]. Default `None` (exact).
     pub nnz_budget: Option<usize>,
-    /// Per-row accumulator strategy for the SpGEMM kernels. Like
-    /// `n_threads`, this never changes output bytes — only which code path
-    /// produces them. The default honors `SYMCLUST_ACCUM` and falls back
-    /// to adaptive.
-    pub accum: AccumStrategy,
-    /// Out-of-core panel plan for the SpGEMM kernels. When engaged the
-    /// multiply runs tile by tile and may spill partial products to scratch
-    /// files, bit-identical to the in-memory path. Never part of cache
-    /// keys. The default honors `SYMCLUST_PANEL_ROWS` /
-    /// `SYMCLUST_MEMORY_BUDGET` and falls back to disengaged (in-memory).
-    pub panel: PanelPlan,
+    /// How the SpGEMM kernel runs (threads, accumulator, panel plan).
+    /// Never changes the output; the default is [`Tuning::from_env`].
+    pub tuning: Tuning,
 }
 
 impl Default for DegreeDiscountedOptions {
@@ -119,10 +105,8 @@ impl Default for DegreeDiscountedOptions {
             beta: DiscountExponent::Power(0.5),
             threshold: 0.0,
             add_identity: false,
-            n_threads: threads_from_env().unwrap_or(1),
             nnz_budget: None,
-            accum: accum_from_env().unwrap_or_default(),
-            panel: PanelPlan::from_env(),
+            tuning: Tuning::default(),
         }
     }
 }
@@ -252,60 +236,32 @@ impl SimilarityFactors {
     /// could lose entries with true sum in `[t, 1.5t)`; fusing removes
     /// that approximation along with both intermediate matrices.)
     pub fn full(&self, threshold: f64, n_threads: usize) -> Result<CsrMatrix> {
-        self.full_with(
-            threshold,
-            n_threads,
-            accum_from_env().unwrap_or_default(),
-            PanelPlan::from_env(),
-            None,
-            None,
-            None,
-        )
-        .map(|r| r.0)
+        let tuning = Tuning {
+            threads: n_threads,
+            ..Tuning::from_env()
+        };
+        self.full_with(threshold, None, tuning, None, None)
+            .map(|r| r.0)
     }
 
-    /// [`full`](Self::full) that polls `token` inside the SpGEMM row loops.
-    pub fn full_cancellable(
-        &self,
-        threshold: f64,
-        n_threads: usize,
-        token: &CancelToken,
-    ) -> Result<CsrMatrix> {
-        self.full_with(
-            threshold,
-            n_threads,
-            accum_from_env().unwrap_or_default(),
-            PanelPlan::from_env(),
-            Some(token),
-            None,
-            None,
-        )
-        .map(|r| r.0)
-    }
-
-    /// Computes the full matrix like [`full`](Self::full) but caps the
-    /// similarity matrix at `nnz_budget` stored entries, degrading to an
-    /// adaptively thresholded multiply when the Gustavson upper bound
-    /// exceeds it. Returns the matrix and whether degradation occurred.
-    #[allow(clippy::too_many_arguments)]
+    /// [`full`](Self::full) under an explicit [`Tuning`], an optional cap
+    /// of `nnz_budget` stored entries (past which the multiply degrades to
+    /// an adaptively thresholded one), a token polled inside the SpGEMM
+    /// row loops and a registry for the kernel counters. Returns the
+    /// matrix and whether degradation occurred.
     fn full_with(
         &self,
         threshold: f64,
-        n_threads: usize,
-        accum: AccumStrategy,
-        panel: PanelPlan,
-        token: Option<&CancelToken>,
         nnz_budget: Option<usize>,
+        tuning: Tuning,
+        token: Option<&CancelToken>,
         metrics: Option<&MetricsRegistry>,
     ) -> Result<(CsrMatrix, bool)> {
         let opts = SpgemmOptions {
             threshold,
             drop_diagonal: true,
-            n_threads,
-            accum,
-            panel,
             nnz_budget,
-            ..Default::default()
+            tuning,
         };
         let terms = [
             SyrkTerm {
@@ -322,11 +278,15 @@ impl SimilarityFactors {
     }
 }
 
-impl DegreeDiscounted {
-    fn symmetrize_with(
+impl Symmetrizer for DegreeDiscounted {
+    fn name(&self) -> String {
+        "Degree-discounted".to_string()
+    }
+
+    fn symmetrize_observed(
         &self,
         g: &DiGraph,
-        token: Option<&CancelToken>,
+        token: &CancelToken,
         metrics: Option<&MetricsRegistry>,
     ) -> Result<SymmetrizedGraph> {
         if let DiscountExponent::Power(p) = self.options.alpha {
@@ -347,11 +307,9 @@ impl DegreeDiscounted {
         let factors = SimilarityFactors::build(g, &self.options)?;
         let (u, degraded) = factors.full_with(
             self.options.threshold,
-            self.options.n_threads,
-            self.options.accum,
-            self.options.panel.clone(),
-            token,
             self.options.nnz_budget,
+            self.options.tuning.clone(),
+            Some(token),
             metrics,
         )?;
         let mut un = UnGraph::from_symmetric_unchecked(u);
@@ -362,29 +320,6 @@ impl DegreeDiscounted {
             SymmetrizedGraph::new(un, self.name(), self.options.threshold, start.elapsed())
                 .with_degraded(degraded),
         )
-    }
-}
-
-impl Symmetrizer for DegreeDiscounted {
-    fn name(&self) -> String {
-        "Degree-discounted".to_string()
-    }
-
-    fn symmetrize(&self, g: &DiGraph) -> Result<SymmetrizedGraph> {
-        self.symmetrize_with(g, None, None)
-    }
-
-    fn symmetrize_cancellable(&self, g: &DiGraph, token: &CancelToken) -> Result<SymmetrizedGraph> {
-        self.symmetrize_with(g, Some(token), None)
-    }
-
-    fn symmetrize_observed(
-        &self,
-        g: &DiGraph,
-        token: &CancelToken,
-        metrics: Option<&MetricsRegistry>,
-    ) -> Result<SymmetrizedGraph> {
-        self.symmetrize_with(g, Some(token), metrics)
     }
 }
 
@@ -559,7 +494,10 @@ mod tests {
         let serial = DegreeDiscounted::default().symmetrize(&g).unwrap();
         let parallel = DegreeDiscounted {
             options: DegreeDiscountedOptions {
-                n_threads: 0,
+                tuning: Tuning {
+                    threads: 0,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
         }
@@ -574,28 +512,6 @@ mod tests {
         {
             assert!((a - b).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn cancelled_token_aborts_symmetrization() {
-        let g = figure1_graph();
-        let token = CancelToken::new();
-        token.cancel();
-        let err = DegreeDiscounted::default()
-            .symmetrize_cancellable(&g, &token)
-            .unwrap_err();
-        assert!(err.is_cancelled(), "got {err:?}");
-    }
-
-    #[test]
-    fn live_token_matches_plain_symmetrize() {
-        let g = figure1_graph();
-        let plain = DegreeDiscounted::default().symmetrize(&g).unwrap();
-        let token = CancelToken::new();
-        let cancellable = DegreeDiscounted::default()
-            .symmetrize_cancellable(&g, &token)
-            .unwrap();
-        assert_eq!(plain.adjacency(), cancellable.adjacency());
     }
 
     #[test]

@@ -107,40 +107,67 @@ pub trait Symmetrizer {
     /// Short human-readable method name ("A+A'", "Degree-discounted", ...).
     fn name(&self) -> String;
 
-    /// Transforms the directed graph into an undirected one.
-    fn symmetrize(&self, g: &DiGraph) -> Result<SymmetrizedGraph>;
-
-    /// [`symmetrize`](Self::symmetrize) with cooperative cancellation.
-    ///
-    /// The default implementation only checks the token before starting —
-    /// adequate for the cheap methods (`A+Aᵀ`). The similarity methods
-    /// ([`Bibliometric`], [`DegreeDiscounted`]) override it to poll inside
-    /// their SpGEMM row loops, so a multi-second symmetrization stops
-    /// within one row's work of the token tripping.
-    fn symmetrize_cancellable(
-        &self,
-        g: &DiGraph,
-        token: &symclust_sparse::CancelToken,
-    ) -> Result<SymmetrizedGraph> {
-        token.checkpoint()?;
-        self.symmetrize(g)
-    }
-
-    /// [`symmetrize_cancellable`](Self::symmetrize_cancellable) that also
-    /// records kernel work counters (SpGEMM rows/flops/nnz, degraded
-    /// fallbacks — DESIGN.md §11) into `metrics`.
-    ///
-    /// The default implementation ignores the registry — correct for the
-    /// cheap methods, whose cost the engine's stage spans already capture.
-    /// The SpGEMM-backed methods ([`Bibliometric`], [`DegreeDiscounted`])
-    /// override it to thread the registry into their multiply kernels.
+    /// Transforms the directed graph into an undirected one, polling
+    /// `token` (a tripped token yields [`SymmetrizeError::Cancelled`]
+    /// before any work, and within one SpGEMM row's work for the
+    /// similarity methods) and recording kernel work counters (SpGEMM
+    /// rows/flops/nnz, degraded fallbacks — DESIGN.md §11) into `metrics`
+    /// when given. The one method an implementer writes.
     fn symmetrize_observed(
         &self,
         g: &DiGraph,
         token: &symclust_sparse::CancelToken,
         metrics: Option<&symclust_obs::MetricsRegistry>,
-    ) -> Result<SymmetrizedGraph> {
-        let _ = metrics;
-        self.symmetrize_cancellable(g, token)
+    ) -> Result<SymmetrizedGraph>;
+
+    /// [`symmetrize_observed`](Self::symmetrize_observed) under a fresh
+    /// token and no registry.
+    fn symmetrize(&self, g: &DiGraph) -> Result<SymmetrizedGraph> {
+        self.symmetrize_observed(g, &symclust_sparse::CancelToken::new(), None)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use symclust_graph::generators::{shared_link_dsbm, SharedLinkDsbmConfig};
+    use symclust_sparse::CancelToken;
+
+    fn lineup() -> Vec<Box<dyn Symmetrizer>> {
+        vec![
+            Box::new(PlusTranspose),
+            Box::new(RandomWalk::default()),
+            Box::new(Bibliometric::with_threshold(2.0)),
+            Box::new(DegreeDiscounted::with_threshold(0.05)),
+        ]
+    }
+
+    #[test]
+    fn plain_and_observed_agree_and_every_method_honours_a_tripped_token() {
+        let g = shared_link_dsbm(&SharedLinkDsbmConfig {
+            n_nodes: 120,
+            n_clusters: 4,
+            seed: 24,
+            ..Default::default()
+        })
+        .unwrap()
+        .graph;
+        let tripped = CancelToken::new();
+        tripped.cancel();
+        for method in lineup() {
+            let name = method.name();
+            let plain = method.symmetrize(&g).unwrap();
+            assert!(plain.n_edges() > 0, "{name}");
+            let registry = symclust_obs::MetricsRegistry::new();
+            let observed = method
+                .symmetrize_observed(&g, &CancelToken::new(), Some(&registry))
+                .unwrap();
+            assert_eq!(plain.adjacency(), observed.adjacency(), "{name}");
+            assert_eq!(plain.degraded(), observed.degraded(), "{name}");
+            let err = method
+                .symmetrize_observed(&g, &tripped, Some(&registry))
+                .unwrap_err();
+            assert!(err.is_cancelled(), "{name}: got {err:?}");
+        }
     }
 }

@@ -9,7 +9,8 @@
 use crate::{Result, SymmetrizedGraph, Symmetrizer};
 use std::time::Instant;
 use symclust_graph::{DiGraph, UnGraph};
-use symclust_sparse::ops;
+use symclust_obs::MetricsRegistry;
+use symclust_sparse::{ops, CancelToken};
 
 /// `U = A + Aᵀ`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -20,7 +21,13 @@ impl Symmetrizer for PlusTranspose {
         "A+A'".to_string()
     }
 
-    fn symmetrize(&self, g: &DiGraph) -> Result<SymmetrizedGraph> {
+    fn symmetrize_observed(
+        &self,
+        g: &DiGraph,
+        token: &CancelToken,
+        _metrics: Option<&MetricsRegistry>,
+    ) -> Result<SymmetrizedGraph> {
+        token.checkpoint()?;
         let start = Instant::now();
         let u = ops::plus_transpose(g.adjacency())?;
         let mut un = UnGraph::from_symmetric_unchecked(u);

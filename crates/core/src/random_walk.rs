@@ -14,7 +14,8 @@
 use crate::{Result, SymmetrizedGraph, Symmetrizer};
 use std::time::Instant;
 use symclust_graph::{DiGraph, UnGraph};
-use symclust_sparse::{ops, pagerank, PageRankOptions};
+use symclust_obs::MetricsRegistry;
+use symclust_sparse::{ops, pagerank, CancelToken, PageRankOptions};
 
 /// Options for [`RandomWalk`].
 #[derive(Debug, Clone, Copy)]
@@ -62,7 +63,13 @@ impl Symmetrizer for RandomWalk {
         "Random Walk".to_string()
     }
 
-    fn symmetrize(&self, g: &DiGraph) -> Result<SymmetrizedGraph> {
+    fn symmetrize_observed(
+        &self,
+        g: &DiGraph,
+        token: &CancelToken,
+        _metrics: Option<&MetricsRegistry>,
+    ) -> Result<SymmetrizedGraph> {
+        token.checkpoint()?;
         let start = Instant::now();
         let a = g.adjacency();
         let pr = pagerank(

@@ -52,7 +52,7 @@ use symclust_core::{SymmetrizeError, SymmetrizedGraph};
 use symclust_eval::avg_f_score;
 use symclust_graph::{DiGraph, GroundTruth, UnGraph};
 use symclust_obs::{MetricsRegistry, MetricsSnapshot};
-use symclust_sparse::{ops, CancelToken};
+use symclust_sparse::{ops, CancelToken, Tuning};
 
 /// Stable metric names the executor records (DESIGN.md §11). Kernel-level
 /// names (`spgemm.*`, `mcl.*`) live next to their kernels; these cover the
@@ -162,26 +162,12 @@ pub struct EngineOptions {
     /// computed in degraded (adaptively-thresholded) mode instead of
     /// aborting; the resulting records carry `degraded: true`.
     pub memory_budget: Option<usize>,
-    /// SpGEMM worker threads for the similarity symmetrizations (`0` =
-    /// all cores, `1` = serial). `None` keeps the symmetrizer defaults,
-    /// which honor `SYMCLUST_THREADS`. The kernels assemble output
-    /// deterministically, so this knob never changes results — it is
-    /// excluded from cache keys on purpose.
-    pub spgemm_threads: Option<usize>,
-    /// SpGEMM accumulator strategy for the similarity symmetrizations
-    /// (adaptive / dense / sparse). `None` keeps the symmetrizer
-    /// defaults, which honor `SYMCLUST_ACCUM`. Every strategy produces
-    /// bit-identical output, so — like `spgemm_threads` — this knob is
-    /// excluded from cache keys on purpose.
-    pub spgemm_accum: Option<symclust_sparse::AccumStrategy>,
-    /// Out-of-core panel plan for the similarity symmetrizations. When
-    /// engaged the SpGEMM runs tile by tile and may spill partial products
-    /// to scratch files, bounding peak memory. `None` keeps the
-    /// symmetrizer defaults, which honor `SYMCLUST_PANEL_ROWS` /
-    /// `SYMCLUST_MEMORY_BUDGET`. The panel path is bit-identical to the
-    /// in-memory one, so — like the other SpGEMM knobs — it is excluded
-    /// from cache keys on purpose.
-    pub spgemm_panel: Option<symclust_sparse::PanelPlan>,
+    /// How the similarity symmetrizations' SpGEMM kernels run: threads,
+    /// accumulator, out-of-core panel plan. Every value produces
+    /// bit-identical output and no key-derivation function takes a
+    /// [`Tuning`], so it cannot reach a cache or journal key. The default
+    /// is [`Tuning::from_env`].
+    pub tuning: Tuning,
     /// Path of the durable run journal. When set, chains recorded there
     /// are resumed instead of re-executed, and every chain completed by
     /// this run is appended.
@@ -274,9 +260,7 @@ struct ExecCtx<'a> {
     sink: &'a (dyn Fn(Event) + Send + Sync),
     retry: RetryPolicy,
     memory_budget: Option<usize>,
-    spgemm_threads: Option<usize>,
-    spgemm_accum: Option<symclust_sparse::AccumStrategy>,
-    spgemm_panel: Option<symclust_sparse::PanelPlan>,
+    tuning: &'a Tuning,
     metrics: &'a MetricsRegistry,
     paranoid: bool,
 }
@@ -387,9 +371,7 @@ impl Engine {
             sink,
             retry: self.opts.retry.clone(),
             memory_budget: self.opts.memory_budget,
-            spgemm_threads: self.opts.spgemm_threads,
-            spgemm_accum: self.opts.spgemm_accum,
-            spgemm_panel: self.opts.spgemm_panel.clone(),
+            tuning: &self.opts.tuning,
             metrics: &registry,
             paranoid: self.opts.paranoid,
         };
@@ -874,13 +856,9 @@ fn run_stage_attempt(node: &StageNode, ctx: &ExecCtx<'_>, token: &CancelToken) -
             // injected panic also exercises the cache's in-flight guard.
             match ctx.cache.get_or_compute(key, || {
                 fire_fault(&fault).map_err(SymmetrizeError::InvalidConfig)?;
-                let sym = method.symmetrize_observed_configured(
+                let sym = method.build(budget, ctx.tuning).symmetrize_observed(
                     &ctx.input.graph,
                     token,
-                    budget,
-                    ctx.spgemm_threads,
-                    ctx.spgemm_accum,
-                    ctx.spgemm_panel.clone(),
                     Some(ctx.metrics),
                 )?;
                 // Structural + exact-symmetry validation at the kernel
@@ -992,7 +970,10 @@ fn run_stage_attempt(node: &StageNode, ctx: &ExecCtx<'_>, token: &CancelToken) -
                 return failed(e);
             }
             let clusterer = node.clusterer.expect("cluster node has a clusterer");
-            match clusterer.cluster_observed(sym.graph(), token, Some(ctx.metrics)) {
+            match clusterer
+                .build()
+                .cluster_observed(sym.graph(), token, Some(ctx.metrics))
+            {
                 Ok(clustering) => {
                     let secs = start.elapsed().as_secs_f64();
                     (ctx.sink)(finished(clustering.n_clusters()));

@@ -79,12 +79,12 @@ pub fn measure(
     sym: &SymmetrizedGraph,
     clusterer: Clusterer,
     truth: Option<&GroundTruth>,
-) -> RunRecord {
+) -> symclust_cluster::Result<RunRecord> {
     let start = Instant::now();
-    let clustering = clusterer.run(sym);
+    let clustering = clusterer.build().cluster_ungraph(sym.graph())?;
     let cluster_secs = start.elapsed().as_secs_f64();
     let f_score = truth.map(|t| avg_f_score(clustering.assignments(), t).avg_f);
-    RunRecord {
+    Ok(RunRecord {
         dataset: dataset.to_string(),
         symmetrization: sym_method.name(),
         algorithm: clusterer.name().to_string(),
@@ -95,7 +95,7 @@ pub fn measure(
         sym_edges: sym.n_edges(),
         degraded: sym.degraded(),
         converged: clustering.converged(),
-    }
+    })
 }
 
 /// Prints records as an aligned table with the given title.

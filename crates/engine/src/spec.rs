@@ -4,17 +4,17 @@
 //! Before the engine existed, the bench runner and the CLI each built
 //! `Symmetrizer`/`ClusterAlgorithm` instances from their own match
 //! statements. This module is now the one place that maps a declarative
-//! [`SymMethod`]/[`Clusterer`] value to a configured algorithm; both
-//! construction paths and the cache-key encoding live next to each other
+//! [`SymMethod`]/[`Clusterer`] value to a configured algorithm; each
+//! enum's one `build` and its cache-key encoding live next to each other
 //! so they cannot drift apart.
 
-use symclust_cluster::{ClusterAlgorithm, Clustering, GraclusLike, MetisLike, MlrMcl};
+use symclust_cluster::{ClusterAlgorithm, GraclusLike, MetisLike, MlrMcl};
 use symclust_core::{
     Bibliometric, BibliometricOptions, DegreeDiscounted, DegreeDiscountedOptions, DiscountExponent,
-    PlusTranspose, RandomWalk, SymmetrizedGraph, Symmetrizer,
+    PlusTranspose, RandomWalk, Symmetrizer,
 };
-use symclust_graph::{DiGraph, UnGraph};
-use symclust_sparse::CancelToken;
+use symclust_graph::DiGraph;
+use symclust_sparse::Tuning;
 
 /// The four symmetrization methods compared throughout the paper, with the
 /// thresholds that make the similarity methods tractable.
@@ -67,83 +67,45 @@ impl SymMethod {
         }
     }
 
-    /// Builds the configured symmetrizer.
-    pub fn build(&self) -> Box<dyn Symmetrizer + Send + Sync> {
-        self.build_with_budget(None)
-    }
-
     /// Builds the configured symmetrizer under an optional SpGEMM output
-    /// budget (in stored entries). The budget only affects the similarity
-    /// methods ([`uses_budget`](Self::uses_budget)); when their estimated
-    /// product size exceeds it they degrade to an adaptively-thresholded
-    /// product instead of aborting.
-    pub fn build_with_budget(
+    /// budget (in stored entries) and the given kernel [`Tuning`]. The
+    /// budget only affects the similarity methods
+    /// ([`uses_budget`](Self::uses_budget)): when their estimated product
+    /// size exceeds it they degrade to an adaptively-thresholded product
+    /// instead of aborting, which is why it is part of
+    /// [`cache_params_with_budget`](Self::cache_params_with_budget). The
+    /// tuning never changes the output and is an argument here, not a
+    /// field of `SymMethod`, so nothing that derives a key can see it.
+    pub fn build(
         &self,
         nnz_budget: Option<usize>,
-    ) -> Box<dyn Symmetrizer + Send + Sync> {
-        self.build_configured(nnz_budget, None, None, None)
-    }
-
-    /// Builds the configured symmetrizer under an optional SpGEMM output
-    /// budget, an optional thread-count override and an optional
-    /// accumulator-strategy override for the similarity kernels. `None`
-    /// keeps the option defaults (which honor `SYMCLUST_THREADS` /
-    /// `SYMCLUST_ACCUM`). Neither knob changes the output — the parallel
-    /// kernels assemble blocks deterministically and the accumulator
-    /// strategies are bit-identical — so both are deliberately *not* part
-    /// of [`cache_params`](Self::cache_params). The same holds for
-    /// `spgemm_panel`: the out-of-core panel path is bit-identical to the
-    /// in-memory one, so the plan never enters the artifact address.
-    pub fn build_configured(
-        &self,
-        nnz_budget: Option<usize>,
-        spgemm_threads: Option<usize>,
-        spgemm_accum: Option<symclust_sparse::AccumStrategy>,
-        spgemm_panel: Option<symclust_sparse::PanelPlan>,
+        tuning: &Tuning,
     ) -> Box<dyn Symmetrizer + Send + Sync> {
         match *self {
             SymMethod::PlusTranspose => Box::new(PlusTranspose),
             SymMethod::RandomWalk => Box::new(RandomWalk::default()),
-            SymMethod::Bibliometric { threshold } => {
-                let mut options = BibliometricOptions {
+            SymMethod::Bibliometric { threshold } => Box::new(Bibliometric {
+                options: BibliometricOptions {
                     threshold,
                     nnz_budget,
+                    tuning: tuning.clone(),
                     ..Default::default()
-                };
-                if let Some(t) = spgemm_threads {
-                    options.n_threads = t;
-                }
-                if let Some(a) = spgemm_accum {
-                    options.accum = a;
-                }
-                if let Some(p) = spgemm_panel {
-                    options.panel = p;
-                }
-                Box::new(Bibliometric { options })
-            }
+                },
+            }),
             SymMethod::DegreeDiscounted {
                 alpha,
                 beta,
                 threshold,
-            } => {
-                let mut options = DegreeDiscountedOptions {
+            } => Box::new(DegreeDiscounted {
+                options: DegreeDiscountedOptions {
                     alpha: DiscountExponent::Power(alpha),
                     beta: DiscountExponent::Power(beta),
                     threshold,
                     nnz_budget,
+                    tuning: tuning.clone(),
                     ..Default::default()
-                };
-                if let Some(t) = spgemm_threads {
-                    options.n_threads = t;
-                }
-                if let Some(a) = spgemm_accum {
-                    options.accum = a;
-                }
-                if let Some(p) = spgemm_panel {
-                    options.panel = p;
-                }
-                Box::new(DegreeDiscounted { options })
-            }
+                },
+            }),
         }
     }
 
@@ -154,70 +116,6 @@ impl SymMethod {
             self,
             SymMethod::Bibliometric { .. } | SymMethod::DegreeDiscounted { .. }
         )
-    }
-
-    /// Runs the symmetrization (panics on error — valid for the in-memory
-    /// graphs the harnesses use; the engine path uses
-    /// [`symmetrize_cancellable`](Self::symmetrize_cancellable) instead).
-    pub fn symmetrize(&self, g: &DiGraph) -> SymmetrizedGraph {
-        self.build()
-            .symmetrize(g)
-            .expect("symmetrization cannot fail on a valid graph")
-    }
-
-    /// Runs the symmetrization with cooperative cancellation.
-    pub fn symmetrize_cancellable(
-        &self,
-        g: &DiGraph,
-        token: &CancelToken,
-    ) -> symclust_core::Result<SymmetrizedGraph> {
-        self.build().symmetrize_cancellable(g, token)
-    }
-
-    /// [`symmetrize_cancellable`](Self::symmetrize_cancellable) under an
-    /// optional SpGEMM output budget.
-    pub fn symmetrize_cancellable_with_budget(
-        &self,
-        g: &DiGraph,
-        token: &CancelToken,
-        nnz_budget: Option<usize>,
-    ) -> symclust_core::Result<SymmetrizedGraph> {
-        self.build_with_budget(nnz_budget)
-            .symmetrize_cancellable(g, token)
-    }
-
-    /// [`symmetrize_cancellable_with_budget`](Self::symmetrize_cancellable_with_budget)
-    /// that also records kernel counters (SpGEMM work, degraded fallbacks —
-    /// DESIGN.md §11) into `metrics`.
-    pub fn symmetrize_observed_with_budget(
-        &self,
-        g: &DiGraph,
-        token: &CancelToken,
-        nnz_budget: Option<usize>,
-        metrics: Option<&symclust_obs::MetricsRegistry>,
-    ) -> symclust_core::Result<SymmetrizedGraph> {
-        self.symmetrize_observed_configured(g, token, nnz_budget, None, None, None, metrics)
-    }
-
-    /// [`symmetrize_observed_with_budget`](Self::symmetrize_observed_with_budget)
-    /// with explicit SpGEMM thread-count, accumulator-strategy and
-    /// out-of-core panel-plan overrides (the engine threads the pipeline's
-    /// `--sym-threads` / `--sym-accum` / `--sym-panel-rows` knobs through
-    /// here). None of these affect the output, only wall time and peak
-    /// memory.
-    #[allow(clippy::too_many_arguments)]
-    pub fn symmetrize_observed_configured(
-        &self,
-        g: &DiGraph,
-        token: &CancelToken,
-        nnz_budget: Option<usize>,
-        spgemm_threads: Option<usize>,
-        spgemm_accum: Option<symclust_sparse::AccumStrategy>,
-        spgemm_panel: Option<symclust_sparse::PanelPlan>,
-        metrics: Option<&symclust_obs::MetricsRegistry>,
-    ) -> symclust_core::Result<SymmetrizedGraph> {
-        self.build_configured(nnz_budget, spgemm_threads, spgemm_accum, spgemm_panel)
-            .symmetrize_observed(g, token, metrics)
     }
 
     /// Stable (stage name, parameter vector) encoding for content-addressed
@@ -255,7 +153,7 @@ impl SymMethod {
 /// graph so both symmetrized graphs land near `target_avg_degree`
 /// (the paper's §5.3.1 recipe; Table 2 chooses thresholds per dataset).
 /// Returns `(bib_threshold, dd_threshold)`.
-pub fn select_thresholds(g: &DiGraph, target_avg_degree: f64) -> (f64, f64) {
+pub fn select_thresholds(g: &DiGraph, target_avg_degree: f64) -> symclust_core::Result<(f64, f64)> {
     let sample = 120.min(g.n_nodes());
     let dd = symclust_core::select_threshold(
         g,
@@ -263,8 +161,7 @@ pub fn select_thresholds(g: &DiGraph, target_avg_degree: f64) -> (f64, f64) {
         target_avg_degree,
         sample,
         0xBEEF,
-    )
-    .expect("threshold selection succeeds")
+    )?
     .threshold;
     // Bibliometric = Degree-discounted with α = β = 0 (plus the +I step).
     let bib_opts = DegreeDiscountedOptions {
@@ -273,10 +170,9 @@ pub fn select_thresholds(g: &DiGraph, target_avg_degree: f64) -> (f64, f64) {
         add_identity: true,
         ..Default::default()
     };
-    let bib = symclust_core::select_threshold(g, &bib_opts, target_avg_degree, sample, 0xBEEF)
-        .expect("threshold selection succeeds")
-        .threshold;
-    (bib, dd)
+    let bib =
+        symclust_core::select_threshold(g, &bib_opts, target_avg_degree, sample, 0xBEEF)?.threshold;
+    Ok((bib, dd))
 }
 
 /// The stage-2 clusterers used in the sweeps.
@@ -327,35 +223,6 @@ impl Clusterer {
         }
     }
 
-    /// Runs the clusterer on a symmetrized graph (panics on error; the
-    /// engine path uses [`cluster_cancellable`](Self::cluster_cancellable)).
-    pub fn run(&self, sym: &SymmetrizedGraph) -> Clustering {
-        self.build()
-            .cluster_ungraph(sym.graph())
-            .expect("clustering succeeds")
-    }
-
-    /// Runs the clusterer with cooperative cancellation.
-    pub fn cluster_cancellable(
-        &self,
-        g: &UnGraph,
-        token: &CancelToken,
-    ) -> symclust_cluster::Result<Clustering> {
-        self.build().cluster_ungraph_cancellable(g, token)
-    }
-
-    /// [`cluster_cancellable`](Self::cluster_cancellable) that also records
-    /// algorithm counters (R-MCL iterations, convergence — DESIGN.md §11)
-    /// into `metrics`.
-    pub fn cluster_observed(
-        &self,
-        g: &UnGraph,
-        token: &CancelToken,
-        metrics: Option<&symclust_obs::MetricsRegistry>,
-    ) -> symclust_cluster::Result<Clustering> {
-        self.build().cluster_observed(g, token, metrics)
-    }
-
     /// Stable (stage name, parameter vector) encoding, mirroring
     /// [`SymMethod::cache_params`]. Used to compose the per-chain journal
     /// keys for crash-safe resume.
@@ -390,7 +257,9 @@ mod tests {
             beta: 0.5,
             threshold: 0.0,
         }
-        .symmetrize(&g);
+        .build(None, &Tuning::default())
+        .symmetrize(&g)
+        .unwrap();
         let direct = DegreeDiscounted::default().symmetrize(&g).unwrap();
         assert_eq!(via_factory.adjacency(), direct.adjacency());
     }
@@ -448,15 +317,15 @@ mod tests {
     #[test]
     fn cancelled_token_propagates_through_factory() {
         let g = figure1_graph();
-        let token = CancelToken::new();
+        let token = symclust_sparse::CancelToken::new();
         token.cancel();
-        let err = SymMethod::PlusTranspose
-            .symmetrize_cancellable(&g, &token)
-            .unwrap_err();
+        let aat = SymMethod::PlusTranspose.build(None, &Tuning::default());
+        let err = aat.symmetrize_observed(&g, &token, None).unwrap_err();
         assert!(err.is_cancelled());
-        let sym = SymMethod::PlusTranspose.symmetrize(&g);
+        let sym = aat.symmetrize(&g).unwrap();
         let err = Clusterer::MlrMcl { inflation: 2.0 }
-            .cluster_cancellable(sym.graph(), &token)
+            .build()
+            .cluster_observed(sym.graph(), &token, None)
             .unwrap_err();
         assert!(err.is_cancelled());
     }

@@ -78,23 +78,16 @@ impl std::str::FromStr for AccumStrategy {
     }
 }
 
-/// Parses the `SYMCLUST_ACCUM` environment variable: the default
-/// accumulator strategy used by [`crate::SpgemmOptions::default`]. Unset
-/// or unparsable means "no preference" (adaptive). Like `SYMCLUST_THREADS`
-/// this knob never changes output bytes — only which code path produces
-/// them — so it must never reach cache keys.
-pub fn accum_from_env() -> Option<AccumStrategy> {
-    std::env::var("SYMCLUST_ACCUM").ok()?.parse().ok()
-}
-
 /// Default crossover (in estimated multiply-adds per row) between sparse
 /// and dense accumulation under [`AccumStrategy::Adaptive`]. Sparse
 /// accumulation pays O(e·log e) for the sort plus a pair buffer; the dense
 /// scatter pays one indexed read-modify-write per product against a large
 /// scratch array. The sort constant loses once a row generates a few
-/// cache lines' worth of products; 64 is the conservative knee measured
-/// on the bundled dsbm graphs and is overridable per call via
-/// [`crate::SpgemmOptions::accum_crossover`].
+/// cache lines' worth of products. 64 stands on the benchmark's
+/// measurement: on `sym-kron` (13 342 sparse rows beside the dense ones)
+/// `sparse.adaptive_vs_best` is 0.89 — adaptive at this crossover beats
+/// the better of the two fixed strategies. Overridable per call via
+/// [`crate::Tuning::accum_crossover`].
 pub const DEFAULT_ACCUM_CROSSOVER: usize = 64;
 
 /// Fixed chunk width for the scale-and-accumulate inner loops. Products

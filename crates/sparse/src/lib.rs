@@ -12,14 +12,17 @@
 //!   points** over one kernel core: [`spgemm()`] (`C = A·B`) and
 //!   [`spgemm_syrk_sum`] (`C = Σₜ Xₜ·Xₜᵀ`, upper-triangle-only with an
 //!   O(nnz) mirror pass — the hot path of the Bibliometric and
-//!   Degree-discounted symmetrizations). Both take [`SpgemmOptions`] — the
-//!   on-the-fly prune threshold, the thread count (which alone selects
-//!   between one thread and the work-stealing pool), the per-row
-//!   accumulator ([`AccumStrategy`]: wide rows use an epoch-stamped dense
-//!   scratch accumulator, narrow rows a sorted sparse gather, bit-identical
-//!   either way), the out-of-core [`PanelPlan`] and the optional nnz budget
-//!   — plus an optional [`CancelToken`] and metrics registry, and return
-//!   the product with its degradation provenance ([`SpgemmOutput`]).
+//!   Degree-discounted symmetrizations). Both take [`SpgemmOptions`] — what
+//!   to compute (the on-the-fly prune threshold, the diagonal filter, the
+//!   optional nnz budget) and one [`Tuning`] saying how to run it: the
+//!   thread count (which alone selects between one thread and the
+//!   work-stealing pool), the per-row accumulator ([`AccumStrategy`]: wide
+//!   rows use an epoch-stamped dense scratch accumulator, narrow rows a
+//!   sorted sparse gather, bit-identical either way) and the out-of-core
+//!   [`PanelPlan`] — plus an optional [`CancelToken`] and metrics
+//!   registry, and return the product with its degradation provenance
+//!   ([`SpgemmOutput`]). [`Tuning::from_env`] is the one reader of the
+//!   `SYMCLUST_*` variables and the default of every `tuning` field.
 //!   [`spgemm_flops`] is the cost estimate both compare the budget with,
 //!   and [`spgemm::run_rows_with_epilogue`] is the row runner with a
 //!   caller-supplied per-row epilogue (R-MCL's expand step),
@@ -49,8 +52,9 @@ mod sched;
 pub mod spgemm;
 mod spill;
 pub mod syrk;
+mod tuning;
 
-pub use accum::{accum_from_env, AccumStrategy, DEFAULT_ACCUM_CROSSOVER};
+pub use accum::{AccumStrategy, DEFAULT_ACCUM_CROSSOVER};
 pub use cancel::CancelToken;
 pub use coo::CooMatrix;
 pub use csr::{validate_parts, CsrMatrix};
@@ -63,8 +67,9 @@ pub use pagerank::{
     pagerank, pagerank_cancellable, stationary_distribution, PageRankOptions, PageRankResult,
 };
 pub use panel::{PanelPlan, DEFAULT_PANEL_ROWS};
-pub use spgemm::{spgemm, spgemm_flops, threads_from_env, SpgemmOptions, SpgemmOutput};
+pub use spgemm::{spgemm, spgemm_flops, SpgemmOptions, SpgemmOutput};
 pub use syrk::{spgemm_syrk_sum, SyrkTerm};
+pub use tuning::Tuning;
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, SparseError>;

@@ -52,20 +52,23 @@ use crate::spill::{self, SpillDir, TileReader};
 use crate::Result;
 
 /// Default rows (and columns) per panel when a [`PanelPlan`] is engaged
-/// without an explicit size. Large enough that panel bookkeeping is noise
-/// on in-memory-sized graphs, small enough that one tile's intermediate
-/// fits comfortably in RAM at paper scale.
+/// without an explicit size. Large enough that one tile's intermediate
+/// fits comfortably in RAM at paper scale; the price of tiling at this
+/// size is measured, not assumed: the benchmark's `sparse.panel_overhead`
+/// is 1.24 on `sym-kron` (36 panels of 4 096 against the in-memory run of
+/// the same product) and is accepted as the cost of the out-of-core path.
+/// The number to beat lives in `bench_results/history.jsonl`.
 pub const DEFAULT_PANEL_ROWS: usize = 4096;
 
-/// Out-of-core execution plan for SpGEMM, threaded through
-/// [`crate::SpgemmOptions`]. The plan changes *where* the multiply runs — never
-/// its output bytes or deterministic work counters — so, like the thread
-/// and accumulator knobs, it must never reach cache keys (enforced by the
-/// `cache-key-purity` lint).
+/// Out-of-core execution plan for SpGEMM, the `panel` field of
+/// [`crate::Tuning`]. The plan changes *where* the multiply runs — never
+/// its output bytes or deterministic work counters.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PanelPlan {
-    /// Rows (and columns) per panel. `None` or `Some(0)` means
-    /// [`DEFAULT_PANEL_ROWS`] when the plan is otherwise engaged.
+    /// Rows (and columns) per panel; a positive value engages the plan.
+    /// `None` or `Some(0)` is "no preference": [`DEFAULT_PANEL_ROWS`] when
+    /// [`budget_bytes`](Self::budget_bytes) engages the plan, in-memory
+    /// otherwise.
     pub panel_rows: Option<usize>,
     /// Directory under which per-multiply scratch directories are created.
     /// `None` uses the OS temp dir.
@@ -79,7 +82,7 @@ impl PanelPlan {
     /// Whether the panel path should run at all. A default plan is
     /// disengaged: the kernels use the ordinary in-memory path.
     pub fn engaged(&self) -> bool {
-        self.panel_rows.is_some() || self.budget_bytes.is_some()
+        self.panel_rows.is_some_and(|r| r > 0) || self.budget_bytes.is_some()
     }
 
     /// The panel size this plan resolves to.
@@ -87,26 +90,6 @@ impl PanelPlan {
         self.panel_rows
             .filter(|&r| r > 0)
             .unwrap_or(DEFAULT_PANEL_ROWS)
-    }
-
-    /// Builds a plan from the `SYMCLUST_PANEL_ROWS` (panel size) and
-    /// `SYMCLUST_MEMORY_BUDGET` (spill byte budget) environment variables.
-    /// Unset, unparsable, or zero values mean "no preference"; if both are
-    /// absent the plan is disengaged and the kernels run in memory.
-    pub fn from_env() -> PanelPlan {
-        fn env_usize(name: &str) -> Option<usize> {
-            std::env::var(name)
-                .ok()?
-                .trim()
-                .parse()
-                .ok()
-                .filter(|&v| v > 0)
-        }
-        PanelPlan {
-            panel_rows: env_usize("SYMCLUST_PANEL_ROWS"),
-            spill_dir: None,
-            budget_bytes: env_usize("SYMCLUST_MEMORY_BUDGET"),
-        }
     }
 }
 
@@ -366,6 +349,7 @@ mod tests {
     use crate::ops::transpose;
     use crate::spgemm::{spgemm, SpgemmOptions};
     use crate::syrk::{spgemm_syrk_sum, SyrkTerm};
+    use crate::tuning::Tuning;
     use symclust_obs::MetricsRegistry;
 
     fn mul(a: &CsrMatrix, b: &CsrMatrix, opts: &SpgemmOptions) -> CsrMatrix {
@@ -388,24 +372,31 @@ mod tests {
         CsrMatrix::from_dense(&rows)
     }
 
-    fn panel_opts(panel_rows: usize, budget: Option<usize>) -> SpgemmOptions {
+    /// Default semantics under `threads` workers and `panel`.
+    fn opts(threads: usize, panel: PanelPlan) -> SpgemmOptions {
         SpgemmOptions {
-            n_threads: 1,
-            panel: PanelPlan {
-                panel_rows: Some(panel_rows),
-                spill_dir: None,
-                budget_bytes: budget,
+            tuning: Tuning {
+                threads,
+                panel,
+                ..Default::default()
             },
             ..Default::default()
         }
     }
 
+    fn panel_opts(panel_rows: usize, budget: Option<usize>) -> SpgemmOptions {
+        opts(
+            1,
+            PanelPlan {
+                panel_rows: Some(panel_rows),
+                spill_dir: None,
+                budget_bytes: budget,
+            },
+        )
+    }
+
     fn baseline_opts() -> SpgemmOptions {
-        SpgemmOptions {
-            n_threads: 1,
-            panel: PanelPlan::default(),
-            ..Default::default()
-        }
+        opts(1, PanelPlan::default())
     }
 
     #[test]
@@ -425,14 +416,20 @@ mod tests {
             PanelPlan::default().effective_panel_rows(),
             DEFAULT_PANEL_ROWS
         );
-        assert_eq!(
-            PanelPlan {
-                panel_rows: Some(0),
-                ..Default::default()
-            }
-            .effective_panel_rows(),
-            DEFAULT_PANEL_ROWS
-        );
+        // `Some(0)` is "no preference", however it is spelled: it does not
+        // engage the plan on its own, and takes the default size under a
+        // budget.
+        let zero = PanelPlan {
+            panel_rows: Some(0),
+            ..Default::default()
+        };
+        assert!(!zero.engaged());
+        assert_eq!(zero.effective_panel_rows(), DEFAULT_PANEL_ROWS);
+        assert!(PanelPlan {
+            budget_bytes: Some(1),
+            ..zero
+        }
+        .engaged());
         assert_eq!(
             PanelPlan {
                 panel_rows: Some(7),
@@ -516,26 +513,20 @@ mod tests {
     fn parallel_panel_is_bit_identical_and_spills_deterministically() {
         let a = pseudo_random_matrix(150, 0x452821E638D01377, 3);
         let baseline = mul(&a, &a, &baseline_opts());
+        let plan = PanelPlan {
+            panel_rows: Some(13),
+            spill_dir: None,
+            budget_bytes: Some(2000),
+        };
         for n_threads in [2, 4] {
-            let opts = SpgemmOptions {
-                n_threads,
-                panel: PanelPlan {
-                    panel_rows: Some(13),
-                    spill_dir: None,
-                    budget_bytes: Some(2000),
-                },
-                ..Default::default()
-            };
             let m = MetricsRegistry::new();
-            let got = spgemm(&a, &a, &opts, None, Some(&m)).unwrap().matrix;
+            let got = spgemm(&a, &a, &opts(n_threads, plan.clone()), None, Some(&m))
+                .unwrap()
+                .matrix;
             assert_eq!(baseline, got, "threads {n_threads}");
             let spills = m.snapshot().counter("spgemm.panel_spills");
             let serial = MetricsRegistry::new();
-            let serial_opts = SpgemmOptions {
-                n_threads: 1,
-                ..opts.clone()
-            };
-            spgemm(&a, &a, &serial_opts, None, Some(&serial)).unwrap();
+            spgemm(&a, &a, &opts(1, plan.clone()), None, Some(&serial)).unwrap();
             assert_eq!(
                 spills,
                 serial.snapshot().counter("spgemm.panel_spills"),
@@ -553,9 +544,7 @@ mod tests {
         let mk = |panel: PanelPlan| SpgemmOptions {
             threshold: 0.5,
             drop_diagonal: true,
-            n_threads: 1,
-            panel,
-            ..Default::default()
+            ..opts(1, panel)
         };
         let baseline = spgemm_syrk_sum(&terms, &mk(PanelPlan::default()), None, None)
             .unwrap()
@@ -584,16 +573,12 @@ mod tests {
         std::fs::create_dir_all(&base).unwrap();
         let token = CancelToken::new();
         token.cancel();
-        let opts = SpgemmOptions {
-            n_threads: 1,
-            panel: PanelPlan {
-                panel_rows: Some(8),
-                spill_dir: Some(base.clone()),
-                budget_bytes: Some(1),
-            },
-            ..Default::default()
+        let plan = PanelPlan {
+            panel_rows: Some(8),
+            spill_dir: Some(base.clone()),
+            budget_bytes: Some(1),
         };
-        let r = spgemm(&a, &a, &opts, Some(&token), None);
+        let r = spgemm(&a, &a, &opts(1, plan), Some(&token), None);
         assert_eq!(r.err(), Some(SparseError::Cancelled));
         let leftovers = std::fs::read_dir(&base).unwrap().count();
         assert_eq!(leftovers, 0, "scratch dirs must be removed on cancellation");

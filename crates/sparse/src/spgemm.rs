@@ -26,16 +26,14 @@
 //! place of the threshold filter; R-MCL's expand → inflate → prune step is
 //! its client.
 
-use crate::accum::{
-    accum_from_env, gather_scaled, reduce_pairs, scatter_scaled, AccumStrategy, DenseAccum,
-    DEFAULT_ACCUM_CROSSOVER,
-};
+use crate::accum::{gather_scaled, reduce_pairs, scatter_scaled, DenseAccum};
 use crate::cancel::CancelToken;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
-use crate::panel::{run_panels, PanelPlan};
+use crate::panel::run_panels;
 use crate::sched::{run_blocks, worker_count, DEFAULT_BLOCK_ROWS};
 use crate::syrk::mirror_upper;
+use crate::tuning::Tuning;
 use crate::Result;
 use symclust_obs::MetricsRegistry;
 
@@ -102,14 +100,6 @@ pub mod metric_names {
     pub const SPILL_BYTES: &str = "spgemm.spill_bytes";
 }
 
-/// Parses the `SYMCLUST_THREADS` environment variable: the default SpGEMM
-/// thread count of [`SpgemmOptions`] and the symmetrizer option structs
-/// (`0` = one thread per available core). Unset or unparsable means "no
-/// preference", which every default resolves to one thread.
-pub fn threads_from_env() -> Option<usize> {
-    std::env::var("SYMCLUST_THREADS").ok()?.trim().parse().ok()
-}
-
 /// Work counts accumulated in plain locals during a kernel run and
 /// flushed to the registry once per call — the atomics are never touched
 /// in the row loop.
@@ -173,38 +163,16 @@ impl SpgemmCounts {
     }
 }
 
-/// Options controlling SpGEMM execution.
-#[derive(Debug, Clone)]
+/// What an SpGEMM call computes (`threshold`, `drop_diagonal`,
+/// `nnz_budget`) and, in one field, how it runs ([`Tuning`]).
+#[derive(Debug, Clone, Default)]
 pub struct SpgemmOptions {
     /// Entries with value strictly below this threshold are discarded from
     /// the output (applied to the final accumulated value of each entry).
     pub threshold: f64,
-    /// Worker threads: `1` runs on the calling thread, `0` uses all
-    /// available cores, `n` uses exactly `n`. The default honors the
-    /// `SYMCLUST_THREADS` environment variable and falls back to 1.
-    /// Output is bit-identical for every setting.
-    pub n_threads: usize,
     /// When true, diagonal entries of the output are discarded. Similarity
     /// matrices use this: self-similarity carries no clustering signal.
     pub drop_diagonal: bool,
-    /// Per-row accumulator strategy (see [`crate::accum`]). Output bytes
-    /// and every deterministic counter except `spgemm.rows_dense` /
-    /// `spgemm.rows_sparse` are identical for every setting; the default
-    /// honors the `SYMCLUST_ACCUM` environment variable and falls back to
-    /// [`AccumStrategy::Adaptive`].
-    pub accum: AccumStrategy,
-    /// Adaptive crossover in estimated multiply-adds per row: rows at or
-    /// above it accumulate densely, rows below it sparsely. `None` uses
-    /// [`DEFAULT_ACCUM_CROSSOVER`].
-    pub accum_crossover: Option<usize>,
-    /// Out-of-core panel plan (see [`crate::panel`]). Disengaged by
-    /// default; when engaged the multiply runs tile by tile with optional
-    /// spill-to-disk, producing bit-identical output and identical
-    /// deterministic work counters. Like the thread and accumulator knobs
-    /// this never reaches cache keys; the default honors the
-    /// `SYMCLUST_PANEL_ROWS` / `SYMCLUST_MEMORY_BUDGET` environment
-    /// variables.
-    pub panel: PanelPlan,
     /// Output-size budget in stored entries. If the Gustavson upper bound
     /// on the output nnz fits, the multiply is exact. Otherwise it degrades
     /// gracefully instead of aborting: it runs on one thread with an
@@ -215,38 +183,9 @@ pub struct SpgemmOptions {
     /// whose memory never grows past O(budget) plus one accumulator row,
     /// flagged [`SpgemmOutput::degraded`]. Default `None` (always exact).
     pub nnz_budget: Option<usize>,
-}
-
-impl Default for SpgemmOptions {
-    fn default() -> Self {
-        SpgemmOptions {
-            threshold: 0.0,
-            n_threads: threads_from_env().unwrap_or(1),
-            drop_diagonal: false,
-            accum: accum_from_env().unwrap_or_default(),
-            accum_crossover: None,
-            panel: PanelPlan::from_env(),
-            nnz_budget: None,
-        }
-    }
-}
-
-impl SpgemmOptions {
-    /// The effective adaptive crossover for this call.
-    pub(crate) fn crossover(&self) -> usize {
-        self.accum_crossover.unwrap_or(DEFAULT_ACCUM_CROSSOVER)
-    }
-
-    /// Resolves the per-row strategy from the estimated multiply-add
-    /// count (= estimated intermediate width upper bound) for the row.
-    #[inline]
-    pub(crate) fn row_is_dense(&self, estimated_width: usize) -> bool {
-        match self.accum {
-            AccumStrategy::Dense => true,
-            AccumStrategy::Sparse => false,
-            AccumStrategy::Adaptive => estimated_width >= self.crossover(),
-        }
-    }
+    /// Threads, accumulator and panel plan. Never changes the output; the
+    /// default is [`Tuning::from_env`].
+    pub tuning: Tuning,
 }
 
 /// A product plus its degradation provenance.
@@ -332,7 +271,7 @@ impl ColRange {
 pub(crate) enum Finish<'a, E> {
     /// Emit, in ascending column order, the entries that pass the options'
     /// threshold and diagonal filter, on the accumulator
-    /// [`SpgemmOptions::row_is_dense`] picks.
+    /// [`Tuning::row_is_dense`] picks.
     Filter(&'a SpgemmOptions),
     /// Hand the row to a caller epilogue and emit what it leaves (see
     /// [`run_rows_with_epilogue`]).
@@ -377,7 +316,7 @@ pub(crate) fn gustavson_row<E>(
 {
     let emitted_before = indices.len();
     let dense = match finish {
-        Finish::Filter(opts) => opts.row_is_dense(gustavson_width(a, b, row)),
+        Finish::Filter(opts) => opts.tuning.row_is_dense(gustavson_width(a, b, row)),
         Finish::Epilogue(_) => true,
     };
     if cols.owner {
@@ -697,20 +636,21 @@ where
                       counts: &mut SpgemmCounts| {
             body(row, cols, scratch, opts, indices, values, counts)
         };
-        let out = if opts.panel.engaged() {
+        let tuning = &opts.tuning;
+        let out = if tuning.panel.engaged() {
             run_panels(
                 n_rows,
                 n_cols,
                 upper,
-                &opts.panel,
-                opts.n_threads,
+                &tuning.panel,
+                tuning.threads,
                 token,
                 row_width,
                 new_scratch,
                 kernel,
             )?
         } else {
-            run_rows(n_rows, n_cols, opts.n_threads, token, new_scratch, kernel)?
+            run_rows(n_rows, n_cols, tuning.threads, token, new_scratch, kernel)?
         };
         (out, false, opts.threshold)
     };
@@ -739,7 +679,7 @@ where
 
 /// Gustavson SpGEMM: `C = A·B`, pruned on the fly per [`SpgemmOptions`].
 ///
-/// `opts.n_threads` alone decides between one thread and the
+/// `opts.tuning.threads` alone decides between one thread and the
 /// work-stealing pool; `token`, when given, is polled between output rows
 /// and trips the call with [`SparseError::Cancelled`]; work counts (rows,
 /// flops, intermediate/final nnz, threshold drops — see [`metric_names`])
@@ -878,9 +818,12 @@ mod tests {
         mul_with(a, b, &threads(1))
     }
 
-    fn threads(n_threads: usize) -> SpgemmOptions {
+    fn threads(threads: usize) -> SpgemmOptions {
         SpgemmOptions {
-            n_threads,
+            tuning: Tuning {
+                threads,
+                ..Default::default()
+            },
             ..Default::default()
         }
     }

@@ -142,7 +142,7 @@ fn syrk_row(
     counts: &mut SpgemmCounts,
 ) {
     let emitted_before = indices.len();
-    let dense = opts.row_is_dense(syrk_width(terms, row));
+    let dense = opts.tuning.row_is_dense(syrk_width(terms, row));
     if cols.owner {
         counts.count_row(dense);
     }
@@ -305,6 +305,7 @@ mod tests {
     use super::*;
     use crate::ops::{self, transpose};
     use crate::spgemm::{metric_names, spgemm};
+    use crate::tuning::Tuning;
 
     /// `A·B` through the general kernel.
     fn general(a: &CsrMatrix, b: &CsrMatrix, opts: &SpgemmOptions) -> CsrMatrix {
@@ -318,9 +319,12 @@ mod tests {
             .matrix
     }
 
-    fn threads(n_threads: usize) -> SpgemmOptions {
+    fn threads(threads: usize) -> SpgemmOptions {
         SpgemmOptions {
-            n_threads,
+            tuning: Tuning {
+                threads,
+                ..Default::default()
+            },
             ..Default::default()
         }
     }
@@ -412,10 +416,13 @@ mod tests {
         let terms = [SyrkTerm { x: &x, xt: &xt }, SyrkTerm { x: &y, xt: &yt }];
         let run = |accum, crossover| {
             let opts = SpgemmOptions {
-                accum,
-                accum_crossover: crossover,
                 drop_diagonal: true,
                 threshold: 0.5,
+                tuning: Tuning {
+                    accum,
+                    accum_crossover: crossover,
+                    ..Default::default()
+                },
                 ..Default::default()
             };
             spgemm_syrk_sum(&terms, &opts, None, None).unwrap().matrix
@@ -446,12 +453,15 @@ mod tests {
         }
         let x = CsrMatrix::from_dense(&dense);
         let xt = transpose(&x);
-        let count = |n_threads| {
+        let count = |threads| {
             let m = MetricsRegistry::new();
             let opts = SpgemmOptions {
-                accum: AccumStrategy::Adaptive,
-                accum_crossover: Some(64),
-                n_threads,
+                tuning: Tuning {
+                    threads,
+                    accum: AccumStrategy::Adaptive,
+                    accum_crossover: Some(64),
+                    ..Default::default()
+                },
                 ..Default::default()
             };
             spgemm_syrk_sum(&[SyrkTerm { x: &x, xt: &xt }], &opts, None, Some(&m)).unwrap();

@@ -17,7 +17,9 @@
 use symclust_obs::MetricsRegistry;
 use symclust_sparse::ops::transpose;
 use symclust_sparse::spgemm::metric_names;
-use symclust_sparse::{spgemm, spgemm_syrk_sum, AccumStrategy, CsrMatrix, SpgemmOptions, SyrkTerm};
+use symclust_sparse::{
+    spgemm, spgemm_syrk_sum, AccumStrategy, CsrMatrix, SpgemmOptions, SyrkTerm, Tuning,
+};
 
 fn mul(a: &CsrMatrix, b: &CsrMatrix, opts: &SpgemmOptions) -> CsrMatrix {
     spgemm(a, b, opts, None, None).unwrap().matrix
@@ -66,13 +68,20 @@ const SEEDS: [u64; 4] = [
 
 const CROSSOVERS: [usize; 4] = [1, 16, 64, 100_000];
 
-fn opts(accum: AccumStrategy, crossover: Option<usize>) -> SpgemmOptions {
+fn opts_on(threads: usize, accum: AccumStrategy, crossover: Option<usize>) -> SpgemmOptions {
     SpgemmOptions {
-        accum,
-        accum_crossover: crossover,
-        n_threads: 4,
+        tuning: Tuning {
+            threads,
+            accum,
+            accum_crossover: crossover,
+            ..Default::default()
+        },
         ..Default::default()
     }
+}
+
+fn opts(accum: AccumStrategy, crossover: Option<usize>) -> SpgemmOptions {
+    opts_on(4, accum, crossover)
 }
 
 #[test]
@@ -153,7 +162,10 @@ fn strategies_match_across_thread_counts() {
         &a,
         &a,
         &SpgemmOptions {
-            n_threads: 1,
+            tuning: Tuning {
+                threads: 1,
+                ..Default::default()
+            },
             ..Default::default()
         },
     );
@@ -163,13 +175,7 @@ fn strategies_match_across_thread_counts() {
         AccumStrategy::Adaptive,
     ] {
         for n_threads in [1, 2, 4] {
-            let o = SpgemmOptions {
-                accum,
-                accum_crossover: Some(32),
-                n_threads,
-                ..Default::default()
-            };
-            let c = mul(&a, &a, &o);
+            let c = mul(&a, &a, &opts_on(n_threads, accum, Some(32)));
             assert_eq!(reference, c, "{} x {n_threads} threads", accum.name());
         }
     }
@@ -209,12 +215,7 @@ fn row_strategy_counters_are_deterministic_and_exhaustive() {
         let a = skewed_matrix(96, 96, seed);
         let count = |n_threads| {
             let m = MetricsRegistry::new();
-            let o = SpgemmOptions {
-                accum: AccumStrategy::Adaptive,
-                accum_crossover: Some(64),
-                n_threads,
-                ..Default::default()
-            };
+            let o = opts_on(n_threads, AccumStrategy::Adaptive, Some(64));
             spgemm(&a, &a, &o, None, Some(&m)).unwrap();
             let snap = m.snapshot();
             (

@@ -17,7 +17,7 @@ use symclust_sparse::ops::transpose;
 use symclust_sparse::spgemm::metric_names;
 use symclust_sparse::{
     spgemm, spgemm_syrk_sum, CancelToken, CsrMatrix, PanelPlan, SparseError, SpgemmOptions,
-    SyrkTerm,
+    SyrkTerm, Tuning,
 };
 
 /// Minimal deterministic generator: Knuth's 64-bit LCG constants.
@@ -67,21 +67,26 @@ const BUDGETS: [Option<usize>; 3] = [Some(1), Some(100_000_000), None];
 /// stays the classic kernels even when `SYMCLUST_PANEL_ROWS` is exported
 /// (as the CI oom-matrix stage does).
 fn baseline_opts() -> SpgemmOptions {
+    with_plan(PanelPlan::default())
+}
+
+/// Default options (thread count included) under `panel`.
+fn with_plan(panel: PanelPlan) -> SpgemmOptions {
     SpgemmOptions {
-        panel: PanelPlan::default(),
+        tuning: Tuning {
+            panel,
+            ..Default::default()
+        },
         ..Default::default()
     }
 }
 
 fn panel_opts(panel_rows: usize, budget: Option<usize>) -> SpgemmOptions {
-    SpgemmOptions {
-        panel: PanelPlan {
-            panel_rows: Some(panel_rows),
-            spill_dir: None,
-            budget_bytes: budget,
-        },
-        ..Default::default()
-    }
+    with_plan(PanelPlan {
+        panel_rows: Some(panel_rows),
+        spill_dir: None,
+        budget_bytes: budget,
+    })
 }
 
 #[test]
@@ -94,7 +99,7 @@ fn general_kernel_panel_matches_in_memory_across_sizes_and_budgets() {
             for budget in BUDGETS {
                 for n_threads in [1, 4] {
                     let mut o = panel_opts(panel_rows, budget);
-                    o.n_threads = n_threads;
+                    o.tuning.threads = n_threads;
                     let c = spgemm(&a, &b, &o, None, None).unwrap().matrix;
                     assert_eq!(
                         reference, c,
@@ -125,7 +130,7 @@ fn syrk_sum_panel_matches_in_memory_across_thresholds() {
                         let mut o = panel_opts(panel_rows, budget);
                         o.threshold = threshold;
                         o.drop_diagonal = drop_diagonal;
-                        o.n_threads = 4;
+                        o.tuning.threads = 4;
                         let c = spgemm_syrk_sum(&terms, &o, None, None).unwrap().matrix;
                         assert_eq!(
                             reference, c,
@@ -174,9 +179,9 @@ fn work_and_panel_counters_are_scheduling_independent() {
     assert_eq!(mem_panel, (0, 0, 0), "in-memory run must report no tiles");
     for budget in [Some(1), None] {
         let mut serial = panel_opts(7, budget);
-        serial.n_threads = 1;
+        serial.tuning.threads = 1;
         let mut parallel = panel_opts(7, budget);
-        parallel.n_threads = 4;
+        parallel.tuning.threads = 4;
         let (ser_work, ser_panel) = run(&serial);
         let (par_work, par_panel) = run(&parallel);
         assert_eq!(
@@ -233,15 +238,13 @@ fn assert_empty_and_remove(base: &std::path::Path, when: &str) {
 }
 
 fn spilling_opts(base: &std::path::Path, n_threads: usize) -> SpgemmOptions {
-    SpgemmOptions {
-        n_threads,
-        panel: PanelPlan {
-            panel_rows: Some(4),
-            spill_dir: Some(base.to_path_buf()),
-            budget_bytes: Some(1),
-        },
-        ..Default::default()
-    }
+    let mut o = with_plan(PanelPlan {
+        panel_rows: Some(4),
+        spill_dir: Some(base.to_path_buf()),
+        budget_bytes: Some(1),
+    });
+    o.tuning.threads = n_threads;
+    o
 }
 
 #[test]

@@ -1,12 +1,15 @@
 //! Property-based tests for the sparse-matrix substrate.
 
 use proptest::prelude::*;
-use symclust_sparse::{ops, spgemm, CooMatrix, CsrMatrix, SpgemmOptions};
+use symclust_sparse::{ops, spgemm, CooMatrix, CsrMatrix, SpgemmOptions, Tuning};
 
 /// `A·B` on `n_threads` threads, otherwise default options.
 fn mul(a: &CsrMatrix, b: &CsrMatrix, n_threads: usize) -> CsrMatrix {
     let opts = SpgemmOptions {
-        n_threads,
+        tuning: Tuning {
+            threads: n_threads,
+            ..Default::default()
+        },
         ..Default::default()
     };
     spgemm(a, b, &opts, None, None).unwrap().matrix

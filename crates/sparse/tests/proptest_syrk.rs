@@ -9,7 +9,7 @@
 //! and the upper-triangle kernel exist for.
 
 use symclust_sparse::ops::transpose;
-use symclust_sparse::{spgemm, spgemm_syrk_sum, CsrMatrix, SpgemmOptions, SyrkTerm};
+use symclust_sparse::{spgemm, spgemm_syrk_sum, CsrMatrix, SpgemmOptions, SyrkTerm, Tuning};
 
 /// `A·B` through the general kernel.
 fn general(a: &CsrMatrix, b: &CsrMatrix, opts: &SpgemmOptions) -> CsrMatrix {
@@ -23,9 +23,12 @@ fn syrk(x: &CsrMatrix, xt: &CsrMatrix, opts: &SpgemmOptions) -> CsrMatrix {
         .matrix
 }
 
-fn threads(n_threads: usize) -> SpgemmOptions {
+fn threads(threads: usize) -> SpgemmOptions {
     SpgemmOptions {
-        n_threads,
+        tuning: Tuning {
+            threads,
+            ..Default::default()
+        },
         ..Default::default()
     }
 }
@@ -134,8 +137,7 @@ fn threshold_and_drop_diagonal_match_general_kernel_on_hub_graphs() {
                 let opts = SpgemmOptions {
                     threshold,
                     drop_diagonal,
-                    n_threads: 1,
-                    ..Default::default()
+                    ..threads(1)
                 };
                 assert_eq!(
                     general(&x, &xt, &opts),

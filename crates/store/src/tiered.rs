@@ -27,7 +27,7 @@ use symclust_engine::fingerprint::stage_key;
 use symclust_engine::{ArtifactCache, Clusterer, SymMethod};
 use symclust_graph::{DiGraph, UnGraph};
 use symclust_obs::MetricsRegistry;
-use symclust_sparse::{CancelToken, CsrMatrix};
+use symclust_sparse::{CancelToken, CsrMatrix, Tuning};
 
 use crate::codec::Artifact;
 use crate::disk::DiskStore;
@@ -184,9 +184,9 @@ pub fn cluster_key(sym_key: u64, clusterer: &Clusterer) -> u64 {
 
 /// Symmetrizes `g` with `method` through the tiered cache. On any hit
 /// ([`Tier::is_hit`]) no kernel runs — in particular `spgemm.calls` stays
-/// untouched for the similarity methods. Returns the symmetrized
-/// adjacency with its summary, the tier that served it, and the artifact
-/// key.
+/// untouched for the similarity methods; a miss runs them under the
+/// environment's [`Tuning`]. Returns the symmetrized adjacency with its
+/// summary, the tier that served it, and the artifact key.
 pub fn symmetrize_cached(
     cache: &TieredCache<CsrMatrix>,
     g: &DiGraph,
@@ -198,7 +198,9 @@ pub fn symmetrize_cached(
 ) -> symclust_core::Result<(Arc<Cached<CsrMatrix>>, Tier, u64)> {
     let key = symmetrize_key(graph_fp, method, nnz_budget);
     let (matrix, tier) = cache.get_or_compute(key, || -> symclust_core::Result<CsrMatrix> {
-        let sym = method.symmetrize_observed_with_budget(g, token, nnz_budget, metrics)?;
+        let sym = method
+            .build(nnz_budget, &Tuning::default())
+            .symmetrize_observed(g, token, metrics)?;
         Ok(sym.into_graph().into_adjacency())
     })?;
     Ok((matrix, tier, key))
@@ -216,8 +218,9 @@ pub fn cluster_cached(
     metrics: Option<&MetricsRegistry>,
 ) -> symclust_cluster::Result<(Arc<Cached<Clustering>>, Tier, u64)> {
     let key = cluster_key(sym_key, clusterer);
-    let (clustering, tier) =
-        cache.get_or_compute(key, || clusterer.cluster_observed(sym, token, metrics))?;
+    let (clustering, tier) = cache.get_or_compute(key, || {
+        clusterer.build().cluster_observed(sym, token, metrics)
+    })?;
     Ok((clustering, tier, key))
 }
 
