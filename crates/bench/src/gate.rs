@@ -55,9 +55,11 @@ pub const EXACT_KEYS: &[&str] = &[
 // thread count or scheduling, so their values are exact for a fixed config
 // (all zero while the default in-memory path is in use).
 // The three R-MCL work counters ARE gated: they are sums over rows of
-// per-row entry counts, and a row's epilogue sees the same entries in the
-// same order at any thread count, so they pin how much of the expansion
-// the epilogue's pre-inflation cut skips (`mcl.inflated / mcl.touched`).
+// per-row counts, and a row's epilogue sees the same entries in the same
+// order at any thread count, so they pin how much of the expansion the
+// epilogue pays `powf` for (`mcl.inflated / mcl.touched`). That is what
+// the pre-inflation cut leaves, or, on a row where the gap rule holds,
+// the top `max_row_nnz` plus the rule's two test calls.
 // The two store health metrics above ARE deterministic on a healthy run:
 // both must be exactly zero unless the disk itself misbehaved, which is
 // precisely what the gate should catch.

@@ -15,24 +15,28 @@
 //! The expansion is not a kernel of this module: [`expand_inflate_prune`]
 //! is a client of `symclust-sparse`'s row runner
 //! ([`run_rows_with_epilogue`]) and supplies only the per-row epilogue —
-//! pre-cut, inflate, cut off, keep the top `max_row_nnz`, sort, normalise.
-//! The Gustavson accumulation, the per-row cancellation poll and the
-//! panic-to-error boundary are the runner's.
+//! pre-cut, select, inflate, cut off, keep the top `max_row_nnz`, sort,
+//! normalise. The Gustavson accumulation (dense rows of `M_G` as
+//! contiguous AXPYs), the per-row cancellation poll and the panic-to-error
+//! boundary are the runner's.
 //!
-//! The epilogue's cost is proportional to what can survive the cutoff, not
-//! to what the accumulator touched: inflation is monotone, so an entry
-//! below `vmax · θ^(1/r)` (θ = `prune_threshold`, r = `inflation`, `vmax`
-//! the row's un-inflated maximum) is below `row_max · θ` after inflation
-//! and is dropped *before* its `powf`. The pre-cut keeps a relative margin
-//! of 1e-9 on the safe side, so it only ever removes entries the exact
-//! cutoff removes one step later and the output bytes are those of the
-//! plain inflate-everything pass (DESIGN.md §12 has the argument and the
-//! traps). On a 5 000-node Wikipedia-like graph about one touched entry in
-//! fourteen is inflated; the counters `mcl.touched` / `mcl.inflated` /
-//! `mcl.kept` report the ratio for any run.
+//! The epilogue's cost is proportional to what it keeps, not to what the
+//! accumulator touched. First, inflation is monotone, so an entry below
+//! `vmax · θ^(1/r)` (θ = `prune_threshold`, r = `inflation`, `vmax` the
+//! row's un-inflated maximum) is below `row_max · θ` after inflation and
+//! is dropped *before* its `powf`. Then, when more than k = `max_row_nnz`
+//! entries are left, the gap rule picks the k largest raw values on a copy
+//! and checks that their powers must lie strictly above all the others';
+//! if so, only those k are inflated. Both steps keep a relative margin of
+//! 1e-9 on the safe side of `pow`'s < 1 ulp error, so the output bytes are
+//! those of the plain inflate-everything pass (DESIGN.md §12 has the
+//! argument and the traps). The counters `mcl.touched` / `mcl.inflated` /
+//! `mcl.kept` report the share of the expansion that reaches `powf` for
+//! any run.
 
 use crate::clustering::Clustering;
 use crate::{ClusterError, Result};
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 use symclust_graph::stats::UnionFind;
@@ -57,9 +61,10 @@ pub mod metric_names {
     /// Accumulated entries handed to the row epilogue (the expansion's
     /// output width, summed over rows and iterations).
     pub const TOUCHED: &str = "mcl.touched";
-    /// `powf` calls: the entries that survived the pre-inflation cut.
-    /// `INFLATED / TOUCHED` is the share of the epilogue's input it pays
-    /// for.
+    /// `powf` calls: the entries that survived the pre-inflation cut, or,
+    /// on a row where the gap rule holds, the top `max_row_nnz` and the
+    /// rule's two test calls. `INFLATED / TOUCHED` is the share of the
+    /// epilogue's input it pays for.
     pub const INFLATED: &str = "mcl.inflated";
     /// Entries emitted into the next flow matrix.
     pub const KEPT: &str = "mcl.kept";
@@ -254,20 +259,74 @@ impl PreCut {
     }
 }
 
+thread_local! {
+    /// The gap rule's copy of a row's raw values. One per thread, grown to
+    /// its high-water mark: the epilogue is a plain `Fn` the row runner
+    /// calls with the row alone, so there is no worker-owned scratch to
+    /// hand it without widening the runner's public signature.
+    static RAW_VALUES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The gap rule. `vk` is the row's `k`-th largest raw value and `vb` the
+/// `(k+1)`-th. Returns `Some(vk)` when `0 < vb < vk`, `powf(vb)` is normal,
+/// `powf(vk)` is finite and `powf(vk) > powf(vb) · (1 + margin)`. Then the
+/// entries with `v ≥ vk` are exactly `k`, and their computed powers lie
+/// strictly above every other entry's: `pow` is within 1 ulp of `x^r`, far
+/// inside the margin, so no monotonicity of `pow` is needed. Counts its
+/// `powf` calls into `powf_calls`.
+fn top_k_gap(
+    entries: &[(u32, f64)],
+    k: usize,
+    inflation: f64,
+    powf_calls: &mut usize,
+) -> Option<f64> {
+    RAW_VALUES.with_borrow_mut(|raw| {
+        raw.clear();
+        raw.extend(entries.iter().map(|&(_, v)| v));
+        let (head, vk, tail) = raw.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a));
+        let vk = *vk;
+        let vb = tail.iter().copied().max_by(f64::total_cmp)?;
+        // A NaN sorts above every number and `v >= vk` would drop it.
+        if !(0.0 < vb && vb < vk) || head.iter().any(|v| v.is_nan()) {
+            return None;
+        }
+        *powf_calls += 1;
+        let pb = vb.powf(inflation);
+        if !pb.is_normal() {
+            return None;
+        }
+        *powf_calls += 1;
+        let pk = vk.powf(inflation);
+        (pk.is_finite() && pk > pb * (1.0 + PRE_CUT_MARGIN)).then_some(vk)
+    })
+}
+
+/// What one row's epilogue paid for.
+#[derive(Debug, Default, Clone, Copy)]
+struct RowWork {
+    /// `powf` calls.
+    inflated: usize,
+    /// Whether the gap rule held, so only the top `k` were inflated.
+    top_k_first: bool,
+}
+
 /// The R-MCL row epilogue: turns one accumulated row of `M · M_G`, in the
 /// accumulator's first-touch order, into the row of the next flow matrix.
-/// Returns the number of `powf` calls made.
 ///
-/// Pre-cut (no `powf`), then inflate → `row_max` of the *computed* powers
-/// → exact `>= row_max · θ` cutoff → top `max_row_nnz` → column sort →
-/// normalise. Every removal before the selection is an order-preserving
-/// `retain`: `select_nth_unstable_by` keeps whichever tied flows it meets
-/// first, so the survivors' sequence is part of the output bytes.
+/// Pre-cut (no `powf`), then, when more than `max_row_nnz` = k entries are
+/// left and the gap rule ([`top_k_gap`]) holds, keep only the k largest.
+/// Then inflate → `row_max` of the *computed* powers → exact
+/// `>= row_max · θ` cutoff → top k → column sort → normalise. On the gap
+/// path the top-k step has nothing left to drop and no tie to break. When
+/// the rule fails, every removal before the selection is an
+/// order-preserving `retain`: `select_nth_unstable_by` keeps whichever tied
+/// flows it meets first, so the survivors' sequence is part of the output
+/// bytes.
 fn inflate_prune_row(
     entries: &mut Vec<(u32, f64)>,
     opts: &MclOptions,
     pre_cut: Option<PreCut>,
-) -> usize {
+) -> RowWork {
     if let Some(cut) = pre_cut {
         let vmax = entries.iter().fold(0.0f64, |m, &(_, v)| m.max(v));
         let floor = vmax * cut.factor;
@@ -275,12 +334,24 @@ fn inflate_prune_row(
             entries.retain(|&(_, v)| v >= floor);
         }
     }
+    let mut work = RowWork::default();
+    if entries.len() > opts.max_row_nnz {
+        let gap = top_k_gap(
+            entries,
+            opts.max_row_nnz,
+            opts.inflation,
+            &mut work.inflated,
+        );
+        if let Some(vk) = gap {
+            entries.retain(|&(_, v)| v >= vk);
+            work.top_k_first = true;
+        }
+    }
     // Inflate + threshold against the inflated row maximum.
-    let mut inflated = 0usize;
     let mut row_max = 0.0f64;
     entries.retain_mut(|(_, v)| {
         if *v > 0.0 {
-            inflated += 1;
+            work.inflated += 1;
             *v = v.powf(opts.inflation);
             if *v > row_max {
                 row_max = *v;
@@ -305,7 +376,7 @@ fn inflate_prune_row(
     } else {
         entries.clear();
     }
-    inflated
+    work
 }
 
 /// Handles to the epilogue's work counters, resolved once per run so a row
@@ -366,10 +437,10 @@ pub(crate) fn expand_inflate_prune_on(
         token,
         |_row, entries| {
             let touched = entries.len();
-            let inflated = inflate_prune_row(entries, opts, pre_cut);
+            let row = inflate_prune_row(entries, opts, pre_cut);
             if let Some(work) = work {
                 work.touched.add(touched as u64);
-                work.inflated.add(inflated as u64);
+                work.inflated.add(row.inflated as u64);
                 work.kept.add(entries.len() as u64);
             }
         },
@@ -432,13 +503,14 @@ pub fn extract_clusters(flow: &CsrMatrix) -> Clustering {
     Clustering::from_assignments(&labels)
 }
 
-/// Runs the R-MCL iteration `M := inflate(M · M_G)` starting from `m0`.
+/// Runs the R-MCL iteration `M := inflate(M · M_G)` starting from `m0`, or
+/// from `M_G` itself when `m0` is `None` (read in place, not cloned).
 /// Returns the final flow, iterations used and whether it converged.
 /// `token` is polled before every row of every expand-inflate-prune step,
 /// so a runaway flow computation stops within one row of it tripping.
 pub(crate) fn rmcl_iterate_with(
     m_g: &CsrMatrix,
-    m0: CsrMatrix,
+    m0: Option<CsrMatrix>,
     opts: &MclOptions,
     max_iter: usize,
     token: Option<&CancelToken>,
@@ -456,9 +528,16 @@ pub(crate) fn rmcl_iterate_with(
     for iter in 1..=max_iter {
         iterations = iter;
         let expand_start = Instant::now();
-        m = expand_inflate_prune_on(&m, m_g, opts, 1, token, work.as_ref())?;
+        let flow = m.insert(expand_inflate_prune_on(
+            m.as_ref().unwrap_or(m_g),
+            m_g,
+            opts,
+            1,
+            token,
+            work.as_ref(),
+        )?);
         let vote_start = Instant::now();
-        let assignment = extract_clusters(&m).assignments().to_vec();
+        let assignment = extract_clusters(flow).assignments().to_vec();
         let changed = match prev_assignment.as_deref() {
             Some(prev) => prev.iter().zip(&assignment).filter(|(a, b)| a != b).count(),
             None => assignment.len(),
@@ -493,7 +572,8 @@ pub(crate) fn rmcl_iterate_with(
         }
         metrics.gauge(metric_names::FINAL_RESIDUAL).set(residual);
     }
-    Ok((m, iterations, converged))
+    let flow = m.unwrap_or_else(|| m_g.clone());
+    Ok((flow, iterations, converged))
 }
 
 /// Runs single-level R-MCL on an undirected graph.
@@ -501,7 +581,7 @@ pub fn rmcl(g: &UnGraph, opts: &MclOptions) -> Result<MclResult> {
     opts.validate()?;
     let m_g = canonical_flow_capped(g, opts.max_graph_row_nnz);
     let (flow, iterations, converged) =
-        rmcl_iterate_with(&m_g, m_g.clone(), opts, opts.max_iter, None, None)?;
+        rmcl_iterate_with(&m_g, None, opts, opts.max_iter, None, None)?;
     let clustering = extract_clusters(&flow).with_converged(converged);
     Ok(MclResult {
         clustering,
@@ -514,6 +594,7 @@ pub fn rmcl(g: &UnGraph, opts: &MclOptions) -> Result<MclResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn two_cliques_un(k: usize) -> UnGraph {
         let mut edges = Vec::new();
@@ -839,13 +920,88 @@ mod tests {
                 assert!(out.nnz() >= 2 && out.nnz() < values.len());
                 // The cut did skip work on this row, and not the maximum.
                 let mut entries: Vec<(u32, f64)> = (0u32..).zip(values.iter().copied()).collect();
-                let inflated = inflate_prune_row(&mut entries, &opts, Some(cut));
-                assert!(inflated < values.len(), "pre-cut removed nothing");
-                assert!(
-                    inflated >= 2 + 8,
-                    "pre-cut removed an entry above the boundary"
-                );
+                let work = inflate_prune_row(&mut entries, &opts, Some(cut));
+                assert!(work.inflated < values.len(), "pre-cut removed nothing");
+                // Where the gap rule holds, `powf` runs on the top k and on
+                // the two gap values only. Otherwise it runs on everything
+                // the cut left, which includes the 8 values above it.
+                let gap_expected = max_row_nnz == 4 && theta != 0.5;
+                assert_eq!(work.top_k_first, gap_expected, "θ {theta}, r {inflation}");
+                if work.top_k_first {
+                    assert_eq!(work.inflated, max_row_nnz + 2);
+                } else {
+                    assert!(
+                        work.inflated >= 2 + 8,
+                        "pre-cut removed an entry above the boundary"
+                    );
+                }
             }
+        }
+    }
+
+    /// A ring of cliques of the given sizes, each joined to the next by
+    /// one edge.
+    fn clique_ring(sizes: &[usize]) -> UnGraph {
+        let n: usize = sizes.iter().sum();
+        let mut edges = Vec::new();
+        let mut base = 0;
+        for &s in sizes {
+            for i in 0..s {
+                for j in (i + 1)..s {
+                    edges.push((base + i, base + j));
+                }
+            }
+            edges.push((base + s - 1, (base + s) % n));
+            base += s;
+        }
+        UnGraph::from_edges(n, &edges).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn gap_rule_and_its_fallback_keep_the_reference_bits_on_clique_blocks(
+            max_row_nnz in 3usize..10,
+            extra in 1usize..6,
+            more in proptest::collection::vec(3usize..16, 1..6),
+            theta_idx in 0usize..3,
+            inflation in 1.01f64..2.5,
+        ) {
+            // Inside a clique the first step's row is the clique's columns,
+            // all tied, plus the two bridge neighbours' smaller flow. A
+            // clique of exactly k nodes has a gap below its top k; a larger
+            // one ties across the k boundary and must fall back.
+            let mut sizes = vec![max_row_nnz, max_row_nnz + extra];
+            sizes.extend(more);
+            let m_g = canonical_flow(&clique_ring(&sizes));
+            let opts = MclOptions {
+                inflation,
+                prune_threshold: THETAS[theta_idx],
+                max_row_nnz,
+                ..Default::default()
+            };
+            let pre_cut = PreCut::new(&opts);
+            let (gap_rows, fallback_rows) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            for n_threads in [1, 3] {
+                let mut m = m_g.clone();
+                for _ in 0..3 {
+                    run_rows_with_epilogue(&m, &m_g, n_threads, None, |_row, entries| {
+                        let work = inflate_prune_row(entries, &opts, pre_cut);
+                        if work.top_k_first {
+                            gap_rows.fetch_add(1, Ordering::Relaxed);
+                        } else if work.inflated > max_row_nnz {
+                            // More than k `powf`s without the gap rule: the
+                            // row selected its top k after inflating.
+                            fallback_rows.fetch_add(1, Ordering::Relaxed);
+                        }
+                    })
+                    .unwrap();
+                    m = assert_step_matches_reference(&m, &m_g, &opts, n_threads);
+                }
+            }
+            proptest::prop_assert!(gap_rows.into_inner() > 0, "the gap rule never held");
+            proptest::prop_assert!(fallback_rows.into_inner() > 0, "no row fell back");
         }
     }
 
@@ -859,8 +1015,12 @@ mod tests {
         let (one, row) = single_row(&values);
         assert_step_matches_reference(&one, &row, &opts, 1);
         let mut entries: Vec<(u32, f64)> = (0u32..).zip(values).collect();
-        let inflated = inflate_prune_row(&mut entries, &opts, PreCut::new(&opts));
-        assert_eq!(inflated, values.len(), "the guard must skip the pre-cut");
+        let work = inflate_prune_row(&mut entries, &opts, PreCut::new(&opts));
+        assert_eq!(
+            work.inflated,
+            values.len(),
+            "the guard must skip the pre-cut"
+        );
     }
 
     #[test]
@@ -884,15 +1044,8 @@ mod tests {
         };
         let m_g = canonical_flow(&g);
         let metrics = MetricsRegistry::new();
-        let (flow, iterations, _) = rmcl_iterate_with(
-            &m_g,
-            m_g.clone(),
-            &opts,
-            opts.max_iter,
-            None,
-            Some(&metrics),
-        )
-        .unwrap();
+        let (flow, iterations, _) =
+            rmcl_iterate_with(&m_g, None, &opts, opts.max_iter, None, Some(&metrics)).unwrap();
         let snap = metrics.snapshot();
         let touched = snap.counter(metric_names::TOUCHED).unwrap();
         let inflated = snap.counter(metric_names::INFLATED).unwrap();

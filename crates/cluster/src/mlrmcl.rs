@@ -149,7 +149,7 @@ impl ClusterAlgorithm for MlrMcl {
         let m_g_coarse = canonical_flow_capped(coarsest, self.options.mcl.max_graph_row_nnz);
         let (mut flow, _, mut converged) = rmcl_iterate_with(
             &m_g_coarse,
-            m_g_coarse.clone(),
+            None,
             &self.options.mcl,
             self.options.mcl.max_iter,
             Some(token),
@@ -174,7 +174,7 @@ impl ClusterAlgorithm for MlrMcl {
             };
             let (refined, _, level_converged) = rmcl_iterate_with(
                 &m_g_fine,
-                projected,
+                Some(projected),
                 &self.options.mcl,
                 iters,
                 Some(token),

@@ -17,7 +17,10 @@
 //!   touched test: each slot carries the epoch of its last write, a slot
 //!   whose stamp differs from the current row's epoch reads as vacant and
 //!   is initialized to `0.0` on first touch. No per-row memset, and the
-//!   touched-column list is duplicate-free by construction.
+//!   touched-column list is duplicate-free by construction. A row of `B`
+//!   stored as a zero-filled dense span is added in two halves instead:
+//!   [`touch_masked`] records its first touches, [`DenseAccum::axpy`] its
+//!   values, with the same bits as the scatter.
 //! * **Sparse** (the `emit_*_pairs` helpers): products are gathered into a
 //!   `(column, value)` pair list, **stably** sorted by column, and summed
 //!   per column run. Stability preserves the generation order within a
@@ -139,14 +142,37 @@ impl DenseAccum {
     /// first touch, so callers can maintain a duplicate-free touched list.
     #[inline]
     pub(crate) fn add(&mut self, j: u32, v: f64) -> bool {
+        let first = self.touch(j);
+        self.vals[j as usize] += v;
+        first
+    }
+
+    /// The first half of [`add`](Self::add): marks slot `j` touched this
+    /// row, setting it to `0.0` on first touch, and returns whether this
+    /// was the first touch.
+    #[inline]
+    pub(crate) fn touch(&mut self, j: u32) -> bool {
         let j = j as usize;
         let first = self.stamp[j] != self.epoch;
         if first {
             self.stamp[j] = self.epoch;
             self.vals[j] = 0.0;
         }
-        self.vals[j] += v;
         first
+    }
+
+    /// Contiguous scale-and-add over slots `lo..lo + dense.len()`:
+    /// `vals[lo + i] += av · dense[i]`, stamped or not. Stamps are left
+    /// alone. So the caller must [`touch`](Self::touch) every slot whose
+    /// `dense[i]` is a stored value before the call. It also relies on
+    /// adding `av · 0.0` being a no-op on a touched slot, which holds only
+    /// when `av` is finite. An untouched slot's stale content changes, but
+    /// [`touch`](Self::touch) resets it before it is ever read.
+    #[inline]
+    pub(crate) fn axpy(&mut self, lo: usize, av: f64, dense: &[f64]) {
+        for (slot, d) in self.vals[lo..lo + dense.len()].iter_mut().zip(dense) {
+            *slot += av * d;
+        }
     }
 
     /// Whether slot `j` was touched during the current row.
@@ -204,7 +230,8 @@ impl TouchStamp {
 /// reports them).
 ///
 /// Not chunked like its siblings: this is the loop R-MCL's expand step
-/// spends its time in, on accumulators small enough to sit in L1, where
+/// runs on rows of `M_G` too sparse for a dense span (see
+/// [`DenseAccum::axpy`]), on accumulators small enough to sit in L1, where
 /// staging each product in a chunk array before the (inherently serial)
 /// scatter costs a store and a load per multiply-add — an R-MCL run on a
 /// 700-node graph took ≈ 340 ms chunked against ≈ 255 ms this way
@@ -221,6 +248,34 @@ pub(crate) fn scatter_scaled(
     for (j, v) in cols.iter().zip(vals) {
         if acc.add(*j, av * v) {
             touched.push(*j);
+        }
+    }
+}
+
+/// The first touches [`scatter_scaled`] would record for a row of `B`
+/// given as a bit mask of its stored columns: bit `b` of `mask[i]` is
+/// column `64 · (word0 + i) + b`. `seen` marks, a bit per column, what
+/// earlier masks of this row already touched. So only the new columns of
+/// each word reach [`DenseAccum::touch`], in ascending order, which is the
+/// order the scatter meets them. A column touched outside the masks is
+/// not in `seen`; `touch` reports it as no first touch.
+#[inline]
+pub(crate) fn touch_masked(
+    acc: &mut DenseAccum,
+    seen: &mut [u64],
+    touched: &mut Vec<u32>,
+    word0: usize,
+    mask: &[u64],
+) {
+    for (w, &m) in (word0..).zip(mask) {
+        let mut new = m & !seen[w];
+        seen[w] |= m;
+        while new != 0 {
+            let j = (w * 64) as u32 + new.trailing_zeros();
+            if acc.touch(j) {
+                touched.push(j);
+            }
+            new &= new - 1;
         }
     }
 }
@@ -394,6 +449,123 @@ mod tests {
         assert!(!acc.touched(0));
         assert!(acc.add(0, 2.0));
         assert_eq!(acc.get(0), 2.0);
+    }
+
+    #[test]
+    fn touch_resets_on_first_touch_only() {
+        let mut acc = DenseAccum::new(3);
+        acc.begin_row();
+        acc.add(0, 5.0);
+        acc.begin_row();
+        assert!(acc.touch(0), "a slot from the last row is vacant");
+        assert_eq!(acc.get(0).to_bits(), 0.0f64.to_bits());
+        assert!(acc.touched(0));
+        assert!(!acc.add(0, 2.5), "touch made the next add a repeat");
+        assert!(!acc.touch(0), "a second touch keeps the sum");
+        assert_eq!(acc.get(0), 2.5);
+        assert!(!acc.touched(1));
+    }
+
+    #[test]
+    fn axpy_over_a_zero_filled_span_matches_the_scatter_in_bits() {
+        // A row of B stored densely from column 2: zeros where B has no
+        // entry, an explicit -0.0 where it stores one.
+        let cols = [2u32, 3, 6];
+        let vals = [0.5, -0.0, -1.25];
+        let dense = [0.5, -0.0, 0.0, 0.0, -1.25];
+        let mut sums = Vec::new();
+        for av in [1.5, -3.0, 0.0, -0.0] {
+            let mut scatter = DenseAccum::new(8);
+            let mut span = DenseAccum::new(8);
+            let (mut t_scatter, mut t_span) = (Vec::new(), Vec::new());
+            scatter.begin_row();
+            span.begin_row();
+            // Slot 4 is already touched and lies inside the span but not
+            // in B's row, so the AXPY adds `av · 0.0` to it. Slot 5 stays
+            // untouched and holds stale content from an earlier row.
+            for acc in [&mut scatter, &mut span] {
+                acc.add(4, 1e-300);
+                acc.vals[5] = f64::MAX;
+            }
+            scatter_scaled(&mut scatter, &mut t_scatter, av, &cols, &vals);
+            for &j in &cols {
+                if span.touch(j) {
+                    t_span.push(j);
+                }
+            }
+            span.axpy(2, av, &dense);
+            assert_eq!(t_scatter, t_span, "av {av}");
+            for j in [2u32, 3, 4, 6] {
+                assert_eq!(
+                    scatter.get(j).to_bits(),
+                    span.get(j).to_bits(),
+                    "av {av} col {j}"
+                );
+            }
+            assert!(!span.touched(5));
+            sums.push(span.get(3).to_bits());
+        }
+        // The stored -0.0 lands as +0.0 whatever the sign of `av`: a sum
+        // that starts at +0.0 never reaches -0.0.
+        assert!(sums.iter().all(|&b| b == 0.0f64.to_bits()));
+    }
+
+    #[test]
+    fn touch_masked_lists_the_scatters_first_touches_in_its_order() {
+        // Rows of B as column lists: two masked rows that overlap and
+        // cross word boundaries, with a scattered row between them.
+        let rows: [&[u32]; 3] = [
+            &[64, 70, 127, 128, 190],
+            &[3, 70, 129],
+            &[63, 64, 128, 129, 191],
+        ];
+        let mask_of = |cols: &[u32], word0: usize| {
+            let mut mask = vec![0u64; 3 - word0];
+            for &j in cols {
+                mask[j as usize / 64 - word0] |= 1 << (j % 64);
+            }
+            mask
+        };
+        let mut scatter = DenseAccum::new(192);
+        let mut masked = DenseAccum::new(192);
+        let (mut t_scatter, mut t_masked) = (Vec::new(), Vec::new());
+        let mut seen = vec![0u64; 3];
+        scatter.begin_row();
+        masked.begin_row();
+        masked.vals[191] = 5.0; // stale content from an earlier row
+        for (i, cols) in rows.iter().enumerate() {
+            scatter_scaled(
+                &mut scatter,
+                &mut t_scatter,
+                1.0,
+                cols,
+                &vec![1.0; cols.len()],
+            );
+            if i == 1 {
+                // Touched outside any mask: `seen` does not know column 3
+                // or 70's second sighting, the stamps do.
+                scatter_scaled(
+                    &mut masked,
+                    &mut t_masked,
+                    1.0,
+                    cols,
+                    &vec![1.0; cols.len()],
+                );
+            } else {
+                let word0 = cols[0] as usize / 64;
+                touch_masked(
+                    &mut masked,
+                    &mut seen,
+                    &mut t_masked,
+                    word0,
+                    &mask_of(cols, word0),
+                );
+            }
+        }
+        assert_eq!(t_masked, t_scatter);
+        assert_eq!(t_masked, [64, 70, 127, 128, 190, 3, 129, 63, 191]);
+        // A masked touch resets a stale slot to +0.0 and adds nothing.
+        assert_eq!(masked.get(191).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -24,9 +24,13 @@
 //! the panel driver, or the row-block driver. [`run_rows_with_epilogue`]
 //! exposes the row-block driver with a caller-supplied per-row epilogue in
 //! place of the threshold filter; R-MCL's expand → inflate → prune step is
-//! its client.
+//! its client. Its rows of `B` that fill at least a quarter of their
+//! column span are copied once per call into zero-filled dense spans
+//! ([`DenseSpans`]) and added as contiguous AXPYs. The stored entries get
+//! the scatter's products and adds, and the zeros add nothing, so the
+//! epilogue sees the scatter's bits in the scatter's order.
 
-use crate::accum::{gather_scaled, reduce_pairs, scatter_scaled, DenseAccum};
+use crate::accum::{gather_scaled, reduce_pairs, scatter_scaled, touch_masked, DenseAccum};
 use crate::cancel::CancelToken;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
@@ -274,8 +278,85 @@ pub(crate) enum Finish<'a, E> {
     /// [`Tuning::row_is_dense`] picks.
     Filter(&'a SpgemmOptions),
     /// Hand the row to a caller epilogue and emit what it leaves (see
-    /// [`run_rows_with_epilogue`]).
-    Epilogue(&'a E),
+    /// [`run_rows_with_epilogue`]). The rows of `B` that `spans` holds
+    /// accumulate as contiguous AXPYs.
+    Epilogue(&'a E, &'a DenseSpans),
+}
+
+/// A row of `B` is stored as a dense span when its nnz is at least
+/// `1 / DENSE_SPAN_FILL` of its column span (`last − first + 1`). So the
+/// spans together hold at most `DENSE_SPAN_FILL · nnz(B)` values.
+const DENSE_SPAN_FILL: usize = 4;
+
+/// The rows of `B` dense enough within their column span, copied once per
+/// [`run_rows_with_epilogue`] call into contiguous `f64` spans with zeros
+/// where `B` stores nothing, each with a bit mask of its stored columns.
+/// An epilogue row then adds such a row with one AXPY instead of one
+/// indexed read-modify-write per entry, and finds its first touches a
+/// 64-column word at a time (DESIGN.md §16, "Dense spans").
+pub(crate) struct DenseSpans {
+    /// `offsets[k]..offsets[k + 1]` is row `k`'s span in `values`. It is
+    /// empty for a row kept sparse.
+    offsets: Vec<usize>,
+    values: Vec<f64>,
+    /// `mask_offsets[k]..mask_offsets[k + 1]` is row `k`'s stored columns
+    /// in `masks`, one bit per column, in whole words from word
+    /// `first / 64` on.
+    mask_offsets: Vec<usize>,
+    masks: Vec<u64>,
+}
+
+impl DenseSpans {
+    pub(crate) fn new(b: &CsrMatrix) -> Self {
+        // Row `k`'s first and last column when it is stored densely:
+        // `nnz · DENSE_SPAN_FILL ≥ last − first + 1`.
+        let dense = |k: usize| {
+            let cols = b.row_indices(k);
+            let (&first, &last) = (cols.first()?, cols.last()?);
+            let (first, last) = (first as usize, last as usize);
+            (cols.len() * DENSE_SPAN_FILL > last - first).then_some((first, last))
+        };
+        // Sized first and allocated once: the buffers are rebuilt on every
+        // call, and growing them would hold two copies at once.
+        let mut offsets = Vec::with_capacity(b.n_rows() + 1);
+        let mut mask_offsets = Vec::with_capacity(b.n_rows() + 1);
+        let (mut n_values, mut n_words) = (0, 0);
+        offsets.push(0);
+        mask_offsets.push(0);
+        for k in 0..b.n_rows() {
+            if let Some((first, last)) = dense(k) {
+                n_values += last - first + 1;
+                n_words += last / 64 - first / 64 + 1;
+            }
+            offsets.push(n_values);
+            mask_offsets.push(n_words);
+        }
+        let (mut values, mut masks) = (vec![0.0; n_values], vec![0u64; n_words]);
+        for k in 0..b.n_rows() {
+            let Some((first, _)) = dense(k) else { continue };
+            let (at, mask_at) = (offsets[k], mask_offsets[k]);
+            for (&j, &v) in b.row_indices(k).iter().zip(b.row_values(k)) {
+                let j = j as usize;
+                values[at + j - first] = v;
+                masks[mask_at + j / 64 - first / 64] |= 1 << (j % 64);
+            }
+        }
+        DenseSpans {
+            offsets,
+            values,
+            mask_offsets,
+            masks,
+        }
+    }
+
+    /// Row `k`'s dense span, starting at its first column, and its mask;
+    /// `None` when the row is kept sparse.
+    #[inline]
+    fn row(&self, k: usize) -> Option<(&[f64], &[u64])> {
+        let values = &self.values[self.offsets[k]..self.offsets[k + 1]];
+        let mask = &self.masks[self.mask_offsets[k]..self.mask_offsets[k + 1]];
+        (!values.is_empty()).then_some((values, mask))
+    }
 }
 
 /// The `Finish` of a multiply without an epilogue.
@@ -315,9 +396,16 @@ pub(crate) fn gustavson_row<E>(
     E: Fn(usize, &mut Vec<(u32, f64)>),
 {
     let emitted_before = indices.len();
-    let dense = match finish {
-        Finish::Filter(opts) => opts.tuning.row_is_dense(gustavson_width(a, b, row)),
-        Finish::Epilogue(_) => true,
+    let (dense, spans) = match finish {
+        Finish::Filter(opts) => (opts.tuning.row_is_dense(gustavson_width(a, b, row)), None),
+        // Spans hold whole rows of `B`, so only a whole-row call uses them.
+        Finish::Epilogue(_, spans) => {
+            let whole_row = cols.lo == 0 && cols.hi == b.n_cols();
+            (
+                true,
+                (whole_row && !spans.values.is_empty()).then_some(*spans),
+            )
+        }
     };
     if cols.owner {
         counts.count_row(dense);
@@ -326,14 +414,36 @@ pub(crate) fn gustavson_row<E>(
         acc,
         touched,
         pairs,
+        seen,
     } = scratch;
     if dense {
         acc.begin_row();
         touched.clear();
+        if spans.is_some() {
+            seen.fill(0);
+        }
+        let width = cols.hi - cols.lo;
         for (k, av) in a.row_iter(row) {
-            let (bcols, bvals) = cols.clip(b.row_indices(k as usize), b.row_values(k as usize));
+            let k = k as usize;
+            let (bcols, bvals) = cols.clip(b.row_indices(k), b.row_values(k));
             counts.flops += bcols.len() as u64;
-            scatter_scaled(acc, touched, av, bcols, bvals);
+            // ∞ · 0.0 is NaN: only a finite `av` may add the span's zeros.
+            let span = spans.and_then(|s| s.row(k)).filter(|_| av.is_finite());
+            let Some((span, mask)) = span else {
+                scatter_scaled(acc, touched, av, bcols, bvals);
+                continue;
+            };
+            // First touches in the scatter's order, until every column
+            // of the output is touched; then one AXPY does the adds. At
+            // stored positions it is the scatter's product and add. At the
+            // others it adds `av · 0.0 = ±0.0`, which leaves a touched slot
+            // alone: its sum started at +0.0, and in round-to-nearest such
+            // a sum never becomes -0.0.
+            let lo = bcols[0] as usize;
+            if touched.len() < width {
+                touch_masked(acc, seen, touched, lo / 64, mask);
+            }
+            acc.axpy(lo, av, span);
         }
         counts.touched += touched.len() as u64;
         match finish {
@@ -347,7 +457,7 @@ pub(crate) fn gustavson_row<E>(
                     }
                 }
             }
-            Finish::Epilogue(epilogue) => {
+            Finish::Epilogue(epilogue, _) => {
                 pairs.clear();
                 pairs.extend(touched.iter().map(|&j| (j, acc.get(j))));
                 epilogue(row, pairs);
@@ -383,11 +493,13 @@ pub(crate) fn gustavson_row<E>(
 /// the pair buffer the sparse strategy gathers into (and an epilogue edits
 /// its row in). Both buffers are reused across every row the worker
 /// executes, so a mixed adaptive run allocates each at its high-water mark
-/// once.
+/// once. `seen` holds, one bit per column, the columns a row has touched
+/// through dense-span masks (see [`touch_masked`]).
 pub(crate) struct RowScratch {
     acc: DenseAccum,
     touched: Vec<u32>,
     pairs: Vec<(u32, f64)>,
+    seen: Vec<u64>,
 }
 
 impl RowScratch {
@@ -396,6 +508,7 @@ impl RowScratch {
             acc: DenseAccum::new(n_cols),
             touched: Vec::new(),
             pairs: Vec::new(),
+            seen: vec![0; n_cols.div_ceil(64)],
         }
     }
 }
@@ -722,6 +835,12 @@ pub fn spgemm(
 /// any thread count. It edits `entries` in place; whatever it leaves is
 /// the output row and must be in ascending column order.
 ///
+/// Rows of `b` with nnz at least a quarter of their column span are
+/// copied once per call into dense spans: at most four values per stored
+/// entry plus one mask bit per spanned column. A row of `a` adds them as
+/// contiguous AXPYs when its value is finite. The entries, their bits
+/// and their order are those of the per-entry scatter.
+///
 /// Runs on one thread when `n_threads` is 1 (`0` = all cores), polls
 /// `token` before every row, and surfaces a panicking epilogue as
 /// [`SparseError::WorkerPanic`]. Records no metrics.
@@ -737,7 +856,8 @@ where
 {
     check_dims(a, b)?;
     let (n_rows, n_cols) = (a.n_rows(), b.n_cols());
-    let finish = Finish::Epilogue(&epilogue);
+    let spans = DenseSpans::new(b);
+    let finish = Finish::Epilogue(&epilogue, &spans);
     let out = run_rows(
         n_rows,
         n_cols,
@@ -1022,6 +1142,142 @@ mod tests {
             })
             .unwrap();
             assert_eq!(c, reference, "threads {n_threads}");
+        }
+    }
+
+    /// A CSR matrix from per-row `(column, value)` lists in column order.
+    fn from_rows(n_cols: usize, rows: &[Vec<(u32, f64)>]) -> CsrMatrix {
+        let mut indptr = vec![0];
+        let (mut indices, mut values) = (Vec::new(), Vec::new());
+        for row in rows {
+            indices.extend(row.iter().map(|e| e.0));
+            values.extend(row.iter().map(|e| e.1));
+            indptr.push(indices.len());
+        }
+        CsrMatrix::from_raw_parts(rows.len(), n_cols, indptr, indices, values).unwrap()
+    }
+
+    /// Operands for the dense-span arm. `B` mixes banded rows with gaps,
+    /// explicit `0.0` and `-0.0` entries, single-entry rows (span 1),
+    /// wide sparse rows and empty rows. `A` has negative values, zeros, and
+    /// one infinite value on a banded row of `B`.
+    fn span_operands() -> (CsrMatrix, CsrMatrix) {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let n = 120;
+        let b_rows: Vec<Vec<(u32, f64)>> = (0..n as u32)
+            .map(|k| match k % 4 {
+                0 => {
+                    // Row 0 covers every column, so a row of `A` that
+                    // starts at it has touched them all after one step.
+                    let (lo, hi) = if k == 0 {
+                        (0, 120)
+                    } else {
+                        ((k * 7) % 60, (k * 7) % 60 + 20 + k % 17)
+                    };
+                    (lo..hi)
+                        .filter(|j| k == 0 || j % 4 != 1)
+                        .map(|j| match j % 7 {
+                            0 => (j, 0.0),
+                            3 => (j, -0.0),
+                            _ => (j, next(1000) as f64 / 250.0 - 2.0),
+                        })
+                        .collect()
+                }
+                1 => vec![(k % 10, 0.75), (40 + k % 7, -1.5), (119, 2.0)],
+                2 => vec![(k % 50, next(100) as f64 / 16.0 - 3.0)],
+                _ => Vec::new(),
+            })
+            .collect();
+        let a_rows: Vec<Vec<(u32, f64)>> = (0..300)
+            .map(|i| {
+                let mut cols: Vec<u32> = (0..8).map(|_| next(n) as u32).collect();
+                if i % 10 == 0 {
+                    cols.push(0);
+                }
+                cols.sort_unstable();
+                cols.dedup();
+                cols.into_iter()
+                    .map(|k| (k, next(13) as f64 / 2.0 - 3.0))
+                    .collect()
+            })
+            .collect();
+        let mut a = from_rows(n as usize, &a_rows);
+        // `from_raw_parts` refuses non-finite values; write one in place, on
+        // a banded row of `B`, in a row of `A` that also reads row 0. Row 0
+        // touches every column, so `∞ · 0.0` in the band's gaps would show.
+        let at = (0..a.n_rows())
+            .step_by(10)
+            .find_map(|r| {
+                let band = a.row_indices(r).iter().position(|&k| k > 0 && k % 4 == 0);
+                band.map(|i| a.indptr()[r] + i)
+            })
+            .unwrap();
+        a.values_mut()[at] = f64::INFINITY;
+        (a, from_rows(n as usize, &b_rows))
+    }
+
+    /// Every row's epilogue input of `A·B`, `(column, value bits)` in the
+    /// order the epilogue sees it, with `spans` as the dense-span rows.
+    /// The epilogue then empties the row (the infinite entry makes
+    /// non-finite sums).
+    fn epilogue_inputs(
+        a: &CsrMatrix,
+        b: &CsrMatrix,
+        spans: &DenseSpans,
+        n_threads: usize,
+    ) -> Vec<Vec<(u32, u64)>> {
+        let seen = std::sync::Mutex::new(vec![Vec::new(); a.n_rows()]);
+        let epilogue = |row: usize, entries: &mut Vec<(u32, f64)>| {
+            seen.lock().unwrap()[row] = entries.iter().map(|&(j, v)| (j, v.to_bits())).collect();
+            entries.clear();
+        };
+        let finish = Finish::Epilogue(&epilogue, spans);
+        run_rows(
+            a.n_rows(),
+            b.n_cols(),
+            n_threads,
+            None,
+            || RowScratch::new(b.n_cols()),
+            |row, cols, scratch: &mut RowScratch, indices, values, counts| {
+                gustavson_row(a, b, row, cols, scratch, &finish, indices, values, counts);
+            },
+        )
+        .unwrap();
+        seen.into_inner().unwrap()
+    }
+
+    #[test]
+    fn dense_span_rows_hand_the_epilogue_the_scatters_bits_in_its_order() {
+        let (a, b) = span_operands();
+        let spans = DenseSpans::new(&b);
+        let dense_rows = (0..b.n_rows()).filter(|&k| spans.row(k).is_some());
+        assert_eq!(dense_rows.count(), 60, "banded and single-entry rows");
+        assert!(spans.values.len() <= DENSE_SPAN_FILL * b.nnz());
+        let scatter_only = DenseSpans {
+            offsets: vec![0; b.n_rows() + 1],
+            values: Vec::new(),
+            mask_offsets: vec![0; b.n_rows() + 1],
+            masks: Vec::new(),
+        };
+        let reference = epilogue_inputs(&a, &b, &scatter_only, 1);
+        let mut entries = reference.iter().flatten();
+        assert!(
+            entries.any(|e| !f64::from_bits(e.1).is_finite()),
+            "the infinite `a` value reached the epilogue"
+        );
+        for n_threads in [1, 3] {
+            assert_eq!(
+                epilogue_inputs(&a, &b, &spans, n_threads),
+                reference,
+                "threads {n_threads}"
+            );
+            assert_eq!(epilogue_inputs(&a, &b, &scatter_only, n_threads), reference);
         }
     }
 
