@@ -7,7 +7,9 @@ use crate::server::{BindAddr, ServeOptions, Server};
 use symclust_cluster::{
     pagerank_nibble, pagerank_nibble_directed, ClusterAlgorithm, NibbleOptions, SpectralClustering,
 };
-use symclust_core::{select_threshold, DegreeDiscountedOptions, DiscountExponent};
+use symclust_core::{
+    select_threshold, BibliometricOptions, DegreeDiscountedOptions, DiscountExponent,
+};
 use symclust_engine::{
     print_records, select_thresholds, Clusterer, Engine, EngineOptions, PipelineInput,
     PipelineSpec, RetryPolicy, SymMethod,
@@ -176,12 +178,7 @@ pub fn symmetrize(args: &ParsedArgs) -> CmdResult {
     // §5.3.1 sample-based threshold selection when a target degree is given.
     if let Some(target) = args.get::<f64>("target-degree")? {
         let opts = match method.as_str() {
-            "bib" => DegreeDiscountedOptions {
-                alpha: DiscountExponent::Power(0.0),
-                beta: DiscountExponent::Power(0.0),
-                add_identity: true,
-                ..Default::default()
-            },
+            "bib" => BibliometricOptions::default().as_degree_discounted(),
             _ => DegreeDiscountedOptions {
                 alpha: DiscountExponent::Power(alpha),
                 beta: DiscountExponent::Power(beta),

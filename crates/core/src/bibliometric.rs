@@ -12,12 +12,15 @@
 //!
 //! On power-law graphs hub nodes make this matrix both dense and
 //! hub-dominated (§3.4/§3.5) — the motivation for degree discounting.
+//! Table 4's p = 0 row reads it the other way round: Bibliometric *is*
+//! Degree-discounted with α = β = 0 (and `+I`), and it is built by that
+//! one factor build ([`BibliometricOptions::as_degree_discounted`]).
 
-use crate::{Result, SymmetrizedGraph, Symmetrizer};
-use std::time::Instant;
-use symclust_graph::{DiGraph, UnGraph};
+use crate::degree_discounted::symmetrize_discounted;
+use crate::{DegreeDiscountedOptions, DiscountExponent, Result, SymmetrizedGraph, Symmetrizer};
+use symclust_graph::DiGraph;
 use symclust_obs::MetricsRegistry;
-use symclust_sparse::{ops, spgemm_syrk_sum, CancelToken, SpgemmOptions, SyrkTerm, Tuning};
+use symclust_sparse::{CancelToken, Tuning};
 
 /// Options for [`Bibliometric`].
 #[derive(Debug, Clone)]
@@ -45,6 +48,22 @@ impl Default for BibliometricOptions {
             threshold: 0.0,
             nnz_budget: None,
             tuning: Tuning::default(),
+        }
+    }
+}
+
+impl BibliometricOptions {
+    /// The same similarity as Degree-discounted options: α = β =
+    /// `Power(0.0)`, whose factors are exactly 1, so `X = A (+ I)` and
+    /// `Y = Xᵀ` bit for bit.
+    pub fn as_degree_discounted(&self) -> DegreeDiscountedOptions {
+        DegreeDiscountedOptions {
+            alpha: DiscountExponent::Power(0.0),
+            beta: DiscountExponent::Power(0.0),
+            threshold: self.threshold,
+            add_identity: self.add_identity,
+            nnz_budget: self.nnz_budget,
+            tuning: self.tuning.clone(),
         }
     }
 }
@@ -79,37 +98,8 @@ impl Symmetrizer for Bibliometric {
         token: &CancelToken,
         metrics: Option<&MetricsRegistry>,
     ) -> Result<SymmetrizedGraph> {
-        let start = Instant::now();
-        let a_base = g.adjacency();
-        let a = if self.options.add_identity {
-            ops::add_diagonal(a_base, 1.0)?
-        } else {
-            a_base.clone()
-        };
-        let at = ops::transpose(&a);
-        // One fused symmetric multiply: AAᵀ = A·(A)ᵀ and AᵀA = Aᵀ·(Aᵀ)ᵀ
-        // are both X·Xᵀ terms, accumulated upper-triangle-only in a single
-        // pass with the sum thresholded during emission and mirrored —
-        // neither full product is ever materialized.
-        let opts = SpgemmOptions {
-            threshold: self.options.threshold,
-            drop_diagonal: true,
-            nnz_budget: self.options.nnz_budget,
-            tuning: self.options.tuning.clone(),
-        };
-        let terms = [
-            SyrkTerm { x: &a, xt: &at }, // AAᵀ (coupling)
-            SyrkTerm { x: &at, xt: &a }, // AᵀA (co-citation)
-        ];
-        let u = spgemm_syrk_sum(&terms, &opts, Some(token), metrics)?;
-        let mut un = UnGraph::from_symmetric_unchecked(u.matrix);
-        if let Some(labels) = g.labels() {
-            un = un.with_labels(labels.to_vec())?;
-        }
-        Ok(
-            SymmetrizedGraph::new(un, self.name(), self.options.threshold, start.elapsed())
-                .with_degraded(u.degraded),
-        )
+        let opts = self.options.as_degree_discounted();
+        symmetrize_discounted(g, &opts, self.name(), token, metrics)
     }
 }
 
@@ -131,7 +121,7 @@ mod tests {
     fn kernel_thread_default_is_one_value_everywhere() {
         // Serial-vs-parallel is chosen by `Tuning::threads` alone, so the
         // three defaults must agree — under any `SYMCLUST_*`.
-        let kernel = SpgemmOptions::default().tuning;
+        let kernel = symclust_sparse::SpgemmOptions::default().tuning;
         assert_eq!(BibliometricOptions::default().tuning, kernel);
         assert_eq!(crate::DegreeDiscountedOptions::default().tuning, kernel);
     }

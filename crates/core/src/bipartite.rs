@@ -1,4 +1,5 @@
-//! Degree-discounted similarity for bipartite graphs.
+//! Degree-discounted similarity for bipartite graphs and multipartite
+//! chains.
 //!
 //! The paper's conclusion names "extending our approaches to bi-partite and
 //! multi-partite graphs" as a promising avenue; this module implements that
@@ -17,15 +18,29 @@
 //! ```
 //!
 //! with `Dl`, `Dr` the left/right degree matrices. `α = β = 0.5` again
-//! makes this a cosine-style normalization. The result is an undirected
-//! similarity graph over one side of the bipartite graph, ready for any
-//! stage-2 clusterer.
+//! makes this a cosine-style normalization.
+//!
+//! A chain-structured multi-partite graph has layers `0..=L` with a
+//! biadjacency matrix `Bᵢ` relating layer `i` to layer `i+1` (users → items
+//! → tags). Two layer-0 nodes are similar when the meta-path through the
+//! chain lands them on the same terminal-layer nodes, every traversed node
+//! discounted by (a power of) its degree so blockbuster items and umbrella
+//! tags contribute little:
+//!
+//! ```text
+//! X = D₀⁻ᵅ · B₀ · D₁⁻ᵝ · B₁ · ... · B_{L-1} · D_L^{-β/2}
+//! S = X · Xᵀ
+//! ```
+//!
+//! which is the bipartite projection for a single link. Both are
+//! constructors of [`SimilarityFactors`]; the result is an undirected
+//! similarity graph over one side, ready for any stage-2 clusterer.
 
-use crate::degree_discounted::DiscountExponent;
-use crate::{Result, SymmetrizeError};
+use crate::degree_discounted::{DiscountExponent, SimilarityFactors};
+use crate::{Result, SymmetrizeError, SymmetrizedGraph};
 use std::time::Instant;
 use symclust_graph::UnGraph;
-use symclust_sparse::{ops, spgemm_syrk_sum, CsrMatrix, SpgemmOptions, SyrkTerm};
+use symclust_sparse::{CsrMatrix, Tuning};
 
 /// A bipartite graph with `n_left` left nodes and `n_right` right nodes.
 #[derive(Debug, Clone)]
@@ -73,16 +88,6 @@ impl BipartiteGraph {
     pub fn biadjacency(&self) -> &CsrMatrix {
         &self.biadjacency
     }
-
-    /// Left-node weighted degrees.
-    pub fn left_degrees(&self) -> Vec<f64> {
-        self.biadjacency.row_sums()
-    }
-
-    /// Right-node weighted degrees.
-    pub fn right_degrees(&self) -> Vec<f64> {
-        self.biadjacency.col_sums()
-    }
 }
 
 /// Which side of the bipartite graph to project the similarity onto.
@@ -94,12 +99,14 @@ pub enum BipartiteSide {
     Right,
 }
 
-/// Options for [`bipartite_degree_discounted`].
+/// Options for [`bipartite_degree_discounted`] and
+/// [`chain_degree_discounted`].
 #[derive(Debug, Clone, Copy)]
 pub struct BipartiteOptions {
     /// Discount on the projected side's own degrees (α).
     pub own_discount: DiscountExponent,
-    /// Discount on the shared-neighbor side's degrees (β).
+    /// Discount on the degrees of every layer the path passes through:
+    /// the shared-neighbor side, or a chain's later layers (β).
     pub shared_discount: DiscountExponent,
     /// Prune threshold applied during the product.
     pub threshold: f64,
@@ -115,88 +122,91 @@ impl Default for BipartiteOptions {
     }
 }
 
+/// Options for [`chain_degree_discounted`]: a bipartite graph is a chain
+/// of one link.
+pub type ChainOptions = BipartiteOptions;
+
+/// A chain of biadjacency matrices: `links[i]` relates layer `i` (rows) to
+/// layer `i+1` (columns).
+#[derive(Debug, Clone)]
+pub struct MultipartiteChain {
+    links: Vec<CsrMatrix>,
+}
+
+impl MultipartiteChain {
+    /// Builds a chain, validating that consecutive dimensions agree.
+    pub fn new(links: Vec<CsrMatrix>) -> Result<MultipartiteChain> {
+        if links.is_empty() {
+            return Err(SymmetrizeError::InvalidConfig(
+                "chain needs at least one link".into(),
+            ));
+        }
+        for (i, pair) in links.windows(2).enumerate() {
+            if pair[0].n_cols() != pair[1].n_rows() {
+                return Err(SymmetrizeError::InvalidConfig(format!(
+                    "link {i} has {} columns but link {} has {} rows",
+                    pair[0].n_cols(),
+                    i + 1,
+                    pair[1].n_rows()
+                )));
+            }
+        }
+        Ok(MultipartiteChain { links })
+    }
+
+    /// Number of layers (`links + 1`).
+    pub fn n_layers(&self) -> usize {
+        self.links.len() + 1
+    }
+
+    /// Node count of layer `i`.
+    pub fn layer_size(&self, i: usize) -> usize {
+        if i == 0 {
+            self.links[0].n_rows()
+        } else {
+            self.links[i - 1].n_cols()
+        }
+    }
+
+    /// The biadjacency matrices.
+    pub fn links(&self) -> &[CsrMatrix] {
+        &self.links
+    }
+}
+
+/// The thresholded similarity graph of one-term factors.
+fn project(factors: SimilarityFactors, threshold: f64) -> Result<UnGraph> {
+    let (s, _) = factors.full_with(threshold, None, Tuning::default(), None, None)?;
+    Ok(UnGraph::from_symmetric_unchecked(s))
+}
+
 /// Computes the degree-discounted similarity graph over one side of a
-/// bipartite graph.
+/// bipartite graph; its nodes are that side's.
 pub fn bipartite_degree_discounted(
     g: &BipartiteGraph,
     side: BipartiteSide,
     opts: &BipartiteOptions,
-) -> Result<BipartiteProjection> {
+) -> Result<SymmetrizedGraph> {
     let start = Instant::now();
-    // Work with X = Downᵅ · M · sqrt(Dsharedᵝ) so S = X·Xᵀ, exactly as the
-    // directed factorization in `degree_discounted`.
-    let m = match side {
-        BipartiteSide::Left => g.biadjacency.clone(),
-        BipartiteSide::Right => ops::transpose(&g.biadjacency),
-    };
-    let own_deg = m.row_sums();
-    let shared_deg = m.col_sums();
-    let f_own: Vec<f64> = own_deg
-        .iter()
-        .map(|&d| opts.own_discount.factor(d))
-        .collect();
-    let f_shared_sqrt: Vec<f64> = shared_deg
-        .iter()
-        .map(|&d| opts.shared_discount.factor(d).sqrt())
-        .collect();
-    let mut x = m;
-    ops::scale_rows(&mut x, &f_own).map_err(SymmetrizeError::Sparse)?;
-    ops::scale_cols(&mut x, &f_shared_sqrt).map_err(SymmetrizeError::Sparse)?;
-    let xt = ops::transpose(&x);
-    let s = spgemm_syrk_sum(
-        &[SyrkTerm { x: &x, xt: &xt }],
-        &SpgemmOptions {
-            threshold: opts.threshold,
-            drop_diagonal: true,
-            ..Default::default()
-        },
-        None,
-        None,
-    )
-    .map_err(SymmetrizeError::Sparse)?
-    .matrix;
-    Ok(BipartiteProjection {
-        graph: UnGraph::from_symmetric_unchecked(s),
-        side,
-        threshold: opts.threshold,
-        elapsed: start.elapsed(),
-    })
+    let graph = project(SimilarityFactors::bipartite(g, side, opts)?, opts.threshold)?;
+    Ok(SymmetrizedGraph::new(
+        graph,
+        "Bipartite degree-discounted".to_string(),
+        opts.threshold,
+        start.elapsed(),
+    ))
 }
 
-/// The similarity graph over one side of a bipartite graph.
-#[derive(Debug, Clone)]
-pub struct BipartiteProjection {
-    graph: UnGraph,
-    side: BipartiteSide,
-    threshold: f64,
-    elapsed: std::time::Duration,
-}
-
-impl BipartiteProjection {
-    /// The undirected similarity graph (nodes are the projected side's).
-    pub fn graph(&self) -> &UnGraph {
-        &self.graph
-    }
-
-    /// Which side was projected.
-    pub fn side(&self) -> BipartiteSide {
-        self.side
-    }
-
-    /// The prune threshold used.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Wall time of the projection.
-    pub fn elapsed(&self) -> std::time::Duration {
-        self.elapsed
-    }
+/// Computes the degree-discounted meta-path similarity among layer-0 nodes
+/// of a multipartite chain.
+pub fn chain_degree_discounted(chain: &MultipartiteChain, opts: &ChainOptions) -> Result<UnGraph> {
+    project(SimilarityFactors::chain(chain, opts)?, opts.threshold)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symclust_sparse::CooMatrix;
 
     /// Users 0,1 buy items 0,1; users 2,3 buy items 2,3; everyone buys the
     /// hub item 4.
@@ -223,13 +233,11 @@ mod tests {
     }
 
     #[test]
-    fn dimensions_and_degrees() {
+    fn dimensions() {
         let g = two_communities_with_hub();
         assert_eq!(g.n_left(), 4);
         assert_eq!(g.n_right(), 5);
         assert_eq!(g.n_edges(), 12);
-        assert_eq!(g.left_degrees(), vec![3.0, 3.0, 3.0, 3.0]);
-        assert_eq!(g.right_degrees(), vec![2.0, 2.0, 2.0, 2.0, 4.0]);
     }
 
     #[test]
@@ -275,7 +283,6 @@ mod tests {
         // counts shared LEFT neighbors; 0 and 2 have disjoint buyers).
         assert!(s.get(0, 1) > 0.0);
         assert_eq!(s.get(0, 2), 0.0);
-        assert_eq!(p.side(), BipartiteSide::Right);
     }
 
     #[test]
@@ -325,5 +332,130 @@ mod tests {
     #[test]
     fn rejects_out_of_bounds_edges() {
         assert!(BipartiteGraph::from_edges(2, 2, &[(0, 5)]).is_err());
+    }
+
+    fn link(rows: usize, cols: usize, edges: &[(usize, usize)]) -> CsrMatrix {
+        CooMatrix::from_triplets(rows, cols, edges.iter().map(|&(r, c)| (r, c, 1.0)))
+            .unwrap()
+            .to_csr()
+    }
+
+    #[test]
+    fn single_link_chain_matches_bipartite_projection() {
+        let edges = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 2), (0, 3)];
+        let b = link(4, 4, &edges);
+        let chain = MultipartiteChain::new(vec![b.clone()]).unwrap();
+        let s = chain_degree_discounted(&chain, &ChainOptions::default()).unwrap();
+        let bip = bipartite_degree_discounted(
+            &BipartiteGraph::from_biadjacency(b),
+            BipartiteSide::Left,
+            &BipartiteOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(s.adjacency(), bip.adjacency());
+    }
+
+    #[test]
+    fn three_layer_chain_links_users_through_tags() {
+        // Users 0,1 buy items 0,1; users 2,3 buy items 2,3.
+        // Items 0,1 share tag 0; items 2,3 share tag 1.
+        let users_items = link(
+            4,
+            4,
+            &[
+                (0, 0),
+                (0, 1),
+                (1, 0),
+                (1, 1),
+                (2, 2),
+                (2, 3),
+                (3, 2),
+                (3, 3),
+            ],
+        );
+        let items_tags = link(4, 2, &[(0, 0), (1, 0), (2, 1), (3, 1)]);
+        let chain = MultipartiteChain::new(vec![users_items, items_tags]).unwrap();
+        assert_eq!(chain.n_layers(), 3);
+        assert_eq!(chain.layer_size(0), 4);
+        assert_eq!(chain.layer_size(2), 2);
+        let s = chain_degree_discounted(&chain, &ChainOptions::default()).unwrap();
+        // Users 0,1 reach tag 0; users 2,3 reach tag 1: within-community
+        // similarity positive, cross-community zero.
+        assert!(s.weight(0, 1) > 0.0);
+        assert!(s.weight(2, 3) > 0.0);
+        assert_eq!(s.weight(0, 2), 0.0);
+        assert_eq!(s.weight(1, 3), 0.0);
+    }
+
+    #[test]
+    fn umbrella_tags_are_discounted() {
+        // All four items share umbrella tag 0; items 0,1 also share the
+        // niche tag 1 and items 2,3 the niche tag 2.
+        let users_items = link(4, 4, &[(0, 0), (1, 1), (2, 2), (3, 3)]);
+        let items_tags = link(
+            4,
+            3,
+            &[
+                (0, 0),
+                (1, 0),
+                (2, 0),
+                (3, 0),
+                (0, 1),
+                (1, 1),
+                (2, 2),
+                (3, 2),
+            ],
+        );
+        let chain = MultipartiteChain::new(vec![users_items, items_tags]).unwrap();
+        let s = chain_degree_discounted(&chain, &ChainOptions::default()).unwrap();
+        // Within-pair similarity (via umbrella + niche) must exceed
+        // cross-pair similarity (umbrella only).
+        assert!(
+            s.weight(0, 1) > s.weight(0, 2),
+            "within {} vs cross {}",
+            s.weight(0, 1),
+            s.weight(0, 2)
+        );
+        // With no discount the umbrella tag contributes as much as a niche.
+        let raw = chain_degree_discounted(
+            &chain,
+            &ChainOptions {
+                own_discount: DiscountExponent::Power(0.0),
+                shared_discount: DiscountExponent::Power(0.0),
+                threshold: 0.0,
+            },
+        )
+        .unwrap();
+        let ratio_disc = s.weight(0, 1) / s.weight(0, 2);
+        let ratio_raw = raw.weight(0, 1) / raw.weight(0, 2);
+        assert!(
+            ratio_disc > ratio_raw,
+            "discounting should sharpen the contrast: {ratio_disc} vs {ratio_raw}"
+        );
+    }
+
+    #[test]
+    fn rejects_mismatched_chain() {
+        let a = link(2, 3, &[(0, 0)]);
+        let b = link(4, 2, &[(0, 0)]);
+        assert!(MultipartiteChain::new(vec![a, b]).is_err());
+        assert!(MultipartiteChain::new(vec![]).is_err());
+    }
+
+    #[test]
+    fn threshold_prunes() {
+        let users_items = link(3, 2, &[(0, 0), (1, 0), (2, 1)]);
+        let chain = MultipartiteChain::new(vec![users_items]).unwrap();
+        let full = chain_degree_discounted(&chain, &ChainOptions::default()).unwrap();
+        assert!(full.weight(0, 1) > 0.0);
+        let pruned = chain_degree_discounted(
+            &chain,
+            &ChainOptions {
+                threshold: full.weight(0, 1) * 1.01,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(pruned.weight(0, 1), 0.0);
     }
 }

@@ -25,12 +25,16 @@
 //! fly, and mirrored — the full dense-ish similarity matrix (and both
 //! intermediate products) are never materialized (§3.5).
 
+use crate::bipartite::{
+    BipartiteGraph, BipartiteOptions, BipartiteSide, ChainOptions, MultipartiteChain,
+};
 use crate::{Result, SymmetrizeError, SymmetrizedGraph, Symmetrizer};
+use std::sync::Arc;
 use std::time::Instant;
 use symclust_graph::{DiGraph, UnGraph};
 use symclust_obs::MetricsRegistry;
 use symclust_sparse::{
-    ops, spgemm_syrk_sum, CancelToken, CsrMatrix, SpgemmOptions, SyrkTerm, Tuning,
+    ops, spgemm, spgemm_syrk_sum, CancelToken, CsrMatrix, SpgemmOptions, SyrkTerm, Tuning,
 };
 
 /// How a node's degree discounts its similarity contributions (Table 4 rows).
@@ -152,64 +156,158 @@ impl DegreeDiscounted {
     }
 }
 
-/// The factored form of the degree-discounted similarity:
-/// `Ud = X·Xᵀ + Y·Yᵀ` with `X = Rₒᵅ A √(Rᵢᵝ)` and `Y = Rᵢᵝ Aᵀ √(Rₒᵅ)`,
-/// where `R` are diagonal discount matrices.
+/// The factored form of every similarity in the degree-discounted family,
+/// `U = Σ XXᵀ` over one or two terms `X = diag(r) · M · diag(√c)`:
+/// [`build`](Self::build) for Eq. 8 (Bibliometric is its α = β = 0, `+I`
+/// case), and [`bipartite`](Self::bipartite) and [`chain`](Self::chain)
+/// for one term on a biadjacency matrix or a meta-path product.
 ///
 /// Exposing the factors lets callers compute *individual rows* of the
 /// similarity matrix cheaply — the basis for the paper's sample-based
 /// threshold selection (§5.3.1, [`crate::prune::select_threshold`]).
 #[derive(Debug, Clone)]
 pub struct SimilarityFactors {
-    x: CsrMatrix,
-    xt: CsrMatrix,
-    y: CsrMatrix,
-    yt: CsrMatrix,
+    /// Each `X` beside its literal transpose: the precondition of the
+    /// SYRK kernel's bit-exact mirror (DESIGN.md §12). Shared, so that
+    /// two terms can hold one matrix.
+    terms: Vec<(Arc<CsrMatrix>, Arc<CsrMatrix>)>,
+}
+
+/// `X = diag(row) · m · diag(√col)`, scaled on a copy of `m`, and its
+/// literal transpose. A `None` scale is all ones and its pass is skipped:
+/// `x · 1.0 = x` moves no bit. The copy is deliberate: scaling `m` in
+/// place frees the factor buffers in another order, and `sym-kron`'s peak
+/// RSS then read ≈ 15 % higher with the same live bytes (glibc's dynamic
+/// mmap threshold).
+fn term(
+    m: &CsrMatrix,
+    row: Option<&[f64]>,
+    col: Option<&[f64]>,
+) -> Result<(Arc<CsrMatrix>, Arc<CsrMatrix>)> {
+    let mut x = m.clone();
+    if let Some(row) = row {
+        ops::scale_rows(&mut x, row)?;
+    }
+    if let Some(col) = col {
+        ops::scale_cols(&mut x, &col.iter().map(|f| f.sqrt()).collect::<Vec<_>>())?;
+    }
+    let xt = ops::transpose(&x);
+    Ok((Arc::new(x), Arc::new(xt)))
+}
+
+/// The factors `exp` gives `degrees`, or `None` for `Power(0.0)`, whose
+/// factor is exactly 1 for every degree (Table 4's p = 0 row). Every
+/// member reads its exponents here, so this is the one check that a power
+/// is finite and non-negative (`d.powf(-NaN)` makes every weight NaN).
+fn discount(exp: DiscountExponent, degrees: impl FnOnce() -> Vec<f64>) -> Result<Option<Vec<f64>>> {
+    match exp {
+        DiscountExponent::Power(p) if !(p.is_finite() && p >= 0.0) => {
+            Err(SymmetrizeError::InvalidConfig(format!(
+                "discount exponent {p} must be finite and non-negative"
+            )))
+        }
+        DiscountExponent::Power(0.0) => Ok(None),
+        _ => Ok(Some(degrees().iter().map(|&d| exp.factor(d)).collect())),
+    }
 }
 
 impl SimilarityFactors {
-    /// Builds the discount factors for a graph.
+    /// Eq. 8: `X = Do⁻ᵅ A Di^{-β/2}` and `Y = Di⁻ᵝ Aᵀ Do^{-α/2}`.
     pub fn build(g: &DiGraph, opts: &DegreeDiscountedOptions) -> Result<SimilarityFactors> {
         let a = if opts.add_identity {
             ops::add_diagonal(g.adjacency(), 1.0)?
         } else {
             g.adjacency().clone()
         };
-        let out_deg = a.row_sums();
-        let in_deg = a.col_sums();
-        let f_out: Vec<f64> = out_deg.iter().map(|&d| opts.alpha.factor(d)).collect();
-        let f_in: Vec<f64> = in_deg.iter().map(|&d| opts.beta.factor(d)).collect();
-        let f_out_sqrt: Vec<f64> = f_out.iter().map(|f| f.sqrt()).collect();
-        let f_in_sqrt: Vec<f64> = f_in.iter().map(|f| f.sqrt()).collect();
+        let f_out = discount(opts.alpha, || a.row_sums())?;
+        let f_in = discount(opts.beta, || a.col_sums())?;
+        let at = ops::transpose(&a);
+        let terms = if f_out.is_none() && f_in.is_none() {
+            // α = β = 0: `Y = Aᵀ = Xᵀ`, so the second term is the first
+            // one swapped and `A`, `Aᵀ` are held once each.
+            let (x, xt) = (Arc::new(a), Arc::new(at));
+            vec![(x.clone(), xt.clone()), (xt, x)]
+        } else {
+            vec![
+                term(&a, f_out.as_deref(), f_in.as_deref())?,
+                term(&at, f_in.as_deref(), f_out.as_deref())?,
+            ]
+        };
+        Ok(SimilarityFactors { terms })
+    }
 
-        // X = diag(f_out) · A · diag(sqrt(f_in))
-        let mut x = a.clone();
-        ops::scale_rows(&mut x, &f_out)?;
-        ops::scale_cols(&mut x, &f_in_sqrt)?;
-        // Y = diag(f_in) · Aᵀ · diag(sqrt(f_out))
-        let mut y = ops::transpose(&a);
-        ops::scale_rows(&mut y, &f_in)?;
-        ops::scale_cols(&mut y, &f_out_sqrt)?;
-        let xt = ops::transpose(&x);
-        let yt = ops::transpose(&y);
-        Ok(SimilarityFactors { x, xt, y, yt })
+    /// One side of a bipartite graph: `X = Down⁻ᵅ · M · Dshared^{-β/2}`
+    /// with `M = B` for the left side and `Bᵀ` for the right.
+    pub fn bipartite(
+        g: &BipartiteGraph,
+        side: BipartiteSide,
+        opts: &BipartiteOptions,
+    ) -> Result<SimilarityFactors> {
+        let m = match side {
+            BipartiteSide::Left => g.biadjacency().clone(),
+            BipartiteSide::Right => ops::transpose(g.biadjacency()),
+        };
+        Self::walk(m, &[], opts)
+    }
+
+    /// Layer 0 of a multipartite chain, through every link.
+    pub fn chain(chain: &MultipartiteChain, opts: &ChainOptions) -> Result<SimilarityFactors> {
+        let links = chain.links();
+        Self::walk(links[0].clone(), &links[1..], opts)
+    }
+
+    /// The meta-path walk `first · rest[0] ⋯` of the [`bipartite`
+    /// module](crate::bipartite) docs: one term whose columns take the
+    /// terminal layer's discount, split across the two sides of `XXᵀ`.
+    fn walk(
+        first: CsrMatrix,
+        rest: &[CsrMatrix],
+        opts: &BipartiteOptions,
+    ) -> Result<SimilarityFactors> {
+        let mut in_deg = first.col_sums();
+        let mut x = first;
+        if let Some(f) = discount(opts.own_discount, || x.row_sums())? {
+            ops::scale_rows(&mut x, &f)?;
+        }
+        // An intermediate layer is discounted once, by its incoming plus
+        // its outgoing mass.
+        for link in rest {
+            let via_deg = || {
+                in_deg
+                    .iter()
+                    .zip(link.row_sums())
+                    .map(|(i, o)| i + o)
+                    .collect()
+            };
+            if let Some(f) = discount(opts.shared_discount, via_deg)? {
+                ops::scale_cols(&mut x, &f)?;
+            }
+            x = spgemm(&x, link, &SpgemmOptions::default(), None, None)?.matrix;
+            in_deg = link.col_sums();
+        }
+        let terminal = discount(opts.shared_discount, || in_deg)?;
+        Ok(SimilarityFactors {
+            terms: vec![term(&x, None, terminal.as_deref())?],
+        })
     }
 
     /// Number of nodes.
     pub fn n_nodes(&self) -> usize {
-        self.x.n_rows()
+        self.terms[0].0.n_rows()
     }
 
-    /// Computes row `i` of `Ud` (diagonal excluded) as `(column, value)`
+    /// Computes row `i` of `U` (diagonal excluded) as `(column, value)`
     /// pairs sorted by column. Cost: O(Σ over i's links of the linked
-    /// node's degree) — independent of the rest of the matrix.
+    /// node's degree) — independent of the rest of the matrix. It
+    /// accumulates in a plain dense vector and shares no code with the
+    /// SYRK kernel, so it is the reference every member is checked against.
     pub fn row(&self, i: usize) -> Vec<(u32, f64)> {
         let n = self.n_nodes();
         let mut acc = vec![0.0f64; n];
         let mut touched: Vec<u32> = Vec::new();
-        for (factor, factor_t) in [(&self.x, &self.xt), (&self.y, &self.yt)] {
-            for (k, v) in factor.row_iter(i) {
-                for (j, w) in factor_t.row_iter(k as usize) {
+        for (x, xt) in &self.terms {
+            for (k, v) in x.row_iter(i) {
+                for (j, w) in xt.row_iter(k as usize) {
                     if acc[j as usize] == 0.0 {
                         touched.push(j);
                     }
@@ -228,13 +326,9 @@ impl SimilarityFactors {
 
     /// Computes the full similarity matrix with on-the-fly thresholding.
     ///
-    /// Both `X·Xᵀ` terms run through the fused symmetric kernel in a
-    /// single upper-triangle pass: the *sum* `Bd + Cd` is formed in the
-    /// accumulators and thresholded at exactly `threshold` during
-    /// emission, then mirrored. (The earlier two-product implementation
-    /// thresholded each term at `threshold / 2` before adding, which
-    /// could lose entries with true sum in `[t, 1.5t)`; fusing removes
-    /// that approximation along with both intermediate matrices.)
+    /// Every term runs through the fused symmetric kernel in a single
+    /// upper-triangle pass: the *sum* is formed in the accumulators and
+    /// thresholded at exactly `threshold` during emission, then mirrored.
     pub fn full(&self, threshold: f64, n_threads: usize) -> Result<CsrMatrix> {
         let tuning = Tuning {
             threads: n_threads,
@@ -248,8 +342,9 @@ impl SimilarityFactors {
     /// of `nnz_budget` stored entries (past which the multiply degrades to
     /// an adaptively thresholded one), a token polled inside the SpGEMM
     /// row loops and a registry for the kernel counters. Returns the
-    /// matrix and whether degradation occurred.
-    fn full_with(
+    /// matrix and whether degradation occurred. The crate's one
+    /// `spgemm_syrk_sum` call.
+    pub(crate) fn full_with(
         &self,
         threshold: f64,
         nnz_budget: Option<usize>,
@@ -263,19 +358,40 @@ impl SimilarityFactors {
             nnz_budget,
             tuning,
         };
-        let terms = [
-            SyrkTerm {
-                x: &self.x,
-                xt: &self.xt,
-            },
-            SyrkTerm {
-                x: &self.y,
-                xt: &self.yt,
-            },
-        ];
+        let terms: Vec<SyrkTerm> = self
+            .terms
+            .iter()
+            .map(|(x, xt)| SyrkTerm { x, xt })
+            .collect();
         let u = spgemm_syrk_sum(&terms, &opts, token, metrics)?;
         Ok((u.matrix, u.degraded))
     }
+}
+
+/// Builds `opts`'s factors and symmetrizes `g` through them under the
+/// method name `name`: the body of both [`DegreeDiscounted`] and
+/// [`Bibliometric`](crate::Bibliometric).
+pub(crate) fn symmetrize_discounted(
+    g: &DiGraph,
+    opts: &DegreeDiscountedOptions,
+    name: String,
+    token: &CancelToken,
+    metrics: Option<&MetricsRegistry>,
+) -> Result<SymmetrizedGraph> {
+    let start = Instant::now();
+    let factors = SimilarityFactors::build(g, opts)?;
+    let (u, degraded) = factors.full_with(
+        opts.threshold,
+        opts.nnz_budget,
+        opts.tuning.clone(),
+        Some(token),
+        metrics,
+    )?;
+    let mut un = UnGraph::from_symmetric_unchecked(u);
+    if let Some(labels) = g.labels() {
+        un = un.with_labels(labels.to_vec())?;
+    }
+    Ok(SymmetrizedGraph::new(un, name, opts.threshold, start.elapsed()).with_degraded(degraded))
 }
 
 impl Symmetrizer for DegreeDiscounted {
@@ -289,37 +405,7 @@ impl Symmetrizer for DegreeDiscounted {
         token: &CancelToken,
         metrics: Option<&MetricsRegistry>,
     ) -> Result<SymmetrizedGraph> {
-        if let DiscountExponent::Power(p) = self.options.alpha {
-            if p < 0.0 {
-                return Err(SymmetrizeError::InvalidConfig(format!(
-                    "negative discount exponent alpha = {p}"
-                )));
-            }
-        }
-        if let DiscountExponent::Power(p) = self.options.beta {
-            if p < 0.0 {
-                return Err(SymmetrizeError::InvalidConfig(format!(
-                    "negative discount exponent beta = {p}"
-                )));
-            }
-        }
-        let start = Instant::now();
-        let factors = SimilarityFactors::build(g, &self.options)?;
-        let (u, degraded) = factors.full_with(
-            self.options.threshold,
-            self.options.nnz_budget,
-            self.options.tuning.clone(),
-            Some(token),
-            metrics,
-        )?;
-        let mut un = UnGraph::from_symmetric_unchecked(u);
-        if let Some(labels) = g.labels() {
-            un = un.with_labels(labels.to_vec())?;
-        }
-        Ok(
-            SymmetrizedGraph::new(un, self.name(), self.options.threshold, start.elapsed())
-                .with_degraded(degraded),
-        )
+        symmetrize_discounted(g, &self.options, self.name(), token, metrics)
     }
 }
 
@@ -456,15 +542,57 @@ mod tests {
 
     #[test]
     fn factor_rows_match_full_matrix() {
+        use crate::bipartite::{BipartiteGraph, BipartiteOptions, BipartiteSide};
+        use crate::bipartite::{ChainOptions, MultipartiteChain};
         let g = figure1_graph();
-        let opts = DegreeDiscountedOptions::default();
-        let factors = SimilarityFactors::build(&g, &opts).unwrap();
-        let full = factors.full(0.0, 1).unwrap();
-        for i in 0..g.n_nodes() {
-            let row = factors.row(i);
-            assert_eq!(row.len(), full.row_nnz(i), "row {i} length");
-            for (j, v) in row {
-                assert!((full.get(i, j as usize) - v).abs() < 1e-12);
+        let dd = |alpha, beta, add_identity| {
+            SimilarityFactors::build(
+                &g,
+                &DegreeDiscountedOptions {
+                    alpha,
+                    beta,
+                    add_identity,
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+        };
+        let (half, one, log) = (
+            DiscountExponent::Power(0.5),
+            DiscountExponent::Power(1.0),
+            DiscountExponent::Log,
+        );
+        let mut family = Vec::new();
+        for add_identity in [false, true] {
+            for exp in [half, one, log] {
+                family.push(dd(exp, exp, add_identity));
+            }
+        }
+        let bib = crate::BibliometricOptions::default().as_degree_discounted();
+        family.push(SimilarityFactors::build(&g, &bib).unwrap());
+        let b = g.adjacency().clone();
+        let bip = BipartiteGraph::from_biadjacency(b.clone());
+        for side in [BipartiteSide::Left, BipartiteSide::Right] {
+            family.push(
+                SimilarityFactors::bipartite(&bip, side, &BipartiteOptions::default()).unwrap(),
+            );
+        }
+        let chain = MultipartiteChain::new(vec![b.clone(), b]).unwrap();
+        family.push(SimilarityFactors::chain(&chain, &ChainOptions::default()).unwrap());
+
+        for (m, factors) in family.iter().enumerate() {
+            let full = factors.full(0.0, 1).unwrap();
+            for i in 0..factors.n_nodes() {
+                let row = factors.row(i);
+                let cols: Vec<u32> = row.iter().map(|&(j, _)| j).collect();
+                let full_cols: Vec<u32> = full.row_iter(i).map(|(j, _)| j).collect();
+                assert_eq!(cols, full_cols, "member {m} row {i} columns");
+                for (j, v) in row {
+                    assert!(
+                        (full.get(i, j as usize) - v).abs() < 1e-12,
+                        "member {m} row {i} col {j}"
+                    );
+                }
             }
         }
     }
@@ -538,6 +666,47 @@ mod tests {
         .unwrap();
         assert!(tight.degraded());
         assert!(tight.adjacency().is_symmetric(1e-9));
+    }
+
+    #[test]
+    fn every_member_rejects_non_finite_exponents() {
+        use crate::bipartite::{
+            bipartite_degree_discounted, BipartiteGraph, BipartiteOptions, BipartiteSide,
+        };
+        use crate::bipartite::{chain_degree_discounted, ChainOptions, MultipartiteChain};
+        let g = figure1_graph();
+        let bip = BipartiteGraph::from_biadjacency(g.adjacency().clone());
+        let chain = MultipartiteChain::new(vec![g.adjacency().clone()]).unwrap();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let bad = DiscountExponent::Power(bad);
+            for (alpha, beta) in [
+                (bad, DiscountExponent::Power(0.5)),
+                (DiscountExponent::Log, bad),
+            ] {
+                let opts = DegreeDiscountedOptions {
+                    alpha,
+                    beta,
+                    ..Default::default()
+                };
+                let dd = DegreeDiscounted {
+                    options: opts.clone(),
+                };
+                assert!(dd.symmetrize(&g).is_err());
+                assert!(crate::select_threshold(&g, &opts, 5.0, 4, 1).is_err());
+                let bip_opts = BipartiteOptions {
+                    own_discount: alpha,
+                    shared_discount: beta,
+                    threshold: 0.0,
+                };
+                assert!(bipartite_degree_discounted(&bip, BipartiteSide::Left, &bip_opts).is_err());
+                let chain_opts = ChainOptions {
+                    own_discount: alpha,
+                    shared_discount: beta,
+                    threshold: 0.0,
+                };
+                assert!(chain_degree_discounted(&chain, &chain_opts).is_err());
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! |--------|---------|---------|
 //! | [`PlusTranspose`] | `U = A + Aᵀ` | 3.1 |
 //! | [`RandomWalk`] | `U = (ΠP + PᵀΠ)/2` | 3.2 |
-//! | [`Bibliometric`] | `U = AAᵀ + AᵀA` (with `A := A + I`) | 3.3 |
+//! | [`Bibliometric`] | `U = AAᵀ + AᵀA` (with `A := A + I`) = DD(0, 0, `+I`) | 3.3 |
 //! | [`DegreeDiscounted`] | `U = Do⁻ᵅADi⁻ᵝAᵀDo⁻ᵅ + Di⁻ᵝAᵀDo⁻ᵅADi⁻ᵝ` | 3.4 |
 //!
 //! All methods implement the [`Symmetrizer`] trait and produce a
@@ -25,7 +25,6 @@
 pub mod bibliometric;
 pub mod bipartite;
 pub mod degree_discounted;
-pub mod multipartite;
 pub mod plus_transpose;
 pub mod prune;
 pub mod random_walk;
@@ -33,11 +32,10 @@ pub mod symmetrized;
 
 pub use bibliometric::{Bibliometric, BibliometricOptions};
 pub use bipartite::{
-    bipartite_degree_discounted, BipartiteGraph, BipartiteOptions, BipartiteProjection,
-    BipartiteSide,
+    bipartite_degree_discounted, chain_degree_discounted, BipartiteGraph, BipartiteOptions,
+    BipartiteSide, ChainOptions, MultipartiteChain,
 };
 pub use degree_discounted::{DegreeDiscounted, DegreeDiscountedOptions, DiscountExponent};
-pub use multipartite::{chain_degree_discounted, ChainOptions, MultipartiteChain};
 pub use plus_transpose::PlusTranspose;
 pub use prune::{select_threshold, ThresholdSelection};
 pub use random_walk::{RandomWalk, RandomWalkOptions};

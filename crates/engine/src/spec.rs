@@ -163,13 +163,7 @@ pub fn select_thresholds(g: &DiGraph, target_avg_degree: f64) -> symclust_core::
         0xBEEF,
     )?
     .threshold;
-    // Bibliometric = Degree-discounted with α = β = 0 (plus the +I step).
-    let bib_opts = DegreeDiscountedOptions {
-        alpha: DiscountExponent::Power(0.0),
-        beta: DiscountExponent::Power(0.0),
-        add_identity: true,
-        ..Default::default()
-    };
+    let bib_opts = BibliometricOptions::default().as_degree_discounted();
     let bib =
         symclust_core::select_threshold(g, &bib_opts, target_avg_degree, sample, 0xBEEF)?.threshold;
     Ok((bib, dd))

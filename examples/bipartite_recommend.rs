@@ -55,7 +55,7 @@ fn main() {
         ("co-occurrence (no discount)", 0.0, 0.0),
         ("degree-discounted (α=β=0.5)", 0.5, 0.5),
     ] {
-        let projection = bipartite_degree_discounted(
+        let sym = bipartite_degree_discounted(
             &g,
             BipartiteSide::Left,
             &BipartiteOptions {
@@ -66,7 +66,7 @@ fn main() {
         )
         .expect("projection succeeds");
         let clustering = MlrMcl::with_inflation(2.0)
-            .cluster(projection.graph())
+            .cluster(sym.graph())
             .expect("clustering succeeds");
         // Score: fraction of users whose cluster majority shares their
         // planted community.

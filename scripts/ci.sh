@@ -10,8 +10,30 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(fmt clippy check build test fault debug-assertions threads-matrix oom-matrix serve chaos bench bench-smoke sanitize miri)
+ALL_STAGES=(loc fmt clippy check build test fault debug-assertions threads-matrix oom-matrix serve chaos bench bench-smoke sanitize miri)
 
+# The size watermark ROADMAP judges simplicity PRs by: every line of
+# .rs/.sh/.toml under the source roots, then the non-test count (.rs
+# lines before a file's first `#[cfg(test)]`, outside `tests/`
+# directories) in total and per crate source directory. Reports only.
+LOC_ROOTS=(crates src tests scripts vendor)
+loc_non_test() {
+  find "$@" -type f -name '*.rs' -not -path '*/tests/*' -not -path 'tests/*' -print0 |
+    xargs -0 -r awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 } !t { n++ }
+      END { print n + 0 }' |
+    awk '{ s += $1 } END { print s + 0 }'
+}
+stage_loc() {
+  local all
+  all="$(find "${LOC_ROOTS[@]}" -type f \( -name '*.rs' -o -name '*.sh' -o -name '*.toml' \) -print0 |
+    xargs -0 cat | wc -l)"
+  echo "loc: all lines (.rs/.sh/.toml under ${LOC_ROOTS[*]}): $all"
+  echo "loc: non-test .rs lines: $(loc_non_test "${LOC_ROOTS[@]}")"
+  local dir
+  for dir in crates/*/src src; do
+    printf 'loc:   %-24s %6d\n' "$dir" "$(loc_non_test "$dir")"
+  done
+}
 stage_fmt() { cargo fmt --all -- --check; }
 stage_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }
 # Repo-invariant lint rules + the exhaustive scheduler and serve-lifecycle
