@@ -6,7 +6,6 @@
 //! bench_gate check       <baseline.json> <current.json>
 //! bench_gate syrk-check  <graph.txt>
 //! bench_gate serve-check <graph.txt>
-//! bench_gate accum-check <graph.txt>
 //! bench_gate panel-check <graph.txt>
 //! bench_gate oom-check
 //! ```
@@ -22,12 +21,7 @@
 //! store: a cold Bibliometric symmetrization is published to a scratch
 //! disk store, then replayed through a fresh in-memory tier (a simulated
 //! daemon restart); the replay must be served from disk, run zero SpGEMM
-//! calls and return the bit-identical matrix. `accum-check` is the lock
-//! on the adaptive accumulators: the same Bibliometric product under
-//! forced-sparse accumulation and under the adaptive strategy must be
-//! byte-identical, every row must be accounted to one strategy, and the
-//! adaptive pass must actually pick the dense path for some rows.
-//! `panel-check` is the lock on the out-of-core panel path (DESIGN.md
+//! calls and return the bit-identical matrix. `panel-check` is the lock on the out-of-core panel path (DESIGN.md
 //! §17): the Bibliometric product under a forced tiny panel size and a
 //! 1-byte spill budget — multiple tiles, at least one spilled to scratch
 //! files — must be byte-identical to the in-memory product with identical
@@ -41,9 +35,7 @@
 use symclust_bench::gate;
 use symclust_obs::MetricsRegistry;
 use symclust_sparse::spgemm::metric_names;
-use symclust_sparse::{
-    ops, spgemm, spgemm_syrk_sum, AccumStrategy, PanelPlan, SpgemmOptions, SyrkTerm, Tuning,
-};
+use symclust_sparse::{ops, spgemm, spgemm_syrk_sum, PanelPlan, SpgemmOptions, SyrkTerm, Tuning};
 
 fn main() {
     std::process::exit(match run() {
@@ -97,12 +89,6 @@ fn run() -> Result<(), String> {
             };
             serve_check(graph_path)
         }
-        Some("accum-check") => {
-            let [_, graph_path] = args.as_slice() else {
-                return Err("usage: bench_gate accum-check <graph.txt>".into());
-            };
-            accum_check(graph_path)
-        }
         Some("panel-check") => {
             let [_, graph_path] = args.as_slice() else {
                 return Err("usage: bench_gate panel-check <graph.txt>".into());
@@ -116,69 +102,11 @@ fn run() -> Result<(), String> {
             oom_check()
         }
         _ => Err(
-            "usage: bench_gate emit|check|syrk-check|serve-check|accum-check|panel-check\
-             |oom-check ... (see the module docs in source)"
+            "usage: bench_gate emit|check|syrk-check|serve-check|panel-check|oom-check ... \
+             (see the module docs in source)"
                 .into(),
         ),
     }
-}
-
-/// Runs the fused Bibliometric SYRK product under forced-sparse and
-/// adaptive accumulation and fails unless the outputs are byte-identical
-/// and the adaptive pass exercises both strategies' bookkeeping (all rows
-/// accounted for, at least one dense).
-fn accum_check(graph_path: &str) -> Result<(), String> {
-    let g = symclust_graph::io::read_edge_list_file(graph_path)
-        .map_err(|e| format!("reading {graph_path}: {e}"))?;
-    let a = ops::add_diagonal(g.adjacency(), 1.0).map_err(|e| e.to_string())?;
-    let at = ops::transpose(&a);
-    let terms = [SyrkTerm { x: &a, xt: &at }, SyrkTerm { x: &at, xt: &a }];
-    let run = |accum: AccumStrategy| -> Result<_, String> {
-        let opts = SpgemmOptions {
-            drop_diagonal: true,
-            tuning: Tuning {
-                threads: 1,
-                accum,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let metrics = MetricsRegistry::new();
-        let c = spgemm_syrk_sum(&terms, &opts, None, Some(&metrics)).map_err(|e| e.to_string())?;
-        let snap = metrics.snapshot();
-        Ok((
-            c.matrix,
-            snap.counter(metric_names::ROWS_DENSE).unwrap_or(0),
-            snap.counter(metric_names::ROWS_SPARSE).unwrap_or(0),
-            snap.counter(metric_names::ROWS).unwrap_or(0),
-        ))
-    };
-
-    let (sparse, s_dense, s_sparse, s_rows) = run(AccumStrategy::Sparse)?;
-    let (adaptive, a_dense, a_sparse, a_rows) = run(AccumStrategy::Adaptive)?;
-    if sparse != adaptive {
-        return Err("adaptive output differs from forced-sparse accumulation".into());
-    }
-    if s_dense != 0 || s_sparse != s_rows {
-        return Err(format!(
-            "forced-sparse pass miscounted strategies: rows_dense {s_dense}, \
-             rows_sparse {s_sparse}, rows {s_rows}"
-        ));
-    }
-    if a_dense + a_sparse != a_rows {
-        return Err(format!(
-            "adaptive pass lost rows: rows_dense {a_dense} + rows_sparse {a_sparse} != rows {a_rows}"
-        ));
-    }
-    if a_dense == 0 {
-        return Err("adaptive pass never chose the dense accumulator on this graph".into());
-    }
-    println!(
-        "accum gate OK: {graph_path}: {a_dense} dense / {a_sparse} sparse rows under adaptive, \
-         output identical to forced-sparse ({} nnz)",
-        adaptive.nnz()
-    );
-    Ok(())
 }
 
 /// Runs the fused Bibliometric SYRK product through the default in-memory
@@ -202,19 +130,13 @@ fn panel_check(graph_path: &str) -> Result<(), String> {
         metric_names::NNZ_INTERMEDIATE,
         metric_names::NNZ_FINAL,
         metric_names::THRESHOLD_DROPPED,
-        metric_names::ROWS_DENSE,
-        metric_names::ROWS_SPARSE,
         metric_names::SYRK_MIRRORED_NNZ,
     ];
 
     let run = |panel: PanelPlan, threads: usize| -> Result<_, String> {
         let opts = SpgemmOptions {
             drop_diagonal: true,
-            tuning: Tuning {
-                threads,
-                panel,
-                ..Default::default()
-            },
+            tuning: Tuning { threads, panel },
             ..Default::default()
         };
         let metrics = MetricsRegistry::new();

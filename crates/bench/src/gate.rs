@@ -38,8 +38,6 @@ pub const EXACT_KEYS: &[&str] = &[
     "counter.store.quarantined",
     "counter.store.stats_persist_errors",
     "gauge.store.degraded",
-    "counter.spgemm.rows_dense",
-    "counter.spgemm.rows_sparse",
     "counter.spgemm.panels",
     "counter.spgemm.panel_spills",
     "counter.spgemm.spill_bytes",

@@ -24,7 +24,7 @@
 //!    / `chain_key` / `stage_key` / `symmetrize_key` / `cluster_key`
 //!    function body, in the engine or the store (whose on-disk content
 //!    addresses are derived from the same keys). The kernel tuning
-//!    (threads, accumulator, panel plan) needs no token here: it lives in
+//!    (threads, panel plan) needs no token here: it lives in
 //!    one `Tuning` value that no spec type or key function holds
 //!    (DESIGN.md §12, "Tuning").
 //! 5. **store-faultfs** — non-test library code in `crates/store` must

@@ -58,6 +58,20 @@ impl ParsedArgs {
         }
     }
 
+    /// Fails on a flag that is not in `known` (the first by name), so a
+    /// misspelled flag stops the command instead of being ignored.
+    pub fn reject_unknown(&self, subcommand: &str, known: &[&str]) -> Result<(), String> {
+        match self
+            .flags
+            .keys()
+            .filter(|k| !known.contains(&k.as_str()))
+            .min()
+        {
+            Some(name) => Err(format!("unknown flag --{name} for {subcommand}")),
+            None => Ok(()),
+        }
+    }
+
     /// Optional typed flag.
     pub fn get<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
         match self.flags.get(name) {

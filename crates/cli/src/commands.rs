@@ -309,15 +309,12 @@ pub fn pipeline(args: &ParsedArgs) -> CmdResult {
     if retries == 0 {
         return Err("--retries must be at least 1 (it counts total attempts)".into());
     }
-    // The three `--sym-*` flags override the environment's tuning, field
-    // by field, so `--sym-panel-rows` composes with a spill budget set in
+    // The two `--sym-*` flags override the environment's tuning, field by
+    // field, so `--sym-panel-rows` composes with a spill budget set in
     // `SYMCLUST_MEMORY_BUDGET`.
     let mut tuning = Tuning::from_env();
     if let Some(threads) = args.get("sym-threads")? {
         tuning.threads = threads;
-    }
-    if let Some(accum) = args.get("sym-accum")? {
-        tuning.accum = accum;
     }
     if let Some(rows) = args.get("sym-panel-rows")? {
         tuning.panel.panel_rows = Some(rows);
@@ -906,24 +903,15 @@ mod tests {
         // struct literal): the sweep stays in memory.
         let zero = counters("tuning_zero.json", &["--sym-panel-rows", "0"]);
         assert_eq!(zero("counter.spgemm.panels"), 0.0);
-        assert!(zero("counter.spgemm.rows_dense") > 0.0);
+        assert!(zero("counter.spgemm.rows") > 0.0);
         let tuned = counters(
             "tuning_flags.json",
-            &[
-                "--sym-panel-rows",
-                "64",
-                "--sym-threads",
-                "2",
-                "--sym-accum",
-                "sparse",
-            ],
+            &["--sym-panel-rows", "64", "--sym-threads", "2"],
         );
         assert!(tuned("counter.spgemm.panels") > 2.0);
-        assert_eq!(tuned("counter.spgemm.rows_dense"), 0.0);
-        assert_eq!(
-            tuned("counter.spgemm.nnz_final"),
-            zero("counter.spgemm.nnz_final")
-        );
+        for key in ["counter.spgemm.rows", "counter.spgemm.nnz_final"] {
+            assert_eq!(tuned(key), zero(key), "{key}");
+        }
     }
 
     #[test]

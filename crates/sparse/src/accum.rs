@@ -1,102 +1,20 @@
-//! Per-row accumulator strategies for the Gustavson and SYRK kernels.
+//! The dense row accumulators of the Gustavson and SYRK kernels.
 //!
-//! Gustavson-style SpGEMM implementations win by switching accumulator
-//! strategy *per output row*: a row whose intermediate product is wide
-//! amortizes a dense scatter array, while a narrow row is cheaper to
-//! gather into a small sorted list than to touch a cache-cold dense
-//! vector. The paper's Σdᵢ² cost model (§3.6) already predicts per-row
-//! intermediate width — the same quantity the kernels count as per-row
-//! FLOPs — so the crossover decision is free: it is derived from counts
-//! the row pass computes anyway, which also makes it deterministic and
-//! independent of thread count.
+//! Every output row accumulates into an f64 scratch vector indexed by
+//! `u32` column ids ([`DenseAccum`]), cleared in O(touched) — not O(n) —
+//! via an epoch-stamped touched test ([`TouchStamp`]): each column carries
+//! the epoch of its last write, a column whose stamp differs from the
+//! current row's epoch reads as vacant, and its slot is initialized to
+//! `0.0` on first touch. No per-row memset, and the touched-column list is
+//! duplicate-free by construction. Products are added in generation order
+//! (ascending `k`), so a slot performs the `0.0 + p₀ + p₁ + …` sequence of
+//! a plain dense reference row.
 //!
-//! Two strategies, bit-identical by construction:
-//!
-//! * **Dense** ([`DenseAccum`]): an f64 scratch vector indexed by `u32`
-//!   column ids, cleared in O(touched) — not O(n) — via an epoch-stamped
-//!   touched test: each slot carries the epoch of its last write, a slot
-//!   whose stamp differs from the current row's epoch reads as vacant and
-//!   is initialized to `0.0` on first touch. No per-row memset, and the
-//!   touched-column list is duplicate-free by construction. A row of `B`
-//!   stored as a zero-filled dense span is added in two halves instead:
-//!   [`touch_masked`] records its first touches, [`DenseAccum::axpy`] its
-//!   values, with the same bits as the scatter. A SYRK sum's terms share
-//!   one stamp in [`TermAccum`], whose slots are zeroed as they are read.
-//! * **Sparse** (the `emit_*_pairs` helpers): products are gathered into a
-//!   `(column, value)` pair list, **stably** sorted by column, and summed
-//!   per column run. Stability preserves the generation order within a
-//!   column — ascending `k` (and term-major for SYRK sums) — which is the
-//!   exact order the dense slot would have accumulated in, so the two
-//!   strategies round identically and the output bits never depend on
-//!   which one ran.
-//!
-//! The sparse gathers are written in fixed-width chunks ([`CHUNK`]): the
-//! products `aᵢₖ · bₖⱼ` for one chunk are computed into a local array
-//! first (a straight-line multiply loop the autovectorizer turns into
-//! packed `mulpd`s) and only then appended. No `std::simd`, no intrinsics,
-//! no new dependencies. The dense scatters multiply and add in one pass
-//! instead; see [`scatter_scaled`] for why.
-
-/// Which accumulator the row kernels use per output row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AccumStrategy {
-    /// Decide per row: dense when the estimated intermediate width
-    /// reaches the crossover, sparse below it. The estimate (the row's
-    /// Gustavson FLOP count) depends only on the input structure, so the
-    /// mix — and the `spgemm.rows_dense` / `spgemm.rows_sparse` counters —
-    /// is deterministic for a fixed input and crossover.
-    #[default]
-    Adaptive,
-    /// Force the dense epoch-stamped accumulator for every row.
-    Dense,
-    /// Force sorted sparse accumulation for every row.
-    Sparse,
-}
-
-impl AccumStrategy {
-    /// Stable lowercase name (`adaptive` / `dense` / `sparse`).
-    pub fn name(self) -> &'static str {
-        match self {
-            AccumStrategy::Adaptive => "adaptive",
-            AccumStrategy::Dense => "dense",
-            AccumStrategy::Sparse => "sparse",
-        }
-    }
-}
-
-impl std::str::FromStr for AccumStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim() {
-            "adaptive" => Ok(AccumStrategy::Adaptive),
-            "dense" => Ok(AccumStrategy::Dense),
-            "sparse" => Ok(AccumStrategy::Sparse),
-            other => Err(format!(
-                "unknown accumulator strategy '{other}' (adaptive|dense|sparse)"
-            )),
-        }
-    }
-}
-
-/// Default crossover (in estimated multiply-adds per row) between sparse
-/// and dense accumulation under [`AccumStrategy::Adaptive`]. Sparse
-/// accumulation pays O(e·log e) for the sort plus a pair buffer; the dense
-/// scatter pays one indexed read-modify-write per product against a large
-/// scratch array. The sort constant loses once a row generates a few
-/// cache lines' worth of products. 64 was set on the benchmark's
-/// `sym-kron` input (13 342 sparse rows beside the dense ones), where
-/// adaptive beat the better of the two fixed strategies
-/// (`sparse.adaptive_vs_best` 0.89). Moving it moves the `rows_dense` /
-/// `rows_sparse` counts. Overridable per call via
-/// [`crate::Tuning::accum_crossover`].
-pub const DEFAULT_ACCUM_CROSSOVER: usize = 64;
-
-/// Fixed chunk width for the scale-and-gather inner loops. Products for
-/// one chunk are computed into a `[f64; CHUNK]` before they are appended,
-/// giving the autovectorizer a straight-line multiply loop (4×2 `mulpd`
-/// at width 8 on SSE2, 2×4 on AVX).
-pub(crate) const CHUNK: usize = 8;
+//! A row of `B` stored as a zero-filled dense span is added in two halves
+//! instead: [`touch_masked`] records its first touches,
+//! [`DenseAccum::axpy`] its values, with the same bits as the scatter. A
+//! SYRK sum's terms share one stamp in [`TermAccum`], whose slots are
+//! zeroed as they are read (DESIGN.md §16).
 
 /// Row-scoped first-touch test over column ids, cleared in O(1).
 ///
@@ -167,9 +85,9 @@ impl DenseAccum {
     }
 
     /// Adds `v` into slot `j`, initializing it to `0.0` on first touch
-    /// this row (the same `0.0 + v` first-add the pre-adaptive kernels
-    /// performed, so rounding is unchanged). Returns whether this was the
-    /// first touch, so callers can maintain a duplicate-free touched list.
+    /// this row (the `0.0 + v` first add of a plain dense row). Returns
+    /// whether this was the first touch, so callers can maintain a
+    /// duplicate-free touched list.
     #[inline]
     pub(crate) fn add(&mut self, j: u32, v: f64) -> bool {
         let first = self.touch(j);
@@ -246,7 +164,6 @@ impl TermAccum {
     /// vals[i]`, appending a column no term has touched yet this row to
     /// `touched`. Each term slot sums its products onto the same `+0.0` a
     /// separate accumulator per term would start from, in the same order.
-    /// Not chunked, for the reason [`scatter_scaled`] gives.
     #[inline]
     pub(crate) fn scatter(
         &mut self,
@@ -286,17 +203,9 @@ impl TermAccum {
 
 /// Dense scale-and-accumulate: `acc[cols[i]] += av · vals[i]`. First
 /// touches are appended to `touched` (duplicate-free: [`DenseAccum::add`]
-/// reports them).
-///
-/// Not chunked like the gathers: this is the loop R-MCL's expand step
-/// runs on rows of `M_G` too sparse for a dense span (see
-/// [`DenseAccum::axpy`]), on accumulators small enough to sit in L1, where
-/// staging each product in a chunk array before the (inherently serial)
-/// scatter costs a store and a load per multiply-add — an R-MCL run on a
-/// 700-node graph took ≈ 340 ms chunked against ≈ 255 ms this way
-/// (DESIGN.md §16). [`TermAccum::scatter`], on L2-sized accumulators,
-/// measured the same way round. The products are the same `av * v`
-/// multiplies either way, so the bytes are too.
+/// reports them). One multiply-add per entry, not staged through a chunk
+/// array: the scatter is serial, so staging would only add a store and a
+/// load per product (DESIGN.md §16).
 #[inline]
 pub(crate) fn scatter_scaled(
     acc: &mut DenseAccum,
@@ -340,122 +249,13 @@ pub(crate) fn touch_masked(
     }
 }
 
-/// Sparse scale-and-gather: appends `(cols[i], av · vals[i])` pairs in
-/// generation order — the same `av * v` multiplies [`scatter_scaled`]
-/// performs, so the products are bit-identical on both paths — with the
-/// multiplies chunked ([`CHUNK`]).
-#[inline]
-pub(crate) fn gather_scaled(pairs: &mut Vec<(u32, f64)>, av: f64, cols: &[u32], vals: &[f64]) {
-    let mut prod = [0.0f64; CHUNK];
-    for (cch, vch) in cols.chunks(CHUNK).zip(vals.chunks(CHUNK)) {
-        for (p, v) in prod.iter_mut().zip(vch) {
-            *p = av * v;
-        }
-        for (j, p) in cch.iter().zip(&prod) {
-            pairs.push((*j, *p));
-        }
-    }
-}
-
-/// Multi-term sparse gather for SYRK sums: like [`gather_scaled`] but each
-/// pair carries the term index so the per-column reduction can reproduce
-/// the dense path's one-ordered-add-per-term rounding.
-#[inline]
-pub(crate) fn gather_scaled_term(
-    pairs: &mut Vec<(u32, u32, f64)>,
-    term: u32,
-    av: f64,
-    cols: &[u32],
-    vals: &[f64],
-) {
-    let mut prod = [0.0f64; CHUNK];
-    for (cch, vch) in cols.chunks(CHUNK).zip(vals.chunks(CHUNK)) {
-        for (p, v) in prod.iter_mut().zip(vch) {
-            *p = av * v;
-        }
-        for (j, p) in cch.iter().zip(&prod) {
-            pairs.push((*j, term, *p));
-        }
-    }
-}
-
-/// Reduces a gathered pair list into per-column sums, visiting columns in
-/// ascending order. The sort is **stable**, so within one column the pairs
-/// stay in generation order (ascending `k`) and the running sum performs
-/// the identical `0.0 + p₀ + p₁ + …` sequence as the dense slot. Calls
-/// `emit(col, sum)` once per distinct column and returns the distinct
-/// column count.
-#[inline]
-pub(crate) fn reduce_pairs(pairs: &mut [(u32, f64)], mut emit: impl FnMut(u32, f64)) -> u64 {
-    pairs.sort_by_key(|p| p.0);
-    let mut distinct = 0u64;
-    let mut i = 0usize;
-    while i < pairs.len() {
-        let j = pairs[i].0;
-        let mut v = 0.0f64;
-        while i < pairs.len() && pairs[i].0 == j {
-            v += pairs[i].1;
-            i += 1;
-        }
-        distinct += 1;
-        emit(j, v);
-    }
-    distinct
-}
-
-/// Multi-term variant of [`reduce_pairs`]: within a column run the pairs
-/// are term-major (generation was term-major and the sort is stable), so
-/// each term's products are summed into a subtotal first and the
-/// subtotals are added in term order — the same final ordered add across
-/// term slots [`TermAccum::take`] performs. Terms that never touched a
-/// column are skipped here where `take` adds their `+0.0` slot; the bits
-/// are the same (see `take`).
-#[inline]
-pub(crate) fn reduce_pairs_terms(
-    pairs: &mut [(u32, u32, f64)],
-    mut emit: impl FnMut(u32, f64),
-) -> u64 {
-    pairs.sort_by_key(|p| p.0);
-    let mut distinct = 0u64;
-    let mut i = 0usize;
-    while i < pairs.len() {
-        let j = pairs[i].0;
-        let mut v = 0.0f64;
-        while i < pairs.len() && pairs[i].0 == j {
-            let t = pairs[i].1;
-            let mut subtotal = 0.0f64;
-            while i < pairs.len() && pairs[i].0 == j && pairs[i].1 == t {
-                subtotal += pairs[i].2;
-                i += 1;
-            }
-            v += subtotal;
-        }
-        distinct += 1;
-        emit(j, v);
-    }
-    distinct
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Whether `acc`'s slot `j` was touched during the current row.
     fn is_touched(acc: &DenseAccum, j: u32) -> bool {
-        acc.stamp[j as usize] == acc.epoch
-    }
-
-    #[test]
-    fn strategy_parses_and_names_roundtrip() {
-        for s in [
-            AccumStrategy::Adaptive,
-            AccumStrategy::Dense,
-            AccumStrategy::Sparse,
-        ] {
-            assert_eq!(s.name().parse::<AccumStrategy>().unwrap(), s);
-        }
-        assert!("densest".parse::<AccumStrategy>().is_err());
-        assert_eq!(AccumStrategy::default(), AccumStrategy::Adaptive);
+        acc.stamp.stamp[j as usize] == acc.stamp.epoch
     }
 
     #[test]
@@ -477,11 +277,11 @@ mod tests {
     #[test]
     fn dense_accum_epoch_wrap_resets_stamps() {
         let mut acc = DenseAccum::new(2);
-        acc.epoch = u32::MAX - 1;
+        acc.stamp.epoch = u32::MAX - 1;
         acc.begin_row(); // -> MAX
         acc.add(0, 1.0);
         acc.begin_row(); // wrap: stamps reset, epoch 1
-        assert_eq!(acc.epoch, 1);
+        assert_eq!(acc.stamp.epoch, 1);
         assert!(!is_touched(&acc, 0));
         assert!(acc.add(0, 2.0));
         assert_eq!(acc.get(0), 2.0);
@@ -605,28 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_and_gather_produce_identical_sums() {
-        let cols: Vec<u32> = (0..23).map(|i| i % 7).collect();
-        let vals: Vec<f64> = (0..23).map(|i| 0.1 + i as f64 * 0.3).collect();
-        let av = 1.7;
-        let mut acc = DenseAccum::new(7);
-        let mut touched = Vec::new();
-        acc.begin_row();
-        scatter_scaled(&mut acc, &mut touched, av, &cols, &vals);
-        let mut pairs = Vec::new();
-        gather_scaled(&mut pairs, av, &cols, &vals);
-        let mut sparse = std::collections::BTreeMap::new();
-        let distinct = reduce_pairs(&mut pairs, |j, v| {
-            sparse.insert(j, v);
-        });
-        assert_eq!(distinct as usize, touched.len());
-        for (&j, &v) in &sparse {
-            assert!(is_touched(&acc, j));
-            assert_eq!(acc.get(j).to_bits(), v.to_bits(), "column {j}");
-        }
-    }
-
-    #[test]
     fn term_accum_matches_one_accumulator_per_term_in_bits() {
         // Three terms' rows of `Xᵀ`, signed: column 2's terms cancel to an
         // exact zero (0.75 + 0.0 − 0.75, term 1 adding a −0.0 product),
@@ -676,15 +454,5 @@ mod tests {
             assert_eq!(acc.take(j).to_bits(), want.to_bits(), "column {j}");
         }
         assert!(acc.vals.iter().all(|v| v.to_bits() == 0), "take clears");
-    }
-
-    #[test]
-    fn reduce_pairs_terms_sums_term_major() {
-        // Column 3 touched by terms 0 and 1; column 5 only by term 1.
-        let mut pairs = vec![(3u32, 0u32, 1.0), (5, 1, 4.0), (3, 0, 2.0), (3, 1, 8.0)];
-        let mut out = Vec::new();
-        let distinct = reduce_pairs_terms(&mut pairs, |j, v| out.push((j, v)));
-        assert_eq!(distinct, 2);
-        assert_eq!(out, vec![(3, 11.0), (5, 4.0)]);
     }
 }

@@ -16,12 +16,9 @@
 //!   to compute (the on-the-fly prune threshold, the diagonal filter, the
 //!   optional nnz budget) and one [`Tuning`] saying how to run it: the
 //!   thread count (which alone selects between one thread and the
-//!   work-stealing pool), the per-row accumulator ([`AccumStrategy`]: wide
-//!   rows use an epoch-stamped dense scratch accumulator, narrow rows a
-//!   sorted sparse gather, bit-identical either way) and the out-of-core
-//!   [`PanelPlan`] — plus an optional [`CancelToken`] and metrics
-//!   registry, and return the product with its degradation provenance
-//!   ([`SpgemmOutput`]). [`Tuning::from_env`] is the one reader of the
+//!   work-stealing pool) and the out-of-core [`PanelPlan`] — plus an
+//!   optional [`CancelToken`] and metrics registry, and return the product
+//!   with its degradation provenance ([`SpgemmOutput`]). [`Tuning::from_env`] is the one reader of the
 //!   `SYMCLUST_*` variables and the default of every `tuning` field.
 //!   [`spgemm_flops`] is the cost estimate both compare the budget with,
 //!   and [`spgemm::run_rows_with_epilogue`] is the row runner with a
@@ -54,7 +51,6 @@ mod spill;
 pub mod syrk;
 mod tuning;
 
-pub use accum::{AccumStrategy, DEFAULT_ACCUM_CROSSOVER};
 pub use cancel::CancelToken;
 pub use coo::CooMatrix;
 pub use csr::{validate_parts, CsrMatrix};

@@ -13,22 +13,19 @@
 //!
 //! ## Bit-identity with the in-memory path
 //!
-//! Restricting a row's scatter/gather to the sorted column subrange
+//! Restricting a row's scatter to the sorted column subrange
 //! `[c_lo, c_hi)` ([`ColRange::clip`]) preserves, for every
 //! output column `j`, the exact sequence of `f64` adds the in-memory kernel
 //! performs for `j`: products are generated in the same ascending-`k`
 //! (and, for SYRK sums, term-major) order and accumulate from the same
-//! `0.0` first touch. The sparse strategy's stable sort preserves the same
-//! order per column. Tiles are concatenated in ascending column-panel order
+//! `0.0` first touch. Tiles are concatenated in ascending column-panel order
 //! per row, so each merged row is the in-memory row, bit for bit — at any
 //! panel size, thread count, or spill budget.
 //!
 //! Every deterministic work counter also matches: tile column ranges
 //! partition the full column range, so per-tile FLOP / touched / emitted
-//! counts sum to the in-memory totals, and the per-row counters
-//! (`rows`, `rows_dense`, `rows_sparse`) are counted once, on the row
-//! panel's *owner* tile, using the **full-row** width estimate — the same
-//! estimate the in-memory kernel uses — so the strategy mix is identical.
+//! counts sum to the in-memory totals, and `rows` is counted once, on the
+//! row panel's *owner* tile.
 //!
 //! ## Spilling
 //!
@@ -375,11 +372,7 @@ mod tests {
     /// Default semantics under `threads` workers and `panel`.
     fn opts(threads: usize, panel: PanelPlan) -> SpgemmOptions {
         SpgemmOptions {
-            tuning: Tuning {
-                threads,
-                panel,
-                ..Default::default()
-            },
+            tuning: Tuning { threads, panel },
             ..Default::default()
         }
     }
@@ -493,8 +486,6 @@ mod tests {
             "spgemm.nnz_intermediate",
             "spgemm.nnz_final",
             "spgemm.threshold_dropped",
-            "spgemm.rows_dense",
-            "spgemm.rows_sparse",
         ] {
             assert_eq!(
                 base.snapshot().counter(key),

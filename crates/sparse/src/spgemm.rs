@@ -2,7 +2,7 @@
 //!
 //! Gustavson's row-wise algorithm: row `i` of `C = A·B` is the linear
 //! combination of the rows of `B` selected by the non-zeros of row `i` of
-//! `A`, accumulated per row by the adaptive strategies of [`crate::accum`].
+//! `A`, accumulated per row in the dense scratch of [`crate::accum`].
 //! The prune threshold is applied *during* emission, which is what makes
 //! the paper's Degree-discounted symmetrization tractable on hub-heavy
 //! graphs: the full product is never materialized (§3.5 of the paper).
@@ -30,7 +30,7 @@
 //! the scatter's products and adds, and the zeros add nothing, so the
 //! epilogue sees the scatter's bits in the scatter's order.
 
-use crate::accum::{gather_scaled, reduce_pairs, scatter_scaled, touch_masked, DenseAccum};
+use crate::accum::{scatter_scaled, touch_masked, DenseAccum};
 use crate::cancel::CancelToken;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
@@ -80,15 +80,6 @@ pub mod metric_names {
     /// but a persistently high ratio versus total blocks on a skewed graph
     /// is the load-balancing at work.
     pub const SCHED_STEALS: &str = "spgemm.sched_steals";
-    /// Output rows accumulated with the dense epoch-stamped scratch
-    /// (estimated intermediate width at or above the crossover). The
-    /// dense/sparse split depends only on the input structure and the
-    /// crossover — never on thread count — so both counters are
-    /// deterministic and bench-gated.
-    pub const ROWS_DENSE: &str = "spgemm.rows_dense";
-    /// Output rows accumulated with sorted sparse pair lists (estimated
-    /// intermediate width below the crossover).
-    pub const ROWS_SPARSE: &str = "spgemm.rows_sparse";
     /// Panel-pair tiles executed by the out-of-core panel path (0 when the
     /// in-memory path ran). A function of the matrix shape and the
     /// configured panel size only, so deterministic and bench-gated.
@@ -113,8 +104,6 @@ pub(crate) struct SpgemmCounts {
     pub(crate) flops: u64,
     pub(crate) touched: u64,
     pub(crate) emitted: u64,
-    pub(crate) rows_dense: u64,
-    pub(crate) rows_sparse: u64,
     pub(crate) panels: u64,
     pub(crate) panel_spills: u64,
     pub(crate) spill_bytes: u64,
@@ -124,25 +113,11 @@ pub(crate) struct SpgemmCounts {
 }
 
 impl SpgemmCounts {
-    /// Records one output row under the accumulator it ran on. Called by
-    /// the row bodies on the row's owner range only.
-    #[inline]
-    pub(crate) fn count_row(&mut self, dense: bool) {
-        self.rows += 1;
-        if dense {
-            self.rows_dense += 1;
-        } else {
-            self.rows_sparse += 1;
-        }
-    }
-
     pub(crate) fn merge(&mut self, other: &SpgemmCounts) {
         self.rows += other.rows;
         self.flops += other.flops;
         self.touched += other.touched;
         self.emitted += other.emitted;
-        self.rows_dense += other.rows_dense;
-        self.rows_sparse += other.rows_sparse;
         self.panels += other.panels;
         self.panel_spills += other.panel_spills;
         self.spill_bytes += other.spill_bytes;
@@ -158,8 +133,6 @@ impl SpgemmCounts {
         m.counter(metric_names::NNZ_FINAL).add(self.emitted);
         m.counter(metric_names::THRESHOLD_DROPPED)
             .add(self.touched - self.emitted);
-        m.counter(metric_names::ROWS_DENSE).add(self.rows_dense);
-        m.counter(metric_names::ROWS_SPARSE).add(self.rows_sparse);
         m.counter(metric_names::PANELS).add(self.panels);
         m.counter(metric_names::PANEL_SPILLS).add(self.panel_spills);
         m.counter(metric_names::SPILL_BYTES).add(self.spill_bytes);
@@ -187,7 +160,7 @@ pub struct SpgemmOptions {
     /// whose memory never grows past O(budget) plus one accumulator row,
     /// flagged [`SpgemmOutput::degraded`]. Default `None` (always exact).
     pub nnz_budget: Option<usize>,
-    /// Threads, accumulator and panel plan. Never changes the output; the
+    /// Threads and panel plan. Never changes the output; the
     /// default is [`Tuning::from_env`].
     pub tuning: Tuning,
 }
@@ -238,10 +211,9 @@ pub(crate) fn emits(v: f64, j: u32, row: usize, opts: &SpgemmOptions) -> bool {
 pub(crate) struct ColRange {
     pub(crate) lo: usize,
     pub(crate) hi: usize,
-    /// Whether this range records the row's per-row counters (`rows`,
-    /// `rows_dense`, `rows_sparse`). Exactly one range of each row does;
-    /// FLOPs / touched / emitted are counted by every range over its own
-    /// columns and sum to the whole-row totals.
+    /// Whether this range counts the row under `rows`. Exactly one range
+    /// of each row does; FLOPs / touched / emitted are counted by every
+    /// range over its own columns and sum to the whole-row totals.
     pub(crate) owner: bool,
 }
 
@@ -274,8 +246,7 @@ impl ColRange {
 /// What a Gustavson row does with its accumulated entries.
 pub(crate) enum Finish<'a, E> {
     /// Emit, in ascending column order, the entries that pass the options'
-    /// threshold and diagonal filter, on the accumulator
-    /// [`Tuning::row_is_dense`] picks.
+    /// threshold and diagonal filter.
     Filter(&'a SpgemmOptions),
     /// Hand the row to a caller epilogue and emit what it leaves (see
     /// [`run_rows_with_epilogue`]). The rows of `B` that `spans` holds
@@ -362,10 +333,10 @@ impl DenseSpans {
 /// The `Finish` of a multiply without an epilogue.
 type NoEpilogue = fn(usize, &mut Vec<(u32, f64)>);
 
-/// The row's Gustavson multiply-add count. It doubles as the §3.6-style
-/// estimate of the row's intermediate width (every product touches at most
-/// one distinct column), so the strategy decision is free and depends only
-/// on the input structure.
+/// The row's Gustavson multiply-add count: the §3.6-style upper bound on
+/// the row's intermediate width (every product touches at most one
+/// distinct column). Summed over the rows, it is the output-size estimate
+/// [`drive`] compares with the nnz budget.
 pub(crate) fn gustavson_width(a: &CsrMatrix, b: &CsrMatrix, row: usize) -> usize {
     a.row_indices(row)
         .iter()
@@ -375,11 +346,7 @@ pub(crate) fn gustavson_width(a: &CsrMatrix, b: &CsrMatrix, row: usize) -> usize
 
 /// The Gustavson row body: accumulates columns `cols` of row `row` of
 /// `A·B` and appends what `finish` emits to `(indices, values)`, in
-/// ascending column order. The dense/sparse decision uses the *whole-row*
-/// width estimate whatever the range, so the strategy mix — and with it
-/// the add order — is the same for every tiling; both strategies emit
-/// bit-identical values (see [`crate::accum`]), so the choice never leaks
-/// into the output.
+/// ascending column order.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gustavson_row<E>(
@@ -396,19 +363,16 @@ pub(crate) fn gustavson_row<E>(
     E: Fn(usize, &mut Vec<(u32, f64)>),
 {
     let emitted_before = indices.len();
-    let (dense, spans) = match finish {
-        Finish::Filter(opts) => (opts.tuning.row_is_dense(gustavson_width(a, b, row)), None),
-        // Spans hold whole rows of `B`, so only a whole-row call uses them.
+    // Spans hold whole rows of `B`, so only a whole-row call uses them.
+    let spans = match finish {
+        Finish::Filter(_) => None,
         Finish::Epilogue(_, spans) => {
             let whole_row = cols.lo == 0 && cols.hi == b.n_cols();
-            (
-                true,
-                (whole_row && !spans.values.is_empty()).then_some(*spans),
-            )
+            (whole_row && !spans.values.is_empty()).then_some(*spans)
         }
     };
     if cols.owner {
-        counts.count_row(dense);
+        counts.rows += 1;
     }
     let RowScratch {
         acc,
@@ -416,85 +380,70 @@ pub(crate) fn gustavson_row<E>(
         pairs,
         seen,
     } = scratch;
-    if dense {
-        acc.begin_row();
-        touched.clear();
-        if spans.is_some() {
-            seen.fill(0);
+    acc.begin_row();
+    touched.clear();
+    if spans.is_some() {
+        seen.fill(0);
+    }
+    let width = cols.hi - cols.lo;
+    for (k, av) in a.row_iter(row) {
+        let k = k as usize;
+        let (bcols, bvals) = cols.clip(b.row_indices(k), b.row_values(k));
+        counts.flops += bcols.len() as u64;
+        // ∞ · 0.0 is NaN: only a finite `av` may add the span's zeros.
+        let span = spans.and_then(|s| s.row(k)).filter(|_| av.is_finite());
+        let Some((span, mask)) = span else {
+            scatter_scaled(acc, touched, av, bcols, bvals);
+            continue;
+        };
+        // First touches in the scatter's order, until every column of the
+        // output is touched; then one AXPY does the adds. At stored
+        // positions it is the scatter's product and add. At the others it
+        // adds `av · 0.0 = ±0.0`, which leaves a touched slot alone: its
+        // sum started at +0.0, and in round-to-nearest such a sum never
+        // becomes -0.0.
+        let lo = bcols[0] as usize;
+        if touched.len() < width {
+            touch_masked(acc, seen, touched, lo / 64, mask);
         }
-        let width = cols.hi - cols.lo;
-        for (k, av) in a.row_iter(row) {
-            let k = k as usize;
-            let (bcols, bvals) = cols.clip(b.row_indices(k), b.row_values(k));
-            counts.flops += bcols.len() as u64;
-            // ∞ · 0.0 is NaN: only a finite `av` may add the span's zeros.
-            let span = spans.and_then(|s| s.row(k)).filter(|_| av.is_finite());
-            let Some((span, mask)) = span else {
-                scatter_scaled(acc, touched, av, bcols, bvals);
-                continue;
-            };
-            // First touches in the scatter's order, until every column
-            // of the output is touched; then one AXPY does the adds. At
-            // stored positions it is the scatter's product and add. At the
-            // others it adds `av · 0.0 = ±0.0`, which leaves a touched slot
-            // alone: its sum started at +0.0, and in round-to-nearest such
-            // a sum never becomes -0.0.
-            let lo = bcols[0] as usize;
-            if touched.len() < width {
-                touch_masked(acc, seen, touched, lo / 64, mask);
-            }
-            acc.axpy(lo, av, span);
-        }
-        counts.touched += touched.len() as u64;
-        match finish {
-            Finish::Filter(opts) => {
-                touched.sort_unstable();
-                for &j in touched.iter() {
-                    let v = acc.get(j);
-                    if emits(v, j, row, opts) {
-                        indices.push(j);
-                        values.push(v);
-                    }
-                }
-            }
-            Finish::Epilogue(epilogue, _) => {
-                pairs.clear();
-                pairs.extend(touched.iter().map(|&j| (j, acc.get(j))));
-                epilogue(row, pairs);
-                debug_assert!(
-                    pairs.windows(2).all(|w| w[0].0 < w[1].0),
-                    "a row epilogue must leave its entries in ascending column order"
-                );
-                for &(j, v) in pairs.iter() {
+        acc.axpy(lo, av, span);
+    }
+    counts.touched += touched.len() as u64;
+    match finish {
+        Finish::Filter(opts) => {
+            touched.sort_unstable();
+            for &j in touched.iter() {
+                let v = acc.get(j);
+                if emits(v, j, row, opts) {
                     indices.push(j);
                     values.push(v);
                 }
             }
         }
-    } else if let Finish::Filter(opts) = finish {
-        pairs.clear();
-        for (k, av) in a.row_iter(row) {
-            let (bcols, bvals) = cols.clip(b.row_indices(k as usize), b.row_values(k as usize));
-            counts.flops += bcols.len() as u64;
-            gather_scaled(pairs, av, bcols, bvals);
-        }
-        counts.touched += reduce_pairs(pairs, |j, v| {
-            if emits(v, j, row, opts) {
+        Finish::Epilogue(epilogue, _) => {
+            pairs.clear();
+            pairs.extend(touched.iter().map(|&j| (j, acc.get(j))));
+            epilogue(row, pairs);
+            debug_assert!(
+                pairs.windows(2).all(|w| w[0].0 < w[1].0),
+                "a row epilogue must leave its entries in ascending column order"
+            );
+            for &(j, v) in pairs.iter() {
                 indices.push(j);
                 values.push(v);
             }
-        });
+        }
     }
     counts.emitted += (indices.len() - emitted_before) as u64;
 }
 
 /// Per-worker scratch for the general Gustavson kernel: the dense
 /// epoch-stamped accumulator, its duplicate-free touched-column list, and
-/// the pair buffer the sparse strategy gathers into (and an epilogue edits
-/// its row in). Both buffers are reused across every row the worker
-/// executes, so a mixed adaptive run allocates each at its high-water mark
-/// once. `seen` holds, one bit per column, the columns a row has touched
-/// through dense-span masks (see [`touch_masked`]).
+/// the `(column, value)` buffer an epilogue edits its row in. Both buffers
+/// are reused across every row the worker executes, so each is allocated
+/// at its high-water mark once. `seen` holds, one bit per column, the
+/// columns a row has touched through dense-span masks (see
+/// [`touch_masked`]).
 pub(crate) struct RowScratch {
     acc: DenseAccum,
     touched: Vec<u32>,

@@ -31,21 +31,13 @@
 //! `DegreeDiscounted` skip materializing the two full intermediate
 //! products entirely.
 //!
-//! Like the general kernel, each output row picks its accumulator
-//! adaptively (see [`crate::accum`]): wide rows scatter into per-term
-//! slots under one epoch stamp per column ([`TermAccum`]), which keeps
-//! the touched list duplicate-free at one stamp test per product; narrow
-//! rows gather `(column, term, product)` triples and reduce them with a
-//! stable sort that reproduces the dense path's term-ordered rounding bit
-//! for bit. The width estimate is the row's full Σₜ Σₖ nnz(Xₜᵀ row k)
-//! product count — a deterministic function of the input structure alone,
-//! so the strategy mix never depends on thread count.
-//!
-//! A wide row pays per *survivor*, not per touched column, for its order:
-//! it sums and filters its touched columns in first-touch order and sorts
-//! only the entries that pass. A thresholded similarity emits a small
-//! share of what it touches (0.2 % on `sym-kron`'s Degree-discounted
-//! product).
+//! Every row scatters into per-term slots under one epoch stamp per
+//! column ([`TermAccum`], see [`crate::accum`]), which keeps the touched
+//! list duplicate-free at one stamp test per product. A row pays per
+//! *survivor*, not per touched column, for its order: it sums and filters
+//! its touched columns in first-touch order and sorts only the entries
+//! that pass. A thresholded similarity emits a small share of what it
+//! touches (0.2 % on `sym-kron`'s Degree-discounted product).
 //!
 //! Parallelism, panel tiling, cancellation, budget degradation and
 //! observability all ride on the shared funnel in [`crate::spgemm`]
@@ -55,7 +47,7 @@
 //! whose entries the funnel tallies under the SYRK-specific
 //! `spgemm.syrk_calls` / `spgemm.syrk_mirrored_nnz` counters.
 
-use crate::accum::{gather_scaled_term, reduce_pairs_terms, TermAccum};
+use crate::accum::TermAccum;
 use crate::cancel::CancelToken;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
@@ -99,13 +91,12 @@ fn check_terms(terms: &[SyrkTerm<'_>]) -> Result<usize> {
 }
 
 /// Per-worker scratch: the dense accumulator of every term under one
-/// stamp, its duplicate-free touched-column list, a dense row's surviving
-/// `(column, value)` entries, and the triple buffer used by sparse rows.
+/// stamp, its duplicate-free touched-column list, and a row's surviving
+/// `(column, value)` entries.
 struct SyrkScratch {
     acc: TermAccum,
     touched: Vec<u32>,
     kept: Vec<(u32, f64)>,
-    pairs: Vec<(u32, u32, f64)>,
 }
 
 impl SyrkScratch {
@@ -114,15 +105,13 @@ impl SyrkScratch {
             acc: TermAccum::new(n, n_terms),
             touched: Vec::new(),
             kept: Vec::new(),
-            pairs: Vec::new(),
         }
     }
 }
 
 /// The row's *whole* product count across terms: a structure-only upper
-/// bound on the upper-triangle work, and the width estimate behind the
-/// accumulator choice. Depends on the input and nothing else, so the
-/// dense/sparse mix is deterministic and thread-independent.
+/// bound on the upper-triangle work and on the row's output width, which
+/// [`drive`] sums into the estimate it compares with the nnz budget.
 fn syrk_width(terms: &[SyrkTerm<'_>], row: usize) -> usize {
     terms
         .iter()
@@ -147,9 +136,8 @@ fn syrk_row(
     counts: &mut SpgemmCounts,
 ) {
     let emitted_before = indices.len();
-    let dense = opts.tuning.row_is_dense(syrk_width(terms, row));
     if cols.owner {
-        counts.count_row(dense);
+        counts.rows += 1;
     }
     // Upper triangle only: columns are sorted, so the clip drops j < row
     // by binary search.
@@ -157,61 +145,35 @@ fn syrk_row(
         lo: cols.lo.max(row),
         ..cols
     };
-    let SyrkScratch {
-        acc,
-        touched,
-        kept,
-        pairs,
-    } = scratch;
-    let distinct = if dense {
-        acc.begin_row();
-        touched.clear();
-        for (t, term) in terms.iter().enumerate() {
-            for (k, xv) in term.x.row_iter(row) {
-                let (tcols, tvals) = cols.clip(
-                    term.xt.row_indices(k as usize),
-                    term.xt.row_values(k as usize),
-                );
-                counts.flops += tcols.len() as u64;
-                acc.scatter(t, touched, xv, tcols, tvals);
-            }
+    let SyrkScratch { acc, touched, kept } = scratch;
+    acc.begin_row();
+    touched.clear();
+    for (t, term) in terms.iter().enumerate() {
+        for (k, xv) in term.x.row_iter(row) {
+            let (tcols, tvals) = cols.clip(
+                term.xt.row_indices(k as usize),
+                term.xt.row_values(k as usize),
+            );
+            counts.flops += tcols.len() as u64;
+            acc.scatter(t, touched, xv, tcols, tvals);
         }
-        // Sum and filter in first-touch order (every listed column must
-        // be taken), then sort only the survivors: block-ordered assembly
-        // and the mirror need ascending rows.
-        kept.clear();
-        kept.extend(
-            touched
-                .iter()
-                .map(|&j| (j, acc.take(j)))
-                .filter(|&(j, v)| emits(v, j, row, opts)),
-        );
-        kept.sort_unstable_by_key(|&(j, _)| j);
-        for &(j, v) in kept.iter() {
-            indices.push(j);
-            values.push(v);
-        }
-        touched.len() as u64
-    } else {
-        pairs.clear();
-        for (t, term) in terms.iter().enumerate() {
-            for (k, xv) in term.x.row_iter(row) {
-                let (tcols, tvals) = cols.clip(
-                    term.xt.row_indices(k as usize),
-                    term.xt.row_values(k as usize),
-                );
-                counts.flops += tcols.len() as u64;
-                gather_scaled_term(pairs, t as u32, xv, tcols, tvals);
-            }
-        }
-        reduce_pairs_terms(pairs, |j, v| {
-            if emits(v, j, row, opts) {
-                indices.push(j);
-                values.push(v);
-            }
-        })
-    };
-    counts.touched += distinct;
+    }
+    // Sum and filter in first-touch order (every listed column must be
+    // taken), then sort only the survivors: block-ordered assembly and the
+    // mirror need ascending rows.
+    kept.clear();
+    kept.extend(
+        touched
+            .iter()
+            .map(|&j| (j, acc.take(j)))
+            .filter(|&(j, v)| emits(v, j, row, opts)),
+    );
+    kept.sort_unstable_by_key(|&(j, _)| j);
+    for &(j, v) in kept.iter() {
+        indices.push(j);
+        values.push(v);
+    }
+    counts.touched += touched.len() as u64;
     counts.emitted += (indices.len() - emitted_before) as u64;
 }
 
@@ -404,169 +366,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(separate, fused.matrix);
-    }
-
-    #[test]
-    fn syrk_sum_of_signed_terms_matches_a_dense_reference_in_bits() {
-        // Three signed terms: equal products cancel, so some touched
-        // columns sum to an exact zero and must not be emitted; values in
-        // thirds round, so the order of every add shows in the bits.
-        use crate::accum::AccumStrategy;
-        let signed = |seed| {
-            let m = pseudo_random_matrix(40, 24, seed, 2);
-            let rows: Vec<Vec<f64>> = m
-                .to_dense()
-                .into_iter()
-                .enumerate()
-                .map(|(i, row)| {
-                    let signs = row.iter().enumerate().map(|(k, v)| (k, v / 3.0));
-                    let signed = signs.map(|(k, v)| if (i + k) % 3 == 0 { -v } else { v });
-                    signed.collect()
-                })
-                .collect();
-            CsrMatrix::from_dense(&rows)
-        };
-        let xs = [
-            signed(0x243F6A8885A308D3),
-            signed(0x9E3779B97F4A7C15),
-            signed(0xB7E151628AED2A6A),
-        ];
-        let xts: Vec<CsrMatrix> = xs.iter().map(transpose).collect();
-        let terms: Vec<SyrkTerm> = xs
-            .iter()
-            .zip(&xts)
-            .map(|(x, xt)| SyrkTerm { x, xt })
-            .collect();
-        // Per term an ascending-k sum of the same products onto 0.0, the
-        // terms added in order: the kernel's rounding, with no kernel code.
-        let reference = |opts: &SpgemmOptions| {
-            let dense: Vec<Vec<Vec<f64>>> = xs.iter().map(CsrMatrix::to_dense).collect();
-            let n = xs[0].n_rows();
-            let mut rows = vec![vec![0.0f64; n]; n];
-            for (i, row) in rows.iter_mut().enumerate() {
-                for (j, out) in row.iter_mut().enumerate() {
-                    let mut total = 0.0f64;
-                    for x in &dense {
-                        let mut s = 0.0f64;
-                        for (a, b) in x[i].iter().zip(&x[j]) {
-                            if *a != 0.0 && *b != 0.0 {
-                                s += a * b;
-                            }
-                        }
-                        total += s;
-                    }
-                    if emits(total, j as u32, i, opts) {
-                        *out = total;
-                    }
-                }
-            }
-            CsrMatrix::from_dense(&rows)
-        };
-        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let mut cancelled = false;
-        for (threshold, drop_diagonal) in [(0.0, false), (0.0, true), (1.0, true)] {
-            let base = SpgemmOptions {
-                threshold,
-                drop_diagonal,
-                ..Default::default()
-            };
-            let want = reference(&base);
-            for accum in [AccumStrategy::Dense, AccumStrategy::Sparse] {
-                for threads in [1, 3] {
-                    let opts = SpgemmOptions {
-                        tuning: Tuning {
-                            threads,
-                            accum,
-                            ..Default::default()
-                        },
-                        ..base.clone()
-                    };
-                    let m = MetricsRegistry::new();
-                    let got = spgemm_syrk_sum(&terms, &opts, None, Some(&m))
-                        .unwrap()
-                        .matrix;
-                    assert_eq!(got, want, "{accum:?} threads {threads} t {threshold}");
-                    assert_eq!(bits(&got), bits(&want));
-                    let snap = m.snapshot();
-                    let touched = snap.counter(metric_names::NNZ_INTERMEDIATE).unwrap();
-                    let kept = snap.counter(metric_names::NNZ_FINAL).unwrap();
-                    cancelled |= threshold == 0.0 && !drop_diagonal && kept < touched;
-                }
-            }
-        }
-        assert!(cancelled, "no touched column summed to an exact zero");
-    }
-
-    #[test]
-    fn syrk_accum_strategies_are_bitwise_identical() {
-        use crate::accum::AccumStrategy;
-        let x = pseudo_random_matrix(64, 48, 0x243F6A8885A308D3, 3);
-        let y = pseudo_random_matrix(64, 40, 0x9E3779B97F4A7C15, 3);
-        let (xt, yt) = (transpose(&x), transpose(&y));
-        let terms = [SyrkTerm { x: &x, xt: &xt }, SyrkTerm { x: &y, xt: &yt }];
-        let run = |accum, crossover| {
-            let opts = SpgemmOptions {
-                drop_diagonal: true,
-                threshold: 0.5,
-                tuning: Tuning {
-                    accum,
-                    accum_crossover: crossover,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            spgemm_syrk_sum(&terms, &opts, None, None).unwrap().matrix
-        };
-        let dense = run(AccumStrategy::Dense, None);
-        let sparse = run(AccumStrategy::Sparse, None);
-        assert_eq!(dense, sparse);
-        for crossover in [1, 8, 64, 10_000] {
-            assert_eq!(dense, run(AccumStrategy::Adaptive, Some(crossover)));
-        }
-    }
-
-    #[test]
-    fn syrk_rows_split_between_strategies_deterministically() {
-        use crate::accum::AccumStrategy;
-        // Skewed rows: even rows are wide hubs (estimate far above the
-        // crossover), odd rows touch one private column (estimate 1).
-        let n = 64usize;
-        let mut dense = vec![vec![0.0f64; n]; n];
-        for (i, row) in dense.iter_mut().enumerate() {
-            if i % 2 == 0 {
-                for v in row.iter_mut().take(16) {
-                    *v = 1.0 + i as f64 * 0.125;
-                }
-            } else {
-                row[i] = 2.0;
-            }
-        }
-        let x = CsrMatrix::from_dense(&dense);
-        let xt = transpose(&x);
-        let count = |threads| {
-            let m = MetricsRegistry::new();
-            let opts = SpgemmOptions {
-                tuning: Tuning {
-                    threads,
-                    accum: AccumStrategy::Adaptive,
-                    accum_crossover: Some(64),
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            spgemm_syrk_sum(&[SyrkTerm { x: &x, xt: &xt }], &opts, None, Some(&m)).unwrap();
-            let snap = m.snapshot();
-            (
-                snap.counter(metric_names::ROWS_DENSE).unwrap(),
-                snap.counter(metric_names::ROWS_SPARSE).unwrap(),
-                snap.counter(metric_names::ROWS).unwrap(),
-            )
-        };
-        let (d1, s1, rows1) = count(1);
-        assert!(d1 > 0, "expected some dense rows");
-        assert!(s1 > 0, "expected some sparse rows");
-        assert_eq!(d1 + s1, rows1);
-        assert_eq!((d1, s1, rows1), count(4), "strategy mix depends on threads");
     }
 
     #[test]

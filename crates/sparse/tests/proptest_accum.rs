@@ -1,29 +1,26 @@
-//! Property tests for the per-row adaptive accumulators.
+//! The row accumulators against an independent reference.
 //!
-//! The contract under test (DESIGN.md §16): the dense epoch-stamped
-//! accumulator, the sorted sparse accumulator and any adaptive mix of the
-//! two produce **bit-identical** output for the general Gustavson kernel
-//! and the fused multi-term SYRK kernel, across thresholds, diagonal
-//! dropping, crossover settings, thread counts and the budget-degraded
-//! fallback — and the `rows_dense` / `rows_sparse` counters are a
-//! deterministic function of the input and the crossover alone.
+//! The contract under test (DESIGN.md §16): every row of the general
+//! Gustavson kernel and of the fused multi-term SYRK kernel adds its
+//! products onto `0.0` in ascending `k` (term by term for a SYRK sum, the
+//! terms then added in order), so its output is **bit-identical** to a
+//! plain dense triple loop that shares no code with the kernels — across
+//! thresholds, diagonal dropping, thread counts and a panel plan — and so
+//! are the `spgemm.nnz_intermediate` / `spgemm.nnz_final` counts.
 //!
 //! Inputs come from the same hand-rolled 64-bit LCG as the other sparse
-//! property tests so every run exercises byte-for-byte the same matrices.
-//! The generator skews row widths heavily (hubs + near-empty rows) so the
-//! adaptive path genuinely splits between strategies instead of
-//! degenerating to all-dense or all-sparse.
+//! property tests, so every run exercises byte-for-byte the same matrices.
+//! The generator skews row widths heavily (hubs + near-empty rows), so
+//! both wide rows and rows of a product or two run, and its values are
+//! signed thirds, so the order of every add shows in the bits and equal
+//! products of opposite sign cancel to an exact zero.
 
 use symclust_obs::MetricsRegistry;
 use symclust_sparse::ops::transpose;
 use symclust_sparse::spgemm::metric_names;
 use symclust_sparse::{
-    spgemm, spgemm_syrk_sum, AccumStrategy, CsrMatrix, SpgemmOptions, SyrkTerm, Tuning,
+    spgemm, spgemm_syrk_sum, CsrMatrix, PanelPlan, SpgemmOptions, SpgemmOutput, SyrkTerm, Tuning,
 };
-
-fn mul(a: &CsrMatrix, b: &CsrMatrix, opts: &SpgemmOptions) -> CsrMatrix {
-    spgemm(a, b, opts, None, None).unwrap().matrix
-}
 
 /// Minimal deterministic generator: Knuth's 64-bit LCG constants.
 struct Lcg(u64);
@@ -39,10 +36,8 @@ impl Lcg {
 }
 
 /// Width-skewed random matrix: ~1/8 of rows are hubs keeping about half
-/// of all columns, the rest keep ~1/32 — so the Σ nnz width estimate
-/// lands on both sides of any reasonable crossover. Values are small
-/// multiples of 0.125, some negative, so thresholds and the `v != 0.0`
-/// emission filter both bite.
+/// of all columns, the rest keep ~1/32, so some rows are empty and some
+/// hold one entry. Values are `±m / 3` for `m` in `1..=8`.
 fn skewed_matrix(n_rows: usize, n_cols: usize, seed: u64) -> CsrMatrix {
     let mut rng = Lcg(seed);
     let mut rows = vec![vec![0.0f64; n_cols]; n_rows];
@@ -51,7 +46,7 @@ fn skewed_matrix(n_rows: usize, n_cols: usize, seed: u64) -> CsrMatrix {
         for v in row.iter_mut() {
             let r = rng.next();
             if r.is_multiple_of(keep_mod) {
-                let mag = ((r >> 32) % 8 + 1) as f64 * 0.125;
+                let mag = ((r >> 32) % 8 + 1) as f64 / 3.0;
                 *v = if r.is_multiple_of(3) { -mag } else { mag };
             }
         }
@@ -66,193 +61,230 @@ const SEEDS: [u64; 4] = [
     0x452821E638D01377,
 ];
 
-const CROSSOVERS: [usize; 4] = [1, 16, 64, 100_000];
+/// Dense `A·B`, no kernel code: entry `(i, j)` is `0.0 + Σₖ a(i,k)·b(k,j)`
+/// over the `k` where both are stored, in ascending `k`, or `None` when
+/// there is no such `k` (the entry is never touched). The generator
+/// stores no zeros, so "stored" is "non-zero".
+fn reference_product(a: &[Vec<f64>], b: &[Vec<f64>], n_cols: usize) -> Vec<Vec<Option<f64>>> {
+    a.iter()
+        .map(|ai| {
+            (0..n_cols)
+                .map(|j| {
+                    let mut sum = None;
+                    for (av, bk) in ai.iter().zip(b) {
+                        if *av != 0.0 && bk[j] != 0.0 {
+                            *sum.get_or_insert(0.0) += av * bk[j];
+                        }
+                    }
+                    sum
+                })
+                .collect()
+        })
+        .collect()
+}
 
-fn opts_on(threads: usize, accum: AccumStrategy, crossover: Option<usize>) -> SpgemmOptions {
-    SpgemmOptions {
-        tuning: Tuning {
-            threads,
-            accum,
-            accum_crossover: crossover,
-            ..Default::default()
-        },
-        ..Default::default()
+/// `Σₜ XₜXₜᵀ`: each term's [`reference_product`], added onto `0.0` in
+/// term order; a term that never reaches `(i, j)` adds `0.0`.
+fn reference_syrk_sum(xs: &[CsrMatrix]) -> Vec<Vec<Option<f64>>> {
+    let n = xs[0].n_rows();
+    let products: Vec<_> = xs
+        .iter()
+        .map(|x| {
+            let rows = x.to_dense();
+            let cols: Vec<Vec<f64>> = (0..x.n_cols())
+                .map(|k| rows.iter().map(|r| r[k]).collect())
+                .collect();
+            reference_product(&rows, &cols, n)
+        })
+        .collect();
+    (0..n)
+        .map(|i| {
+            (0..n)
+                .map(|j| {
+                    let reached = products.iter().any(|p| p[i][j].is_some());
+                    reached.then(|| {
+                        let mut total = 0.0f64;
+                        for p in &products {
+                            total += p[i][j].unwrap_or(0.0);
+                        }
+                        total
+                    })
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// What a kernel run must return: the filtered reference, and the counts
+/// of touched and emitted entries (in the upper triangle only for SYRK).
+struct Expected {
+    matrix: CsrMatrix,
+    touched: u64,
+    emitted: u64,
+}
+
+fn expected(full: &[Vec<Option<f64>>], opts: &SpgemmOptions, upper_only: bool) -> Expected {
+    let (mut touched, mut emitted) = (0, 0);
+    let rows: Vec<Vec<f64>> = full
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            row.iter()
+                .enumerate()
+                .map(|(j, entry)| {
+                    let Some(v) = *entry else { return 0.0 };
+                    let keep =
+                        v != 0.0 && v.abs() >= opts.threshold && !(opts.drop_diagonal && i == j);
+                    if !upper_only || j >= i {
+                        touched += 1;
+                        emitted += keep as u64;
+                    }
+                    if keep {
+                        v
+                    } else {
+                        0.0
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    Expected {
+        matrix: CsrMatrix::from_dense(&rows),
+        touched,
+        emitted,
     }
 }
 
-fn opts(accum: AccumStrategy, crossover: Option<usize>) -> SpgemmOptions {
-    opts_on(4, accum, crossover)
+fn bits(m: &CsrMatrix) -> Vec<u64> {
+    m.values().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every way of running a kernel: 1, 2 and 4 threads, in memory and under
+/// a 7-row panel plan.
+fn tunings() -> Vec<Tuning> {
+    let mut out = Vec::new();
+    for panel_rows in [None, Some(7)] {
+        for threads in [1, 2, 4] {
+            out.push(Tuning {
+                threads,
+                panel: PanelPlan {
+                    panel_rows,
+                    spill_dir: None,
+                    budget_bytes: None,
+                },
+            });
+        }
+    }
+    out
+}
+
+/// Runs `kernel` under every tuning, threshold and diagonal filter and
+/// holds each result to `full` filtered the same way. Returns whether
+/// some touched entry summed to an exact zero and was not emitted.
+fn check_against(
+    full: &[Vec<Option<f64>>],
+    upper_only: bool,
+    label: &str,
+    kernel: impl Fn(&SpgemmOptions, &MetricsRegistry) -> SpgemmOutput,
+) -> bool {
+    let mut cancelled = false;
+    for threshold in [0.0, 0.25, 1.5] {
+        for drop_diagonal in [false, true] {
+            let base = SpgemmOptions {
+                threshold,
+                drop_diagonal,
+                ..Default::default()
+            };
+            let want = expected(full, &base, upper_only);
+            for tuning in tunings() {
+                let opts = SpgemmOptions {
+                    tuning: tuning.clone(),
+                    ..base.clone()
+                };
+                let m = MetricsRegistry::new();
+                let got = kernel(&opts, &m).matrix;
+                let at = format!("{label} t {threshold} drop {drop_diagonal} {tuning:?}");
+                assert_eq!(got, want.matrix, "{at}");
+                assert_eq!(bits(&got), bits(&want.matrix), "{at}");
+                let snap = m.snapshot();
+                let count = |key| snap.counter(key).unwrap_or(0);
+                assert_eq!(count(metric_names::NNZ_INTERMEDIATE), want.touched, "{at}");
+                assert_eq!(count(metric_names::NNZ_FINAL), want.emitted, "{at}");
+            }
+            cancelled |= threshold == 0.0 && !drop_diagonal && want.emitted < want.touched;
+        }
+    }
+    cancelled
 }
 
 #[test]
-fn general_kernel_strategies_are_bitwise_identical() {
+fn general_kernel_matches_the_dense_reference_in_bits() {
+    let mut cancelled = false;
     for &seed in &SEEDS {
         let a = skewed_matrix(72, 64, seed);
-        let b = skewed_matrix(64, 56, seed ^ 0xDEADBEEF);
-        let dense = mul(&a, &b, &opts(AccumStrategy::Dense, None));
-        let sparse = mul(&a, &b, &opts(AccumStrategy::Sparse, None));
-        assert_eq!(dense, sparse, "seed {seed:#x}");
-        for crossover in CROSSOVERS {
-            let adaptive = mul(&a, &b, &opts(AccumStrategy::Adaptive, Some(crossover)));
-            assert_eq!(dense, adaptive, "seed {seed:#x} crossover {crossover}");
-        }
+        let b = skewed_matrix(64, 72, seed ^ 0xDEADBEEF);
+        let full = reference_product(&a.to_dense(), &b.to_dense(), b.n_cols());
+        cancelled |= check_against(&full, false, &format!("seed {seed:#x}"), |opts, m| {
+            spgemm(&a, &b, opts, None, Some(m)).unwrap()
+        });
     }
+    assert!(cancelled, "no touched entry summed to an exact zero");
 }
 
 #[test]
-fn threshold_and_drop_diagonal_are_strategy_independent() {
-    for &seed in &SEEDS[..2] {
-        let a = skewed_matrix(64, 64, seed);
-        let at = transpose(&a);
-        for threshold in [0.0, 0.25, 1.5] {
-            for drop_diagonal in [false, true] {
-                let run = |accum, crossover| {
-                    let o = SpgemmOptions {
-                        threshold,
-                        drop_diagonal,
-                        ..opts(accum, crossover)
-                    };
-                    mul(&a, &at, &o)
-                };
-                let dense = run(AccumStrategy::Dense, None);
-                assert_eq!(
-                    dense,
-                    run(AccumStrategy::Sparse, None),
-                    "seed {seed:#x} threshold {threshold} drop {drop_diagonal}"
-                );
-                assert_eq!(dense, run(AccumStrategy::Adaptive, Some(16)));
-            }
-        }
-    }
-}
-
-#[test]
-fn fused_syrk_sum_strategies_are_bitwise_identical() {
+fn syrk_sum_of_signed_terms_matches_the_dense_reference_in_bits() {
+    let mut cancelled = false;
     for &seed in &SEEDS {
-        let x = skewed_matrix(56, 48, seed);
-        let y = skewed_matrix(56, 40, seed ^ 0xA5A5A5A5);
-        let (xt, yt) = (transpose(&x), transpose(&y));
-        let terms = [SyrkTerm { x: &x, xt: &xt }, SyrkTerm { x: &y, xt: &yt }];
-        for threshold in [0.0, 0.5] {
-            let run = |accum, crossover| {
-                let o = SpgemmOptions {
-                    threshold,
-                    drop_diagonal: true,
-                    ..opts(accum, crossover)
-                };
-                spgemm_syrk_sum(&terms, &o, None, None).unwrap().matrix
-            };
-            let dense = run(AccumStrategy::Dense, None);
-            assert_eq!(
-                dense,
-                run(AccumStrategy::Sparse, None),
-                "seed {seed:#x} threshold {threshold}"
-            );
-            for crossover in CROSSOVERS {
-                assert_eq!(dense, run(AccumStrategy::Adaptive, Some(crossover)));
-            }
+        let xs = [
+            skewed_matrix(56, 48, seed),
+            skewed_matrix(56, 40, seed ^ 0xA5A5A5A5),
+            skewed_matrix(56, 24, seed ^ 0x5A5A5A5A),
+        ];
+        let xts: Vec<CsrMatrix> = xs.iter().map(transpose).collect();
+        for n_terms in [1, 3] {
+            let xs = &xs[..n_terms];
+            let terms: Vec<SyrkTerm> = xs
+                .iter()
+                .zip(&xts)
+                .map(|(x, xt)| SyrkTerm { x, xt })
+                .collect();
+            let full = reference_syrk_sum(xs);
+            let label = format!("seed {seed:#x} terms {n_terms}");
+            cancelled |= check_against(&full, true, &label, |opts, m| {
+                spgemm_syrk_sum(&terms, opts, None, Some(m)).unwrap()
+            });
         }
     }
+    assert!(cancelled, "no touched entry summed to an exact zero");
 }
 
 #[test]
-fn strategies_match_across_thread_counts() {
-    let a = skewed_matrix(160, 160, SEEDS[0]);
-    let reference = mul(
-        &a,
-        &a,
-        &SpgemmOptions {
+fn budget_degraded_runs_match_across_thread_counts() {
+    let a = skewed_matrix(56, 56, SEEDS[1]);
+    let at = transpose(&a);
+    let terms = [SyrkTerm { x: &a, xt: &at }];
+    let run = |threads, syrk: bool| {
+        let opts = SpgemmOptions {
+            nnz_budget: Some(200),
             tuning: Tuning {
-                threads: 1,
+                threads,
                 ..Default::default()
             },
             ..Default::default()
-        },
-    );
-    for accum in [
-        AccumStrategy::Dense,
-        AccumStrategy::Sparse,
-        AccumStrategy::Adaptive,
-    ] {
-        for n_threads in [1, 2, 4] {
-            let c = mul(&a, &a, &opts_on(n_threads, accum, Some(32)));
-            assert_eq!(reference, c, "{} x {n_threads} threads", accum.name());
-        }
-    }
-}
-
-#[test]
-fn budget_degraded_paths_are_strategy_independent() {
-    let a = skewed_matrix(56, 56, SEEDS[1]);
-    let at = transpose(&a);
-    let budgeted = |accum| SpgemmOptions {
-        nnz_budget: Some(200),
-        ..opts(accum, Some(16))
-    };
-    let general_run = |accum| {
-        let r = spgemm(&a, &at, &budgeted(accum), None, None).unwrap();
-        assert!(r.degraded, "budget 200 should force degradation");
-        r.matrix
-    };
-    let dense = general_run(AccumStrategy::Dense);
-    assert_eq!(dense, general_run(AccumStrategy::Sparse));
-    assert_eq!(dense, general_run(AccumStrategy::Adaptive));
-
-    let terms = [SyrkTerm { x: &a, xt: &at }];
-    let syrk_run = |accum| {
-        let r = spgemm_syrk_sum(&terms, &budgeted(accum), None, None).unwrap();
-        assert!(r.degraded);
-        r.matrix
-    };
-    let sdense = syrk_run(AccumStrategy::Dense);
-    assert_eq!(sdense, syrk_run(AccumStrategy::Sparse));
-    assert_eq!(sdense, syrk_run(AccumStrategy::Adaptive));
-}
-
-#[test]
-fn row_strategy_counters_are_deterministic_and_exhaustive() {
-    for &seed in &SEEDS[..2] {
-        let a = skewed_matrix(96, 96, seed);
-        let count = |n_threads| {
-            let m = MetricsRegistry::new();
-            let o = opts_on(n_threads, AccumStrategy::Adaptive, Some(64));
-            spgemm(&a, &a, &o, None, Some(&m)).unwrap();
-            let snap = m.snapshot();
-            (
-                snap.counter(metric_names::ROWS_DENSE).unwrap_or(0),
-                snap.counter(metric_names::ROWS_SPARSE).unwrap_or(0),
-                snap.counter(metric_names::ROWS).unwrap_or(0),
-            )
         };
-        let (d, s, rows) = count(1);
-        assert_eq!(
-            d + s,
-            rows,
-            "seed {seed:#x}: every row must pick a strategy"
-        );
-        assert!(d > 0 && s > 0, "seed {seed:#x}: width skew must split rows");
-        assert_eq!(
-            (d, s, rows),
-            count(4),
-            "seed {seed:#x}: thread-dependent mix"
-        );
-    }
-}
-
-#[test]
-fn forced_strategies_count_all_rows_on_one_side() {
-    let a = skewed_matrix(48, 48, SEEDS[2]);
-    for (accum, expect_dense) in [(AccumStrategy::Dense, true), (AccumStrategy::Sparse, false)] {
-        let m = MetricsRegistry::new();
-        spgemm(&a, &a, &opts(accum, None), None, Some(&m)).unwrap();
-        let snap = m.snapshot();
-        let d = snap.counter(metric_names::ROWS_DENSE).unwrap_or(0);
-        let s = snap.counter(metric_names::ROWS_SPARSE).unwrap_or(0);
-        let rows = snap.counter(metric_names::ROWS).unwrap_or(0);
-        if expect_dense {
-            assert_eq!((d, s), (rows, 0));
+        let r = if syrk {
+            spgemm_syrk_sum(&terms, &opts, None, None)
         } else {
-            assert_eq!((d, s), (0, rows));
+            spgemm(&a, &at, &opts, None, None)
+        }
+        .unwrap();
+        assert!(r.degraded, "budget 200 should force degradation");
+        (bits(&r.matrix), r.matrix, r.threshold_used.to_bits())
+    };
+    for syrk in [false, true] {
+        let one = run(1, syrk);
+        for threads in [2, 4] {
+            assert_eq!(one, run(threads, syrk), "syrk {syrk} threads {threads}");
         }
     }
 }

@@ -144,7 +144,7 @@ fn syrk_sum_panel_matches_in_memory_across_thresholds() {
     }
 }
 
-/// The deterministic work counters (rows, flops, nnz, accumulator mix)
+/// The deterministic work counters (rows, flops, nnz)
 /// must not change when the multiply goes out of core, and the three
 /// panel counters must be identical for serial and parallel runs of the
 /// same configuration — the spill plan is decided before execution.
@@ -156,8 +156,6 @@ fn work_and_panel_counters_are_scheduling_independent() {
         metric_names::NNZ_INTERMEDIATE,
         metric_names::NNZ_FINAL,
         metric_names::THRESHOLD_DROPPED,
-        metric_names::ROWS_DENSE,
-        metric_names::ROWS_SPARSE,
     ];
     let a = skewed_matrix(96, 96, SEEDS[0]);
     let run = |opts: &SpgemmOptions| {

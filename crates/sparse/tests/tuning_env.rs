@@ -7,11 +7,10 @@
 //! One `#[test]`, alone in this file: the environment is process-global.
 
 use std::env::{remove_var, set_var};
-use symclust_sparse::{AccumStrategy, PanelPlan, SpgemmOptions, Tuning};
+use symclust_sparse::{PanelPlan, SpgemmOptions, Tuning};
 
-const VARS: [&str; 4] = [
+const VARS: [&str; 3] = [
     "SYMCLUST_THREADS",
-    "SYMCLUST_ACCUM",
     "SYMCLUST_PANEL_ROWS",
     "SYMCLUST_MEMORY_BUDGET",
 ];
@@ -23,8 +22,6 @@ fn every_default_reads_the_environment_afresh() {
     }
     let unset = Tuning {
         threads: 1,
-        accum: AccumStrategy::Adaptive,
-        accum_crossover: None,
         panel: PanelPlan::default(),
     };
     assert_eq!(Tuning::default(), unset);
@@ -35,10 +32,6 @@ fn every_default_reads_the_environment_afresh() {
         threads,
         ..unset.clone()
     };
-    let accum = |accum| Tuning {
-        accum,
-        ..unset.clone()
-    };
     let panel = |panel_rows, budget_bytes| Tuning {
         panel: PanelPlan {
             panel_rows,
@@ -47,15 +40,11 @@ fn every_default_reads_the_environment_afresh() {
         },
         ..unset.clone()
     };
-    let steps: [(&str, &str, Tuning); 16] = [
+    let steps: [(&str, &str, Tuning); 12] = [
         ("SYMCLUST_THREADS", "4", threads(4)),
         ("SYMCLUST_THREADS", " 2 ", threads(2)),
         ("SYMCLUST_THREADS", "0", threads(0)), // all cores
         ("SYMCLUST_THREADS", "many", unset.clone()),
-        ("SYMCLUST_ACCUM", "dense", accum(AccumStrategy::Dense)),
-        ("SYMCLUST_ACCUM", " sparse\n", accum(AccumStrategy::Sparse)),
-        ("SYMCLUST_ACCUM", "0", unset.clone()),
-        ("SYMCLUST_ACCUM", "densest", unset.clone()),
         ("SYMCLUST_PANEL_ROWS", "4096", panel(Some(4096), None)),
         ("SYMCLUST_PANEL_ROWS", "7", panel(Some(7), None)),
         ("SYMCLUST_PANEL_ROWS", "0", unset.clone()),
@@ -87,15 +76,12 @@ fn every_default_reads_the_environment_afresh() {
 
     // The variables compose, as the benchmark's spill variant sets them.
     set_var("SYMCLUST_THREADS", "2");
-    set_var("SYMCLUST_ACCUM", "sparse");
     set_var("SYMCLUST_PANEL_ROWS", "4096");
     set_var("SYMCLUST_MEMORY_BUDGET", "1048576");
     assert_eq!(
         Tuning::default(),
         Tuning {
             threads: 2,
-            accum: AccumStrategy::Sparse,
-            accum_crossover: None,
             panel: PanelPlan {
                 panel_rows: Some(4096),
                 spill_dir: None,

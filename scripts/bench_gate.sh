@@ -37,11 +37,6 @@ cargo build --release -q -p symclust-cli -p symclust-bench
 # hit — zero SpGEMM calls, bit-identical matrix.
 ./target/release/bench_gate serve-check examples/data/dsbm_small.txt
 
-# Adaptive-accumulator lock: the adaptive per-row strategy must produce
-# byte-identical output to forced-sparse accumulation, account every row
-# to one strategy, and pick the dense path for at least one row.
-./target/release/bench_gate accum-check examples/data/dsbm_small.txt
-
 # Out-of-core panel lock: a forced tiny-panel, 1-byte-budget run must
 # execute multiple tiles, spill at least once, and stay byte-identical to
 # the in-memory product (serial and parallel), while the default in-memory

@@ -176,17 +176,13 @@ stage_serve() {
   }
 }
 # Scheduling-determinism matrix: the kernel/symmetrizer tests must pass
-# with the SpGEMM thread default forced serial and forced 4-way, and
-# under every accumulator strategy (dense / sparse / adaptive), since
+# with the SpGEMM thread default forced serial and forced 4-way, since
 # output (and every deterministic counter) is spec'd bit-identical for
-# any thread count and any strategy mix.
+# any thread count.
 stage_threads_matrix() {
-  for accum in dense sparse adaptive; do
-    for n in 1 4; do
-      echo "--- SYMCLUST_ACCUM=$accum SYMCLUST_THREADS=$n"
-      SYMCLUST_ACCUM="$accum" SYMCLUST_THREADS="$n" \
-        cargo test -q -p symclust-sparse -p symclust-core
-    done
+  for n in 1 4; do
+    echo "--- SYMCLUST_THREADS=$n"
+    SYMCLUST_THREADS="$n" cargo test -q -p symclust-sparse -p symclust-core
   done
 }
 # Out-of-core determinism matrix: the same kernel/symmetrizer suites must
