@@ -11,7 +11,6 @@
 //! suite can be run quickly at reduced scale or pushed harder.
 
 use std::time::Instant;
-use symclust_bench::runner::{self, print_records, save_records, Clusterer, RunRecord, SymMethod};
 use symclust_cluster::{BestWCut, BestWCutOptions, ClusterAlgorithm, MetisLike, MlrMcl};
 use symclust_core::{
     DegreeDiscounted, DegreeDiscountedOptions, DiscountExponent, PlusTranspose, SymmetrizedGraph,
@@ -20,7 +19,10 @@ use symclust_core::{
 use symclust_datasets::{
     cora_like_scaled, flickr_like_scaled, livejournal_like_scaled, wikipedia_like_scaled, Dataset,
 };
-use symclust_engine::{Engine, EngineOptions, PipelineInput, PipelineSpec};
+use symclust_engine::{
+    print_records, save_records, Clusterer, Engine, EngineOptions, PipelineInput, PipelineSpec,
+    RunRecord, SymMethod,
+};
 use symclust_eval::{avg_f_score, correctly_clustered, sign_test};
 use symclust_graph::generators::{figure1_graph, guzmania_graph};
 use symclust_graph::stats::{DegreeHistogram, GraphStats};
@@ -45,11 +47,11 @@ fn measure(
     clusterer: Clusterer,
     truth: Option<&GroundTruth>,
 ) -> RunRecord {
-    runner::measure(dataset, method, sym, clusterer, truth).expect("clustering succeeds")
+    symclust_engine::measure(dataset, method, sym, clusterer, truth).expect("clustering succeeds")
 }
 
 fn select_thresholds(g: &DiGraph, target_avg_degree: f64) -> (f64, f64) {
-    runner::select_thresholds(g, target_avg_degree).expect("threshold selection succeeds")
+    symclust_engine::select_thresholds(g, target_avg_degree).expect("threshold selection succeeds")
 }
 
 struct Config {

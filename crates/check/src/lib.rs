@@ -8,7 +8,7 @@
 //! * [`lint`] — a dependency-free lint driver enforcing repo-specific
 //!   contracts that `clippy` cannot know: cancellation plumbing on public
 //!   kernels, the DESIGN.md §11 metric-name taxonomy (cross-checked
-//!   against the bench gate's `EXACT_KEYS`), no panicking `unwrap`/
+//!   against the golden-counts test's `EXACT_KEYS`), no panicking `unwrap`/
 //!   `expect` in library code, purity of the engine's cache-key /
 //!   fingerprint code, the DESIGN.md §14 error-code taxonomy, and a
 //!   reason-carrying audit of every `Ordering::Relaxed` atomic site.

@@ -10,10 +10,11 @@
 //!    convenience wrappers whose cancellable sibling exists.
 //! 2. **metric-name-taxonomy** — every metric name registered in source
 //!    (via `metric_names` constants or inline `.counter("…")`-style calls)
-//!    must appear in DESIGN.md §11, and every bench-gate `EXACT_KEYS`
-//!    entry must correspond to a name actually registered in source. A
-//!    renamed counter therefore fails CI instead of silently flatlining a
-//!    dashboard or orphaning a baseline key.
+//!    must appear in DESIGN.md §11, and every `EXACT_KEYS` entry of the
+//!    golden-counts test (`tests/golden_counts.rs`) must correspond to a
+//!    name actually registered in source. A renamed counter therefore
+//!    fails CI instead of silently flatlining a dashboard or orphaning a
+//!    pinned key.
 //! 3. **no-unwrap-expect** — no `.unwrap()` / `.expect(` in non-test
 //!    library code; panics belong to callers, not kernels. Allowlisted:
 //!    mutex-lock expects (poisoning is fatal by design) and a handful of
@@ -92,7 +93,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "metric-name-taxonomy",
-        "metric names in source match DESIGN.md §11 and cover the bench gate EXACT_KEYS",
+        "metric names in source match DESIGN.md §11 and cover the golden-counts EXACT_KEYS",
     ),
     (
         "no-unwrap-expect",
@@ -773,20 +774,24 @@ fn design_metric_names(root: &Path) -> Result<BTreeSet<String>, String> {
     Ok(names)
 }
 
-/// `EXACT_KEYS` literals from the bench gate source, `counter.` prefix
-/// stripped.
-fn bench_gate_keys(root: &Path) -> Result<Vec<(usize, String)>, String> {
-    let gate = root.join("crates/bench/src/gate.rs");
-    let text = fs::read_to_string(&gate).map_err(|e| format!("reading {}: {e}", gate.display()))?;
+/// The golden-counts test, whose `EXACT_KEYS` pins the gated metrics.
+const GOLDEN_COUNTS: &str = "tests/golden_counts.rs";
+
+/// `EXACT_KEYS` literals from [`GOLDEN_COUNTS`], `counter.` or `gauge.`
+/// prefix stripped.
+fn golden_count_keys(root: &Path) -> Result<Vec<(usize, String)>, String> {
+    let path = root.join(GOLDEN_COUNTS);
+    let text = fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
     let mut keys = Vec::new();
     let mut in_exact = false;
     for (idx, line) in text.lines().enumerate() {
-        if line.contains("EXACT_KEYS") {
+        if line.contains("const EXACT_KEYS") {
             in_exact = true;
         }
         if in_exact {
             for (_, lit) in string_literals(line) {
-                if let Some(stripped) = lit.strip_prefix("counter.") {
+                let stripped = lit.strip_prefix("counter.").or(lit.strip_prefix("gauge."));
+                if let Some(stripped) = stripped {
                     keys.push((idx + 1, stripped.to_string()));
                 }
             }
@@ -836,12 +841,12 @@ fn rule_metric_taxonomy(root: &Path, sources: &[SourceFile]) -> Result<Vec<Viola
         }
     }
 
-    // Every bench-gate key must be documented AND registered somewhere.
-    for (line, key) in bench_gate_keys(root)? {
+    // Every golden-counts key must be documented AND registered somewhere.
+    for (line, key) in golden_count_keys(root)? {
         if !design.contains(&key) {
             violations.push(Violation {
                 rule: "metric-name-taxonomy",
-                file: "crates/bench/src/gate.rs".into(),
+                file: GOLDEN_COUNTS.into(),
                 line,
                 message: format!("EXACT_KEYS entry \"{key}\" is not documented in DESIGN.md §11"),
             });
@@ -849,11 +854,11 @@ fn rule_metric_taxonomy(root: &Path, sources: &[SourceFile]) -> Result<Vec<Viola
         if !registered.contains(&key) {
             violations.push(Violation {
                 rule: "metric-name-taxonomy",
-                file: "crates/bench/src/gate.rs".into(),
+                file: GOLDEN_COUNTS.into(),
                 line,
                 message: format!(
                     "EXACT_KEYS entry \"{key}\" matches no metric name registered in source \
-                     — orphaned baseline key"
+                     — orphaned pinned key"
                 ),
             });
         }
@@ -1312,13 +1317,15 @@ mod tests {
     }
 
     #[test]
-    fn design_taxonomy_and_gate_keys_are_consistent() {
+    fn design_taxonomy_and_golden_count_keys_are_consistent() {
         let root = find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
         let design = design_metric_names(&root).unwrap();
         assert!(design.contains("spgemm.flops"), "{design:?}");
         assert!(design.contains("spgemm.sched_steals"));
-        let keys = bench_gate_keys(&root).unwrap();
+        let keys = golden_count_keys(&root).unwrap();
+        assert_eq!(keys.len(), 26, "{keys:?}");
         assert!(keys.iter().any(|(_, k)| k == "spgemm.syrk_calls"));
+        assert!(keys.iter().any(|(_, k)| k == "store.degraded"));
         // The scheduling-dependent steal counter must stay un-gated.
         assert!(!keys.iter().any(|(_, k)| k == "spgemm.sched_steals"));
     }

@@ -387,8 +387,8 @@ pub fn pipeline(args: &ParsedArgs) -> CmdResult {
         }
     }
     if let Some(path) = args.optional("metrics-out") {
-        // The stable flat key scheme (DESIGN.md §11) — `bench_gate emit`
-        // projects its deterministic counters — plus the run's wall time.
+        // The stable flat key scheme (DESIGN.md §11) — tests/golden_counts.rs
+        // pins its deterministic counters — plus the run's wall time.
         let mut obj = symclust_engine::json::JsonObject::new();
         for (key, value) in result.metrics.to_flat() {
             obj.number(&key, value);
@@ -918,8 +918,8 @@ mod tests {
     fn paranoid_validation_is_pure_observation() {
         // DESIGN.md §13: `--paranoid` re-validates every symmetrize/prune
         // output but must not observably change the run — zero new
-        // metrics keys (so BENCH_pipeline.json and the bench baseline are
-        // untouched) and bit-identical deterministic counters.
+        // metrics keys (so the golden-counts projection is untouched)
+        // and bit-identical deterministic counters.
         let run = |paranoid: bool, out: &str| {
             let mut flat: Vec<String> = [
                 "--model",
@@ -964,7 +964,7 @@ mod tests {
         );
 
         // Scheduling-dependent counters vary run to run with or without
-        // the flag (same exclusions as the bench gate's exact-match set).
+        // the flag (same exclusions as the golden-counts EXACT_KEYS).
         const SCHEDULING_DEPENDENT: &[&str] = &[
             "counter.spgemm.sched_steals",
             "counter.engine.inflight_dedups",

@@ -232,7 +232,7 @@ impl Clusterer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symclust_graph::generators::figure1_graph;
+    use symclust_graph::generators::{figure1_graph, shared_link_dsbm, SharedLinkDsbmConfig};
 
     #[test]
     fn lineup_has_four_methods() {
@@ -241,6 +241,19 @@ mod tests {
         let names: Vec<String> = lineup.iter().map(|m| m.name()).collect();
         assert!(names.contains(&"Degree-discounted".to_string()));
         assert!(names.contains(&"A+A'".to_string()));
+    }
+
+    #[test]
+    fn select_thresholds_picks_positive_cutoffs() {
+        let g = shared_link_dsbm(&SharedLinkDsbmConfig {
+            n_nodes: 200,
+            n_clusters: 5,
+            seed: 7,
+            ..Default::default()
+        })
+        .unwrap();
+        let (bib, dd) = select_thresholds(&g.graph, 30.0).unwrap();
+        assert!(bib > 0.0 && dd > 0.0, "bib {bib}, dd {dd}");
     }
 
     #[test]

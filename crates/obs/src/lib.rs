@@ -18,8 +18,8 @@
 //! - **Stable names.** Metric names are dot-separated lowercase
 //!   (`spgemm.flops`, `engine.cache_hits`) and documented in DESIGN.md
 //!   §11; the flattened snapshot keys (`counter.spgemm.flops`, …) are the
-//!   stability contract consumed by `BENCH_pipeline.json` and the CI
-//!   bench gate.
+//!   stability contract consumed by `--metrics-out` and the
+//!   golden-counts test.
 //!
 //! ```
 //! use symclust_obs::MetricsRegistry;

@@ -1,6 +1,6 @@
 //! Point-in-time snapshot of a registry, plus its three renderings:
-//! flat key/value pairs (the BENCH stability contract), flat JSON, and a
-//! human-readable table.
+//! flat key/value pairs (the `--metrics-out` stability contract), flat
+//! JSON, and a human-readable table.
 
 use crate::metric::HistogramSnapshot;
 use crate::span::SpanStats;
@@ -75,8 +75,8 @@ impl MetricsSnapshot {
     /// - `span.<name>.count|total_secs|min_secs|max_secs` — span aggregate
     /// - `hist.<name>.count|sum|le_<bound>|overflow` — histogram state
     ///
-    /// These keys are the stability contract for `--metrics-out`,
-    /// `BENCH_pipeline.json`, and the CI bench gate (DESIGN.md §11).
+    /// These keys are the stability contract for `--metrics-out` and the
+    /// golden-counts test (DESIGN.md §11).
     pub fn to_flat(&self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
         for (name, v) in &self.counters {

@@ -108,7 +108,7 @@ struct TileOut {
 
 /// Deterministic spill plan: accumulate each tile's estimated intermediate
 /// bytes in tile-index order; tiles past the budget spill. Independent of
-/// scheduling, so the spill counters are bench-gateable.
+/// scheduling, so the spill counters are exact for a fixed plan.
 fn plan_spills(
     n_tiles: usize,
     budget_bytes: Option<usize>,

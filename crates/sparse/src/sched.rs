@@ -23,7 +23,7 @@
 //! is by block index, kernel *output* (and every per-row work counter) is
 //! bit-identical for any thread count. The only scheduling-dependent
 //! observable is the steal count, exported as the `spgemm.sched_steals`
-//! metric and deliberately excluded from the bench gate's exact-match keys.
+//! metric and deliberately excluded from the golden-counts test's keys.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -76,13 +76,13 @@ pub mod metric_names {
     pub const SYRK_MIRRORED_NNZ: &str = "spgemm.syrk_mirrored_nnz";
     /// Row blocks executed by a worker other than their initial owner
     /// under the work-stealing scheduler. Scheduling-dependent: varies
-    /// with thread count and machine load (excluded from the bench gate),
+    /// with thread count and machine load (not pinned by golden counts),
     /// but a persistently high ratio versus total blocks on a skewed graph
     /// is the load-balancing at work.
     pub const SCHED_STEALS: &str = "spgemm.sched_steals";
     /// Panel-pair tiles executed by the out-of-core panel path (0 when the
     /// in-memory path ran). A function of the matrix shape and the
-    /// configured panel size only, so deterministic and bench-gated.
+    /// configured panel size only, so deterministic and pinned.
     pub const PANELS: &str = "spgemm.panels";
     /// Tiles whose partial products were spilled to scratch files under
     /// the panel byte budget. The spill plan is decided from a

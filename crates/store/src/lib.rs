@@ -20,7 +20,7 @@
 //! [`tiered::TieredCache`] stacks the two layers — L1 in-memory cache
 //! (with in-flight dedup) over the disk store — and
 //! [`tiered::symmetrize_cached`] / [`tiered::cluster_cached`] are the
-//! kernel-facing entry points the serve daemon and the bench gate share.
+//! kernel-facing entry points the serve daemon and the `serve` lock share.
 
 pub mod codec;
 pub mod disk;

@@ -14,8 +14,8 @@
 //! is rendered from the summary and touches none of its arrays.
 //!
 //! [`symmetrize_cached`] and [`cluster_cached`] are the kernel-facing
-//! entry points shared by the serve daemon and the bench gate's
-//! `serve-check`: they derive the content address exactly the way the
+//! entry points shared by the serve daemon and the `serve` lock in
+//! `tests/locks.rs`: they derive the content address exactly the way the
 //! engine does ([`stage_key`] over the graph fingerprint and
 //! `cache_params`), so an artifact computed by a pipeline sweep and one
 //! computed by the daemon land on the same key.

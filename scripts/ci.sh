@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the tier-1 build + test pass, and the
-# bench regression smoke gate. Run from the repository root:
+# Local CI gate: formatting, lints, the tier-1 build + test pass, the
+# determinism matrices and the benchmark smoke run. Run from the
+# repository root:
 #
 #   ./scripts/ci.sh              # every stage, in order
 #   ./scripts/ci.sh clippy test  # just the named stages
@@ -10,7 +11,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(loc fmt clippy check build test fault debug-assertions threads-matrix oom-matrix serve chaos bench bench-smoke sanitize miri)
+ALL_STAGES=(loc fmt clippy check build test fault debug-assertions threads-matrix oom-matrix serve chaos bench-smoke sanitize miri)
 
 # The size watermark ROADMAP judges simplicity PRs by: every line of
 # .rs/.sh/.toml under the source roots, then the non-test count (.rs
@@ -82,7 +83,6 @@ stage_debug_assertions() {
   RUSTFLAGS="${RUSTFLAGS:-} -C debug-assertions=on" \
     cargo test -q --release -p symclust-engine -p symclust-cluster
 }
-stage_bench() { ./scripts/bench_gate.sh; }
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md) is a package
 # of its own that compiles against the library's public names. Its unit
 # tests plus its smoke mode — every workload, traced and untraced, on tiny
@@ -175,29 +175,36 @@ stage_serve() {
     return 1
   }
 }
-# Scheduling-determinism matrix: the kernel/symmetrizer tests must pass
-# with the SpGEMM thread default forced serial and forced 4-way, since
-# output (and every deterministic counter) is spec'd bit-identical for
-# any thread count.
+# Scheduling-determinism matrix: the kernel/symmetrizer tests and the
+# root golden-bytes and golden-counts tests must pass with the SpGEMM
+# thread default forced serial and forced 4-way, since output (and every
+# deterministic counter) is spec'd bit-identical for any thread count.
 stage_threads_matrix() {
   for n in 1 4; do
     echo "--- SYMCLUST_THREADS=$n"
     SYMCLUST_THREADS="$n" cargo test -q -p symclust-sparse -p symclust-core
+    SYMCLUST_THREADS="$n" cargo test -q -p symclust --test golden_bytes --test golden_counts
   done
 }
-# Out-of-core determinism matrix: the same kernel/symmetrizer suites must
-# pass with the panel path engaged through the environment — small panels,
-# with and without a starvation-level spill byte budget — because the
-# out-of-core path is spec'd bit-identical to the in-memory one for any
-# panel size and any budget (DESIGN.md §17).
+# Out-of-core determinism matrix: the same kernel/symmetrizer suites and
+# the root golden-bytes test must pass with the panel path engaged through
+# the environment — small panels, with and without a starvation-level
+# spill byte budget — because the out-of-core path is spec'd bit-identical
+# to the in-memory one for any panel size and any budget (DESIGN.md §17).
+# Then, once, the ignored end-to-end out-of-core lock (a streamed DSBM
+# under a spill budget a quarter of its file size), which needs --release.
 stage_oom_matrix() {
   for budget in "" 1; do
     for rows in 7 64; do
       echo "--- SYMCLUST_PANEL_ROWS=$rows SYMCLUST_MEMORY_BUDGET=${budget:-unset}"
       SYMCLUST_PANEL_ROWS="$rows" SYMCLUST_MEMORY_BUDGET="$budget" \
         cargo test -q -p symclust-sparse -p symclust-core
+      SYMCLUST_PANEL_ROWS="$rows" SYMCLUST_MEMORY_BUDGET="$budget" \
+        cargo test -q -p symclust --test golden_bytes
     done
   done
+  echo "--- out-of-core pipeline lock"
+  cargo test --release -q -p symclust --test locks -- --ignored
 }
 
 # Sanitizer pass (DESIGN.md §18): ThreadSanitizer, then AddressSanitizer,

@@ -1,7 +1,7 @@
 //! Byte-stability across commits.
 //!
-//! The kernels promise bit-identical output at any thread count,
-//! accumulator mix or panel size — and a refactor of them promises the
+//! The kernels promise bit-identical output at any thread count or
+//! panel size — and a refactor of them promises the
 //! same bytes as the commit before it. The variant-vs-variant suites
 //! check the first; this file checks the second: FNV-1a hashes over
 //! `indptr`, `indices` and the value *bits* of the two SpGEMM-backed
