@@ -4,9 +4,6 @@ use crate::args::ParsedArgs;
 use crate::formats;
 use crate::protocol;
 use crate::server::{BindAddr, ServeOptions, Server};
-use symclust_cluster::{
-    pagerank_nibble, pagerank_nibble_directed, ClusterAlgorithm, NibbleOptions, SpectralClustering,
-};
 use symclust_core::{
     select_threshold, BibliometricOptions, DegreeDiscountedOptions, DiscountExponent,
 };
@@ -217,11 +214,10 @@ pub fn cluster(args: &ParsedArgs) -> CmdResult {
     let output = args.required("output")?;
     let algo = args.get_or("algo", "mlrmcl".to_string())?;
     let k: usize = args.get_or("k", 0usize)?;
-    if k == 0 && matches!(algo.as_str(), "metis" | "graclus" | "spectral") {
+    if k == 0 && matches!(algo.as_str(), "metis" | "graclus") {
         return Err(format!("--k is required for {algo}"));
     }
-    // The paper's three main clusterers come from the engine's registry;
-    // spectral is CLI-only.
+    // The paper's three clusterers, from the engine's registry.
     let clustering = match algo.as_str() {
         "mlrmcl" => {
             let inflation: f64 = args.get_or("inflation", 2.0)?;
@@ -229,8 +225,11 @@ pub fn cluster(args: &ParsedArgs) -> CmdResult {
         }
         "metis" => Clusterer::Metis { k }.build().cluster_ungraph(&g),
         "graclus" => Clusterer::Graclus { k }.build().cluster_ungraph(&g),
-        "spectral" => SpectralClustering::with_k(k).cluster_ungraph(&g),
-        other => return Err(format!("unknown algorithm '{other}'")),
+        other => {
+            return Err(format!(
+                "unknown algorithm '{other}' (expected mlrmcl|metis|graclus)"
+            ))
+        }
     }
     .map_err(|e| e.to_string())?;
     let file = std::fs::File::create(output).map_err(|e| e.to_string())?;
@@ -442,35 +441,6 @@ pub fn eval(args: &ParsedArgs) -> CmdResult {
     println!("avg F-score:       {:.2}", report.avg_f);
     let matched = report.best_match.iter().filter(|m| m.is_some()).count();
     println!("matched clusters:  {matched}/{}", report.n_clusters);
-    Ok(())
-}
-
-/// `symclust nibble`.
-pub fn nibble(args: &ParsedArgs) -> CmdResult {
-    let input = args.required("input")?;
-    let seed_node: usize = args.get_or("seed-node", 0usize)?;
-    let directed: bool = args.get_or("directed", true)?;
-    let opts = NibbleOptions {
-        alpha: args.get_or("alpha", 0.15)?,
-        epsilon: args.get_or("epsilon", 1e-5)?,
-        max_cluster_size: args.get_or("max-size", 0usize)?,
-    };
-    let cluster = if directed {
-        let g = read_digraph(input)?;
-        pagerank_nibble_directed(&g, seed_node, &opts)
-    } else {
-        let tolerance: f64 = args.get_or("tolerance", DEFAULT_SYMMETRY_TOLERANCE)?;
-        let g = read_ungraph(input, tolerance)?;
-        pagerank_nibble(&g, seed_node, &opts)
-    }
-    .map_err(|e| e.to_string())?;
-    println!(
-        "local cluster around {seed_node}: {} members, conductance {:.4} ({} pushes)",
-        cluster.members.len(),
-        cluster.conductance,
-        cluster.pushes
-    );
-    println!("{:?}", cluster.members);
     Ok(())
 }
 
@@ -727,7 +697,6 @@ mod tests {
         ]))
         .unwrap();
         eval(&args(&[("clusters", &clusters), ("truth", &truth)])).unwrap();
-        nibble(&args(&[("input", &edges), ("seed-node", "0")])).unwrap();
     }
 
     #[test]

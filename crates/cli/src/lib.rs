@@ -13,7 +13,6 @@
 //! symclust cluster     --input sym.txt --algo metis --k 70 --output clusters.txt
 //! symclust pipeline    --input edges.txt --truth truth.txt --clusterers mlrmcl,metis
 //! symclust eval        --clusters clusters.txt --truth truth.txt
-//! symclust nibble      --input edges.txt --seed-node 0
 //! symclust serve       --socket /tmp/symclust.sock --store /var/cache/symclust
 //! symclust client      --socket /tmp/symclust.sock --op stats
 //! ```
@@ -48,7 +47,6 @@ pub fn run(argv: &[String]) -> i32 {
         "cluster" => commands::cluster,
         "pipeline" => commands::pipeline,
         "eval" => commands::eval,
-        "nibble" => commands::nibble,
         "serve" => commands::serve,
         "client" => commands::client,
         "chaos" => chaos::chaos,
@@ -58,7 +56,7 @@ pub fn run(argv: &[String]) -> i32 {
         }
         other => {
             eprintln!("error: unknown subcommand '{other}'\n{}", usage());
-            return 1;
+            return 2;
         }
     };
     if let Err(e) = parsed.reject_unknown(subcommand, &known_flags(subcommand)) {
@@ -115,7 +113,7 @@ SUBCOMMANDS:
               --input FILE --method aat|rw|bib|dd --output FILE
               [--alpha A --beta B] [--threshold T | --target-degree D]
   cluster     cluster an undirected (symmetrized) edge list
-              --input FILE --algo mlrmcl|metis|graclus|spectral
+              --input FILE --algo mlrmcl|metis|graclus
               [--k K | --inflation I] [--tolerance T] --output FILE
   pipeline    sweep all four symmetrizations x clusterers concurrently,
               computing each symmetrization once (artifact cache)
@@ -130,9 +128,6 @@ SUBCOMMANDS:
               [--metrics] [--metrics-out FILE.json] [--paranoid]
   eval        score a clustering against ground truth
               --clusters FILE --truth FILE
-  nibble      local cluster around one node (PageRank-Nibble)
-              --input FILE --seed-node N [--directed true|false]
-              [--alpha A] [--epsilon E] [--max-size N] [--tolerance T]
   serve       long-running clustering daemon over a unix socket
               (newline-delimited flat JSON; artifacts cached in a
               disk-backed content-addressed store; SIGTERM/SIGINT and
@@ -172,7 +167,7 @@ mod tests {
 
     /// Every flag each subcommand's code reads: the usage text must list
     /// these and no others.
-    const READS: [(&str, &str); 10] = [
+    const READS: [(&str, &str); 9] = [
         (
             "generate",
             "model nodes clusters seed levels edges output truth",
@@ -191,10 +186,6 @@ mod tests {
              records quiet metrics metrics-out paranoid",
         ),
         ("eval", "clusters truth"),
-        (
-            "nibble",
-            "input seed-node directed alpha epsilon max-size tolerance",
-        ),
         (
             "serve",
             "socket tcp store workers queue-cap timeout-ms store-budget-bytes \
@@ -253,6 +244,27 @@ mod tests {
         assert!(!std::path::Path::new(output).exists(), "no output written");
         assert_eq!(symmetrize("--threshold"), 0);
         assert!(std::path::Path::new(output).exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn removed_surfaces_are_refused_like_any_unknown_name() {
+        assert_eq!(
+            run(&argv(&["nibble", "--input", "x", "--seed-node", "0"])),
+            2
+        );
+        assert_eq!(run(&argv(&["no-such-subcommand"])), 2);
+        let dir = std::env::temp_dir().join(format!("symclust_removed_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (input, output) = (dir.join("g.txt"), dir.join("c.txt"));
+        std::fs::write(&input, "0 1\n1 0\n1 2\n2 1\n").unwrap();
+        let (input, output) = (input.to_str().unwrap(), output.to_str().unwrap());
+        let flags = [
+            "--input", input, "--algo", "spectral", "--k", "2", "--output", output,
+        ];
+        let err = commands::cluster(&ParsedArgs::parse(&argv(&flags)).unwrap()).unwrap_err();
+        assert!(err.contains("mlrmcl|metis|graclus"), "{err}");
+        assert!(!std::path::Path::new(output).exists(), "no output written");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

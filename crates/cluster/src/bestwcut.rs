@@ -20,8 +20,7 @@
 //! than symmetrization + MLR-MCL/Metis/Graclus).
 
 use crate::clustering::Clustering;
-use crate::kmeans::KMeansOptions;
-use crate::spectral::cluster_embedding;
+use crate::kmeans::{kmeans, KMeansOptions};
 use crate::{ClusterError, Result};
 use symclust_graph::DiGraph;
 use symclust_sparse::{
@@ -176,8 +175,36 @@ impl BestWCut {
     }
 }
 
+/// Clusters rows of a spectral embedding (n × k, row-major after
+/// row-normalization) with k-means++.
+fn cluster_embedding(
+    eigenvectors: &[Vec<f64>],
+    n: usize,
+    kmeans_opts: &KMeansOptions,
+) -> Result<Clustering> {
+    let d = eigenvectors.len();
+    let mut points = vec![0.0f64; n * d];
+    for (j, vec) in eigenvectors.iter().enumerate() {
+        for i in 0..n {
+            points[i * d + j] = vec[i];
+        }
+    }
+    // Row-normalize (standard for normalized spectral clustering).
+    for i in 0..n {
+        let row = &mut points[i * d..(i + 1) * d];
+        let norm: f64 = row.iter().map(|x| x * x).sum::<f64>().sqrt();
+        if norm > 0.0 {
+            for x in row.iter_mut() {
+                *x /= norm;
+            }
+        }
+    }
+    let result = kmeans(&points, n, d, kmeans_opts)?;
+    Ok(Clustering::from_assignments(&result.assignments))
+}
+
 /// Builds the WCut Laplacian `I − (Θ^{1/2}PΘ^{-1/2} + Θ^{-1/2}PᵀΘ^{1/2})/2`.
-pub fn wcut_laplacian(g: &DiGraph, t: &[f64]) -> CsrMatrix {
+fn wcut_laplacian(g: &DiGraph, t: &[f64]) -> CsrMatrix {
     let p = ops::row_normalize(g.adjacency());
     let sqrt_t: Vec<f64> = t.iter().map(|&x| x.max(0.0).sqrt()).collect();
     let inv_sqrt_t: Vec<f64> = sqrt_t
@@ -197,7 +224,7 @@ pub fn wcut_laplacian(g: &DiGraph, t: &[f64]) -> CsrMatrix {
 /// Evaluates the directed weighted cut of a clustering (Eq. 4 summed over
 /// clusters, with `T'(i) = T(i)/outdeg(i)` so that `T = π` recovers the
 /// directed normalized cut of Eq. 3).
-pub fn directed_wcut(g: &DiGraph, t: &[f64], assignment: &[u32], k: usize) -> f64 {
+fn directed_wcut(g: &DiGraph, t: &[f64], assignment: &[u32], k: usize) -> f64 {
     let out_deg = g.weighted_out_degrees();
     let mut cluster_t = vec![0.0f64; k];
     for (v, &a) in assignment.iter().enumerate() {
@@ -314,5 +341,24 @@ mod tests {
         };
         let c = algo.cluster_digraph(&g).unwrap();
         assert_eq!(c.n_clusters(), 2);
+    }
+
+    #[test]
+    fn cluster_embedding_separates_obvious_blocks() {
+        // Two eigenvector columns that cleanly separate nodes 0-2 from 3-5.
+        let v1 = vec![1.0, 1.0, 1.0, -1.0, -1.0, -1.0];
+        let v2 = vec![0.5, 0.5, 0.5, 0.5, 0.5, 0.5];
+        let c = cluster_embedding(
+            &[v2, v1],
+            6,
+            &KMeansOptions {
+                k: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert!(c.same_cluster(0, 1) && c.same_cluster(1, 2));
+        assert!(c.same_cluster(3, 4) && c.same_cluster(4, 5));
+        assert!(!c.same_cluster(0, 3));
     }
 }

@@ -30,7 +30,7 @@ impl Clustering {
     }
 
     /// Builds the trivial clustering with every node in one cluster.
-    pub fn single_cluster(n: usize) -> Clustering {
+    pub(crate) fn single_cluster(n: usize) -> Clustering {
         Clustering {
             assignments: vec![0; n],
             n_clusters: usize::from(n > 0),
@@ -100,16 +100,6 @@ impl Clustering {
         sizes
     }
 
-    /// Size of the largest cluster.
-    pub fn max_size(&self) -> usize {
-        self.sizes().into_iter().max().unwrap_or(0)
-    }
-
-    /// Number of singleton clusters (the paper's Bibliometric diagnostic).
-    pub fn n_singleton_clusters(&self) -> usize {
-        self.sizes().into_iter().filter(|&s| s == 1).count()
-    }
-
     /// True if two nodes share a cluster.
     pub fn same_cluster(&self, a: usize, b: usize) -> bool {
         self.assignments[a] == self.assignments[b]
@@ -134,13 +124,6 @@ mod tests {
         let c = Clustering::from_assignments(&[0, 1, 0, 1, 1]);
         assert_eq!(c.clusters(), vec![vec![0, 2], vec![1, 3, 4]]);
         assert_eq!(c.sizes(), vec![2, 3]);
-        assert_eq!(c.max_size(), 3);
-    }
-
-    #[test]
-    fn singleton_count() {
-        let c = Clustering::from_assignments(&[0, 1, 2, 2]);
-        assert_eq!(c.n_singleton_clusters(), 2);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub struct CoarseLevel {
 
 /// Computes one heavy-edge matching pass; returns the fine→coarse map and
 /// the number of coarse nodes.
-pub fn heavy_edge_matching(g: &UnGraph, seed: u64) -> (Vec<u32>, usize) {
+fn heavy_edge_matching(g: &UnGraph, seed: u64) -> (Vec<u32>, usize) {
     let n = g.n_nodes();
     let mut order: Vec<usize> = (0..n).collect();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -100,7 +100,7 @@ pub fn heavy_edge_matching(g: &UnGraph, seed: u64) -> (Vec<u32>, usize) {
 /// Collapses `g` according to a fine→coarse map, summing edge and vertex
 /// weights. Self-edges created by collapsed pairs are kept (they carry the
 /// internal weight, which Graclus-style refinement needs).
-pub fn project_graph(
+fn project_graph(
     g: &UnGraph,
     map: &[u32],
     n_coarse: usize,
@@ -147,7 +147,7 @@ pub fn coarsen_graph(g: &UnGraph, opts: &CoarsenOptions) -> Result<Vec<CoarseLev
 }
 
 /// Lifts a coarse-level assignment back to the finer level.
-pub fn lift_assignment(coarse_assignment: &[u32], map: &[u32]) -> Vec<u32> {
+pub(crate) fn lift_assignment(coarse_assignment: &[u32], map: &[u32]) -> Vec<u32> {
     map.iter().map(|&c| coarse_assignment[c as usize]).collect()
 }
 

@@ -96,7 +96,7 @@ pub fn normalized_cut(g: &UnGraph, assignment: &[u32], k: usize) -> f64 {
 
 /// Weighted-kernel-k-means refinement passes; mutates `assignment` and
 /// returns the number of moves.
-pub fn kernel_kmeans_refine(
+fn kernel_kmeans_refine(
     g: &UnGraph,
     assignment: &mut [u32],
     k: usize,

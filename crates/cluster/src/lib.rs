@@ -15,9 +15,7 @@
 //!   minimization in the style of Dhillon, Guan & Kulis' Graclus;
 //! * [`BestWCut`] — the directed spectral baseline of Meila & Pentney
 //!   (SDM 2007): weighted-cut spectral clustering via the directed
-//!   Laplacian (Eq. 5 of the paper), Lanczos eigenvectors, and k-means++;
-//! * [`SpectralClustering`] — standard normalized-cut spectral clustering
-//!   of undirected graphs, used both standalone and inside BestWCut.
+//!   Laplacian (Eq. 5 of the paper), Lanczos eigenvectors, and k-means++.
 //!
 //! All undirected algorithms implement [`ClusterAlgorithm`] and can be
 //! paired with any `Symmetrizer` from `symclust-core`.
@@ -27,22 +25,18 @@ pub mod clustering;
 pub mod coarsen;
 pub mod graclus_like;
 pub mod kmeans;
-pub mod local;
 pub mod mcl;
 pub mod metis_like;
 pub mod mlrmcl;
-pub mod spectral;
 
 pub use bestwcut::{BestWCut, BestWCutOptions, WCutWeights};
 pub use clustering::Clustering;
 pub use coarsen::{coarsen_graph, CoarseLevel, CoarsenOptions};
 pub use graclus_like::{GraclusLike, GraclusOptions};
 pub use kmeans::{kmeans, KMeansOptions, KMeansResult};
-pub use local::{pagerank_nibble, pagerank_nibble_directed, LocalCluster, NibbleOptions};
 pub use mcl::{rmcl, MclOptions, MclResult};
 pub use metis_like::{MetisLike, MetisOptions};
 pub use mlrmcl::{MlrMcl, MlrMclOptions};
-pub use spectral::{SpectralClustering, SpectralOptions};
 
 use symclust_graph::UnGraph;
 
@@ -167,7 +161,6 @@ mod tests {
             Box::new(MlrMcl::default()),
             Box::new(MetisLike::with_k(4)),
             Box::new(GraclusLike::with_k(4)),
-            Box::new(SpectralClustering::with_k(4)),
         ]
     }
 

@@ -157,7 +157,7 @@ pub struct MclResult {
 /// than `max_graph_row_nnz` are truncated to their heaviest entries before
 /// normalization (see [`MclOptions::max_graph_row_nnz`]); self-loops carry
 /// the row maximum so they always survive truncation.
-pub fn canonical_flow_capped(g: &UnGraph, max_graph_row_nnz: usize) -> CsrMatrix {
+pub(crate) fn canonical_flow_capped(g: &UnGraph, max_graph_row_nnz: usize) -> CsrMatrix {
     let a = g.adjacency();
     let n = a.n_rows();
     let mut loop_weights = CsrMatrix::identity(n);

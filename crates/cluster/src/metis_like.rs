@@ -365,7 +365,7 @@ pub fn recursive_bisection_partition(
 /// modular graphs (simultaneous growing strands seeds); plain region
 /// growing often wins on dense similarity graphs (`experiments --
 /// ablations`, ablation 4). Computing both is cheap next to refinement.
-pub fn best_initial_partition(
+pub(crate) fn best_initial_partition(
     g: &UnGraph,
     vertex_weights: &[f64],
     k: usize,
@@ -431,7 +431,7 @@ pub fn kway_refine(
 
 /// [`kway_refine`] with a separate weight cap per part (used by recursive
 /// bisection for uneven splits). Mutates `assignment`; returns move count.
-pub fn kway_refine_caps(
+fn kway_refine_caps(
     g: &UnGraph,
     vertex_weights: &[f64],
     assignment: &mut [u32],

@@ -154,20 +154,6 @@ impl MultipartiteChain {
         Ok(MultipartiteChain { links })
     }
 
-    /// Number of layers (`links + 1`).
-    pub fn n_layers(&self) -> usize {
-        self.links.len() + 1
-    }
-
-    /// Node count of layer `i`.
-    pub fn layer_size(&self, i: usize) -> usize {
-        if i == 0 {
-            self.links[0].n_rows()
-        } else {
-            self.links[i - 1].n_cols()
-        }
-    }
-
     /// The biadjacency matrices.
     pub fn links(&self) -> &[CsrMatrix] {
         &self.links
@@ -375,9 +361,6 @@ mod tests {
         );
         let items_tags = link(4, 2, &[(0, 0), (1, 0), (2, 1), (3, 1)]);
         let chain = MultipartiteChain::new(vec![users_items, items_tags]).unwrap();
-        assert_eq!(chain.n_layers(), 3);
-        assert_eq!(chain.layer_size(0), 4);
-        assert_eq!(chain.layer_size(2), 2);
         let s = chain_degree_discounted(&chain, &ChainOptions::default()).unwrap();
         // Users 0,1 reach tag 0; users 2,3 reach tag 1: within-community
         // similarity positive, cross-community zero.

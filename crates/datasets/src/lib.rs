@@ -76,7 +76,7 @@ fn recip(percent: f64) -> f64 {
 /// categories, 20% unlabeled. Citation graphs have mild hubs (seminal
 /// papers), moderate intra-cluster citation, and strong shared-reference
 /// structure (papers in a field cite the same prior work).
-pub fn cora_like_config(n_nodes: usize) -> SharedLinkDsbmConfig {
+fn cora_like_config(n_nodes: usize) -> SharedLinkDsbmConfig {
     SharedLinkDsbmConfig {
         n_nodes,
         n_clusters: 70,
@@ -148,7 +148,7 @@ pub fn wikipedia_like_scaled(n_nodes: usize) -> Dataset {
 
 /// Configuration of the Flickr stand-in (timing only, 62.4% reciprocity,
 /// relatively sparse: 12 edges/node in the original).
-pub fn flickr_like_config(n_nodes: usize) -> SharedLinkDsbmConfig {
+fn flickr_like_config(n_nodes: usize) -> SharedLinkDsbmConfig {
     let n_clusters = (n_nodes / 80).max(10);
     SharedLinkDsbmConfig {
         n_nodes,
@@ -182,7 +182,7 @@ pub fn flickr_like_scaled(n_nodes: usize) -> Dataset {
 
 /// Configuration of the LiveJournal stand-in (timing only, 73.4%
 /// reciprocity, ~15 edges/node in the original).
-pub fn livejournal_like_config(n_nodes: usize) -> SharedLinkDsbmConfig {
+fn livejournal_like_config(n_nodes: usize) -> SharedLinkDsbmConfig {
     let n_clusters = (n_nodes / 100).max(10);
     SharedLinkDsbmConfig {
         n_nodes,

@@ -151,7 +151,7 @@ pub fn stream_dsbm<W: Write>(cfg: &StreamDsbmConfig, writer: W) -> io::Result<u6
 
 /// Streams the planted ground truth (CLI format: `# symclust ground truth`
 /// header, one `node cluster` pair per line) to `writer`.
-pub fn stream_dsbm_truth<W: Write>(cfg: &StreamDsbmConfig, writer: W) -> io::Result<()> {
+fn stream_dsbm_truth<W: Write>(cfg: &StreamDsbmConfig, writer: W) -> io::Result<()> {
     let mut w = BufWriter::new(writer);
     writeln!(
         w,

@@ -162,8 +162,8 @@ pub struct EngineOptions {
     /// computed in degraded (adaptively-thresholded) mode instead of
     /// aborting; the resulting records carry `degraded: true`.
     pub memory_budget: Option<usize>,
-    /// How the similarity symmetrizations' SpGEMM kernels run: threads,
-    /// accumulator, out-of-core panel plan. Every value produces
+    /// How the similarity symmetrizations' SpGEMM kernels run: threads
+    /// and out-of-core panel plan. Every value produces
     /// bit-identical output and no key-derivation function takes a
     /// [`Tuning`], so it cannot reach a cache or journal key. The default
     /// is [`Tuning::from_env`].

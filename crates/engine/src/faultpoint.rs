@@ -83,7 +83,7 @@ pub fn fire(name: &str) -> Result<(), String> {
 }
 
 /// Whether `name` is armed with [`FaultAction::Oom`].
-pub fn oom_armed(name: &str) -> bool {
+pub(crate) fn oom_armed(name: &str) -> bool {
     matches!(lock().get(name), Some(FaultAction::Oom))
 }
 

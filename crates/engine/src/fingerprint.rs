@@ -61,7 +61,7 @@ impl Fnv64 {
     }
 
     /// Absorbs a string, length-prefixed so concatenations can't collide.
-    pub fn write_str(&mut self, s: &str) -> &mut Self {
+    pub(crate) fn write_str(&mut self, s: &str) -> &mut Self {
         self.write_u64(s.len() as u64).write_bytes(s.as_bytes())
     }
 

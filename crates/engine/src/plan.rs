@@ -128,12 +128,12 @@ impl Plan {
     }
 
     /// In-degree of every node (dependencies not yet satisfied at start).
-    pub fn indegrees(&self) -> Vec<usize> {
+    pub(crate) fn indegrees(&self) -> Vec<usize> {
         self.nodes.iter().map(|n| n.deps.len()).collect()
     }
 
     /// Reverse adjacency: for each node, who depends on it.
-    pub fn dependents(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn dependents(&self) -> Vec<Vec<usize>> {
         let mut out = vec![Vec::new(); self.nodes.len()];
         for n in &self.nodes {
             for &d in &n.deps {

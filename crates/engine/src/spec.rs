@@ -111,7 +111,7 @@ impl SymMethod {
 
     /// Whether an SpGEMM memory budget changes this method's output (only
     /// the similarity methods run a matrix product).
-    pub fn uses_budget(&self) -> bool {
+    pub(crate) fn uses_budget(&self) -> bool {
         matches!(
             self,
             SymMethod::Bibliometric { .. } | SymMethod::DegreeDiscounted { .. }

@@ -1,11 +1,6 @@
-//! Internal (ground-truth-free) clustering quality measures.
-//!
-//! The paper's §5.4 explains Degree-discounted's speed advantage by "much
-//! lower normalized cuts ... indicating the presence of well-separated
-//! clusters"; these helpers quantify that kind of structural claim:
-//! Newman–Girvan modularity, per-cluster conductance, and cluster-size
-//! distribution summaries (the paper repeatedly appeals to the 50–200
-//! "natural community size" of Leskovec et al. \[15\]).
+//! Internal (ground-truth-free) clustering quality: Newman–Girvan
+//! modularity, which the root crate's `Pipeline` reports next to the
+//! F-score and the normalized cut.
 
 use symclust_graph::UnGraph;
 
@@ -41,96 +36,6 @@ pub fn modularity(g: &UnGraph, assignments: &[u32]) -> f64 {
         .sum()
 }
 
-/// Conductance `cut(c) / min(vol(c), vol(V∖c))` of every cluster.
-/// Clusters with zero volume report 0.
-pub fn per_cluster_conductance(g: &UnGraph, assignments: &[u32]) -> Vec<f64> {
-    assert_eq!(assignments.len(), g.n_nodes());
-    let k = assignments
-        .iter()
-        .map(|&a| a as usize + 1)
-        .max()
-        .unwrap_or(0);
-    let degrees = g.weighted_degrees();
-    let total_vol: f64 = degrees.iter().sum();
-    let mut vol = vec![0.0f64; k];
-    let mut internal = vec![0.0f64; k]; // ordered-pair internal weight
-    for (v, &a) in assignments.iter().enumerate() {
-        vol[a as usize] += degrees[v];
-    }
-    for (u, v, w) in g.adjacency().iter() {
-        if assignments[u] == assignments[v as usize] {
-            internal[assignments[u] as usize] += w;
-        }
-    }
-    (0..k)
-        .map(|c| {
-            let cut = vol[c] - internal[c];
-            let denom = vol[c].min(total_vol - vol[c]);
-            if denom <= 0.0 {
-                0.0
-            } else {
-                cut / denom
-            }
-        })
-        .collect()
-}
-
-/// Summary of a clustering's size distribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SizeSummary {
-    /// Number of clusters.
-    pub n_clusters: usize,
-    /// Smallest cluster.
-    pub min: usize,
-    /// Median cluster size.
-    pub median: usize,
-    /// Largest cluster.
-    pub max: usize,
-    /// Mean cluster size.
-    pub mean: f64,
-    /// Number of singleton clusters.
-    pub n_singletons: usize,
-    /// Fraction of clusters with size in the "natural community" range
-    /// 50–200 of Leskovec et al. (paper ref \[15\]).
-    pub frac_natural_size: f64,
-}
-
-/// Computes the size summary of a clustering.
-pub fn size_summary(assignments: &[u32]) -> SizeSummary {
-    let k = assignments
-        .iter()
-        .map(|&a| a as usize + 1)
-        .max()
-        .unwrap_or(0);
-    let mut sizes = vec![0usize; k];
-    for &a in assignments {
-        sizes[a as usize] += 1;
-    }
-    sizes.sort_unstable();
-    let n_clusters = sizes.len();
-    if n_clusters == 0 {
-        return SizeSummary {
-            n_clusters: 0,
-            min: 0,
-            median: 0,
-            max: 0,
-            mean: 0.0,
-            n_singletons: 0,
-            frac_natural_size: 0.0,
-        };
-    }
-    SizeSummary {
-        n_clusters,
-        min: sizes[0],
-        median: sizes[n_clusters / 2],
-        max: sizes[n_clusters - 1],
-        mean: assignments.len() as f64 / n_clusters as f64,
-        n_singletons: sizes.iter().filter(|&&s| s == 1).count(),
-        frac_natural_size: sizes.iter().filter(|&&s| (50..=200).contains(&s)).count() as f64
-            / n_clusters as f64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,50 +65,8 @@ mod tests {
     }
 
     #[test]
-    fn conductance_per_cluster() {
-        let g = two_triangles();
-        let phi = per_cluster_conductance(&g, &[0, 0, 0, 1, 1, 1]);
-        // Each triangle: vol 7, cut 1 → 1/7.
-        assert_eq!(phi.len(), 2);
-        for p in phi {
-            assert!((p - 1.0 / 7.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn conductance_of_whole_graph_cluster_is_zero() {
-        let g = two_triangles();
-        let phi = per_cluster_conductance(&g, &[0; 6]);
-        assert_eq!(phi, vec![0.0]);
-    }
-
-    #[test]
-    fn size_summary_basics() {
-        let s = size_summary(&[0, 0, 0, 1, 2, 2]);
-        assert_eq!(s.n_clusters, 3);
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 3);
-        assert_eq!(s.median, 2);
-        assert_eq!(s.n_singletons, 1);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-        assert_eq!(s.frac_natural_size, 0.0);
-    }
-
-    #[test]
-    fn size_summary_natural_range() {
-        // One cluster of 100 (natural) and one of 10.
-        let mut a = vec![0u32; 100];
-        a.extend(vec![1u32; 10]);
-        let s = size_summary(&a);
-        assert!((s.frac_natural_size - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_assignments() {
-        let s = size_summary(&[]);
-        assert_eq!(s.n_clusters, 0);
         let g = UnGraph::from_edges(0, &[]).unwrap();
         assert_eq!(modularity(&g, &[]), 0.0);
-        assert!(per_cluster_conductance(&g, &[]).is_empty());
     }
 }

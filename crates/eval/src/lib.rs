@@ -21,7 +21,7 @@ pub mod ncut;
 pub mod rand_index;
 pub mod signtest;
 
-pub use cluster_stats::{modularity, per_cluster_conductance, size_summary, SizeSummary};
+pub use cluster_stats::modularity;
 pub use fscore::{avg_f_score, correctly_clustered, FScoreReport};
 pub use ncut::{directed_normalized_cut, normalized_cut};
 pub use rand_index::adjusted_rand_index;

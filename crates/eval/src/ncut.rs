@@ -1,7 +1,7 @@
 //! Normalized cuts of clusterings, undirected (Eq. 1) and directed (Eq. 3).
 
 use symclust_graph::{DiGraph, UnGraph};
-use symclust_sparse::{pagerank, PageRankOptions};
+use symclust_sparse::{pagerank, PageRankOptions, SparseError};
 
 /// Undirected normalized cut of a clustering: `Σ_c cut(c) / vol(c)`
 /// (Eq. 1 of the paper summed over clusters; `vol` is the weighted-degree
@@ -39,8 +39,23 @@ pub fn normalized_cut(g: &UnGraph, assignments: &[u32]) -> f64 {
 /// of `S` coincide under stationarity) and therefore also equals the
 /// undirected normalized cut of the Random-walk symmetrization — Gleich's
 /// identity, verified in `tests/theory.rs`.
-pub fn directed_normalized_cut(g: &DiGraph, assignments: &[u32], teleport: f64) -> f64 {
-    assert_eq!(assignments.len(), g.n_nodes());
+///
+/// Fails when `assignments` does not cover exactly the graph's nodes, or
+/// when the stationary distribution cannot be computed: a `teleport`
+/// outside `[0, 1)`, or a walk that does not converge within PageRank's
+/// iteration budget (a small `teleport` on a periodic graph).
+pub fn directed_normalized_cut(
+    g: &DiGraph,
+    assignments: &[u32],
+    teleport: f64,
+) -> Result<f64, SparseError> {
+    if assignments.len() != g.n_nodes() {
+        return Err(SparseError::InvalidArgument(format!(
+            "{} assignments for {} nodes",
+            assignments.len(),
+            g.n_nodes()
+        )));
+    }
     let k = assignments
         .iter()
         .map(|&a| a as usize + 1)
@@ -52,8 +67,7 @@ pub fn directed_normalized_cut(g: &DiGraph, assignments: &[u32], teleport: f64) 
             teleport,
             ..Default::default()
         },
-    )
-    .expect("pagerank converges on any graph with teleport > 0")
+    )?
     .pi;
     let out_deg = g.weighted_out_degrees();
     let mut mass = vec![0.0f64; k];
@@ -71,10 +85,10 @@ pub fn directed_normalized_cut(g: &DiGraph, assignments: &[u32], teleport: f64) 
             inflow[cv] += flow;
         }
     }
-    (0..k)
+    Ok((0..k)
         .filter(|&c| mass[c] > 0.0)
         .map(|c| (outflow[c] + inflow[c]) / (2.0 * mass[c]))
-        .sum()
+        .sum())
 }
 
 #[cfg(test)]
@@ -111,8 +125,8 @@ mod tests {
         let g = two_cliques(5);
         let good: Vec<u32> = (0..10).map(|i| u32::from(i >= 5)).collect();
         let bad: Vec<u32> = (0..10).map(|i| (i % 2) as u32).collect();
-        let ng = directed_normalized_cut(&g, &good, 0.05);
-        let nb = directed_normalized_cut(&g, &bad, 0.05);
+        let ng = directed_normalized_cut(&g, &good, 0.05).unwrap();
+        let nb = directed_normalized_cut(&g, &bad, 0.05).unwrap();
         assert!(ng < nb, "good {ng} >= bad {nb}");
     }
 
@@ -125,7 +139,7 @@ mod tests {
         let mut assignment = vec![0u32; 9];
         assignment[4] = 1;
         assignment[5] = 1;
-        let ncut = directed_normalized_cut(&g, &assignment, 0.05);
+        let ncut = directed_normalized_cut(&g, &assignment, 0.05).unwrap();
         // The {4,5} cluster term alone is near its maximum of 1 (every
         // walk step exits), so total exceeds 0.9 comfortably.
         assert!(ncut > 0.9, "ncut = {ncut}");
@@ -134,7 +148,27 @@ mod tests {
     #[test]
     fn directed_ncut_zero_single_cluster() {
         let g = two_cliques(3);
-        let ncut = directed_normalized_cut(&g, &[0; 6], 0.05);
+        let ncut = directed_normalized_cut(&g, &[0; 6], 0.05).unwrap();
         assert!(ncut.abs() < 1e-12);
+    }
+
+    #[test]
+    fn directed_ncut_errs_where_the_stationary_walk_fails() {
+        // The star 0⇄1, 0⇄2 is periodic: with almost no teleport the walk
+        // does not converge, and teleport 1 is outside PageRank's domain.
+        let g = DiGraph::from_edges(3, &[(0, 1), (1, 0), (0, 2), (2, 0)]).unwrap();
+        let assignment = [0, 0, 1];
+        assert!(matches!(
+            directed_normalized_cut(&g, &assignment, 0.001),
+            Err(SparseError::NoConvergence { .. })
+        ));
+        assert!(matches!(
+            directed_normalized_cut(&g, &assignment, 1.0),
+            Err(SparseError::InvalidArgument(_))
+        ));
+        assert!(matches!(
+            directed_normalized_cut(&g, &[0, 0], 0.05),
+            Err(SparseError::InvalidArgument(_))
+        ));
     }
 }

@@ -26,7 +26,7 @@ pub struct SignTestResult {
 
 /// Lanczos approximation of `ln Γ(x)` for `x > 0` (Numerical Recipes
 /// coefficients; absolute error < 2e-10 over the domain used here).
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires positive argument");
     const COEF: [f64; 6] = [
         76.18009172947146,

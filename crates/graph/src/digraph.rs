@@ -123,11 +123,6 @@ impl DiGraph {
         self.adj.col_sums()
     }
 
-    /// Out-neighbors of `node` with edge weights.
-    pub fn out_neighbors(&self, node: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
-        self.adj.row_iter(node)
-    }
-
     /// True if the directed edge `u → v` exists.
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
         self.adj.get(u, v) != 0.0
@@ -242,12 +237,5 @@ mod tests {
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges.len(), 3);
         assert!(edges.contains(&(0, 1, 1.0)));
-    }
-
-    #[test]
-    fn out_neighbors_iteration() {
-        let g = DiGraph::from_edges(3, &[(0, 1), (0, 2)]).unwrap();
-        let nbrs: Vec<u32> = g.out_neighbors(0).map(|(v, _)| v).collect();
-        assert_eq!(nbrs, vec![1, 2]);
     }
 }

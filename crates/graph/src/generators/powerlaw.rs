@@ -7,44 +7,44 @@ use rand::Rng;
 /// Continuous Pareto (power-law) distribution with density
 /// `f(x) ∝ x^{-alpha}` for `x >= x_min`.
 #[derive(Debug, Clone, Copy)]
-pub struct PowerLaw {
+struct PowerLaw {
     /// Tail exponent; must be > 1 for a proper distribution.
-    pub alpha: f64,
+    alpha: f64,
     /// Minimum value.
-    pub x_min: f64,
+    x_min: f64,
 }
 
 impl PowerLaw {
     /// Creates a sampler, panicking on invalid parameters (programmer
     /// error: these are compile-time-chosen constants in practice).
-    pub fn new(alpha: f64, x_min: f64) -> Self {
+    fn new(alpha: f64, x_min: f64) -> Self {
         assert!(alpha > 1.0, "power-law exponent must exceed 1");
         assert!(x_min > 0.0, "x_min must be positive");
         PowerLaw { alpha, x_min }
     }
 
     /// Draws one sample by inverse-CDF transform.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         self.x_min * u.powf(-1.0 / (self.alpha - 1.0))
     }
 
     /// Draws one sample, truncated to `max`.
-    pub fn sample_capped<R: Rng + ?Sized>(&self, rng: &mut R, max: f64) -> f64 {
+    fn sample_capped<R: Rng + ?Sized>(&self, rng: &mut R, max: f64) -> f64 {
         self.sample(rng).min(max)
     }
 }
 
 /// Draws an integer Pareto sample in `[min, max]` with exponent `alpha`.
-pub fn pareto_sample<R: Rng + ?Sized>(rng: &mut R, alpha: f64, min: usize, max: usize) -> usize {
+pub(crate) fn pareto_sample<R: Rng + ?Sized>(
+    rng: &mut R,
+    alpha: f64,
+    min: usize,
+    max: usize,
+) -> usize {
     debug_assert!(min >= 1 && max >= min);
     let pl = PowerLaw::new(alpha, min as f64);
     (pl.sample_capped(rng, max as f64).floor() as usize).clamp(min, max)
-}
-
-/// Unnormalized Zipf weights `w[i] = (i + 1)^{-s}` for ranked selection.
-pub fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
-    (0..n).map(|i| ((i + 1) as f64).powf(-s)).collect()
 }
 
 #[cfg(test)]
@@ -98,17 +98,6 @@ mod tests {
             let v = pareto_sample(&mut rng, 2.2, 2, 50);
             assert!((2..=50).contains(&v));
         }
-    }
-
-    #[test]
-    fn zipf_weights_decreasing() {
-        let w = zipf_weights(5, 1.0);
-        assert_eq!(w.len(), 5);
-        for pair in w.windows(2) {
-            assert!(pair[0] > pair[1]);
-        }
-        assert!((w[0] - 1.0).abs() < 1e-12);
-        assert!((w[1] - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -12,8 +12,6 @@ pub struct GroundTruth {
     n_nodes: usize,
     /// Member node ids per category, each list sorted ascending.
     categories: Vec<Vec<u32>>,
-    /// Optional category names (parallel to `categories`).
-    names: Option<Vec<String>>,
 }
 
 impl GroundTruth {
@@ -35,7 +33,6 @@ impl GroundTruth {
         Ok(GroundTruth {
             n_nodes,
             categories,
-            names: None,
         })
     }
 
@@ -52,19 +49,6 @@ impl GroundTruth {
         }
         categories.retain(|c| !c.is_empty());
         GroundTruth::new(labels.len(), categories)
-    }
-
-    /// Attaches category names.
-    pub fn with_names(mut self, names: Vec<String>) -> Result<Self> {
-        if names.len() != self.categories.len() {
-            return Err(GraphError::Invalid(format!(
-                "{} names for {} categories",
-                names.len(),
-                self.categories.len()
-            )));
-        }
-        self.names = Some(names);
-        Ok(self)
     }
 
     /// Number of nodes the assignment covers.
@@ -87,14 +71,6 @@ impl GroundTruth {
         &self.categories
     }
 
-    /// Name of category `c` (or its index as a string).
-    pub fn name(&self, c: usize) -> String {
-        match &self.names {
-            Some(n) => n[c].clone(),
-            None => c.to_string(),
-        }
-    }
-
     /// Inverted index: for each node, the categories containing it.
     pub fn node_categories(&self) -> Vec<Vec<u32>> {
         let mut idx = vec![Vec::new(); self.n_nodes];
@@ -107,7 +83,7 @@ impl GroundTruth {
     }
 
     /// Number of nodes with at least one category.
-    pub fn n_labeled(&self) -> usize {
+    fn n_labeled(&self) -> usize {
         let mut seen = vec![false; self.n_nodes];
         for members in &self.categories {
             for &m in members {
@@ -123,26 +99,6 @@ impl GroundTruth {
             return 0.0;
         }
         1.0 - self.n_labeled() as f64 / self.n_nodes as f64
-    }
-
-    /// Drops categories with fewer than `min_size` members (the paper
-    /// removes Wikipedia categories with ≤ 20 pages).
-    pub fn filter_min_size(&self, min_size: usize) -> GroundTruth {
-        let mut categories = Vec::new();
-        let mut names = self.names.as_ref().map(|_| Vec::new());
-        for (i, cat) in self.categories.iter().enumerate() {
-            if cat.len() >= min_size {
-                categories.push(cat.clone());
-                if let (Some(ns), Some(orig)) = (&mut names, &self.names) {
-                    ns.push(orig[i].clone());
-                }
-            }
-        }
-        GroundTruth {
-            n_nodes: self.n_nodes,
-            categories,
-            names,
-        }
     }
 }
 
@@ -180,25 +136,6 @@ mod tests {
         let idx = gt.node_categories();
         assert_eq!(idx[1], vec![0, 1]);
         assert_eq!(gt.n_labeled(), 3);
-    }
-
-    #[test]
-    fn filter_min_size_drops_small_categories() {
-        let gt = GroundTruth::new(6, vec![vec![0], vec![1, 2, 3], vec![4, 5]])
-            .unwrap()
-            .with_names(vec!["tiny".into(), "big".into(), "mid".into()])
-            .unwrap();
-        let f = gt.filter_min_size(2);
-        assert_eq!(f.n_categories(), 2);
-        assert_eq!(f.name(0), "big");
-        assert_eq!(f.name(1), "mid");
-    }
-
-    #[test]
-    fn names_validation() {
-        let gt = GroundTruth::new(2, vec![vec![0], vec![1]]).unwrap();
-        assert!(gt.clone().with_names(vec!["a".into()]).is_err());
-        assert_eq!(gt.name(1), "1");
     }
 
     #[test]

@@ -125,14 +125,6 @@ pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<DiGraph> {
     read_edge_list(std::fs::File::open(path)?)
 }
 
-/// Reads a directed edge list from a file under the given validation policy.
-pub fn read_edge_list_file_with<P: AsRef<Path>>(
-    path: P,
-    opts: &EdgeListOptions,
-) -> Result<DiGraph> {
-    read_edge_list_with(std::fs::File::open(path)?, opts)
-}
-
 /// Writes a directed graph as an edge list. Weights equal to 1.0 are
 /// omitted to keep files compact.
 pub fn write_edge_list<W: Write>(g: &DiGraph, writer: W) -> Result<()> {

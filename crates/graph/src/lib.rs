@@ -14,8 +14,8 @@
 //!   components,
 //! * [`generators`] — synthetic directed graphs with planted ground truth:
 //!   the shared-link DSBM used as stand-in for the paper's datasets, a
-//!   stochastic Kronecker generator (paper ref \[14\]), power-law samplers,
-//!   and the idealized Figure-1 graph,
+//!   stochastic Kronecker generator (paper ref \[14\]), and the idealized
+//!   Figure-1 graph,
 //! * [`io`] — plain-text edge-list reading and writing.
 
 pub mod digraph;

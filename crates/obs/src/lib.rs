@@ -44,4 +44,4 @@ mod span;
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::MetricsRegistry;
 pub use snapshot::{GaugeValue, MetricsSnapshot, SpanSnapshot};
-pub use span::{Span, SpanRecord, SpanStats};
+pub use span::{Span, SpanStats};

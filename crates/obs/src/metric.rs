@@ -157,7 +157,7 @@ impl Histogram {
     /// A consistent-enough copy of the current state (individual loads are
     /// relaxed; exactness across concurrent writers is not guaranteed,
     /// which is fine for reporting).
-    pub fn snapshot_with_name(&self, name: &str) -> HistogramSnapshot {
+    pub(crate) fn snapshot_with_name(&self, name: &str) -> HistogramSnapshot {
         HistogramSnapshot {
             name: name.to_string(),
             bounds: self.bounds.clone(),

@@ -2,23 +2,16 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use crate::metric::{Counter, Gauge, Histogram};
 use crate::snapshot::{GaugeValue, MetricsSnapshot, SpanSnapshot};
-use crate::span::{Span, SpanRecord, SpanStats};
-
-/// Maximum individual span records retained in the trace ring; aggregates
-/// in [`SpanStats`] keep counting past this.
-const TRACE_CAPACITY: usize = 4096;
+use crate::span::{Span, SpanStats};
 
 struct Inner {
-    epoch: Instant,
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
     spans: Mutex<BTreeMap<String, SpanStats>>,
-    trace: Mutex<Vec<SpanRecord>>,
 }
 
 /// A clonable handle to one run's metrics: counters, gauges, histograms,
@@ -52,17 +45,14 @@ impl std::fmt::Debug for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Creates an empty registry; its epoch (time zero for span trace
-    /// offsets) is now.
+    /// Creates an empty registry.
     pub fn new() -> Self {
         MetricsRegistry {
             inner: Arc::new(Inner {
-                epoch: Instant::now(),
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
                 spans: Mutex::new(BTreeMap::new()),
-                trace: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -112,8 +102,8 @@ impl MetricsRegistry {
     }
 
     /// Opens an RAII timing span named `name`; its duration is recorded
-    /// into the per-name [`SpanStats`] aggregate (and the bounded trace
-    /// ring) when the returned guard drops.
+    /// into the per-name [`SpanStats`] aggregate when the returned guard
+    /// drops.
     pub fn span(&self, name: &str) -> Span {
         Span::new(self.clone(), name.to_string())
     }
@@ -121,33 +111,6 @@ impl MetricsRegistry {
     /// Records an already-measured duration under span `name` without the
     /// RAII guard (used when a duration is computed externally).
     pub fn observe_span_secs(&self, name: &str, secs: f64) {
-        self.record_stats(name, secs);
-        let mut trace = self.inner.trace.lock().unwrap();
-        if trace.len() < TRACE_CAPACITY {
-            let start_secs = self.inner.epoch.elapsed().as_secs_f64() - secs;
-            trace.push(SpanRecord {
-                name: name.to_string(),
-                start_secs: start_secs.max(0.0),
-                secs,
-            });
-        }
-    }
-
-    pub(crate) fn record_span(&self, name: &str, start: Instant, secs: f64) {
-        self.record_stats(name, secs);
-        let mut trace = self.inner.trace.lock().unwrap();
-        if trace.len() < TRACE_CAPACITY {
-            trace.push(SpanRecord {
-                name: name.to_string(),
-                start_secs: start
-                    .saturating_duration_since(self.inner.epoch)
-                    .as_secs_f64(),
-                secs,
-            });
-        }
-    }
-
-    fn record_stats(&self, name: &str, secs: f64) {
         let mut spans = self.inner.spans.lock().unwrap();
         match spans.get_mut(name) {
             Some(stats) => stats.observe(secs),
@@ -155,12 +118,6 @@ impl MetricsRegistry {
                 spans.insert(name.to_string(), SpanStats::new(secs));
             }
         }
-    }
-
-    /// Individual closed spans, in completion order (bounded at 4096;
-    /// aggregates keep counting past the cap).
-    pub fn recent_spans(&self) -> Vec<SpanRecord> {
-        self.inner.trace.lock().unwrap().clone()
     }
 
     /// A point-in-time copy of every instrument, sorted by name. This is
@@ -294,8 +251,6 @@ mod tests {
         assert_eq!(span.count, 2);
         assert!(span.total_secs >= 0.0);
         assert!(span.min_secs <= span.max_secs);
-        assert_eq!(m.recent_spans().len(), 2);
-        assert_eq!(m.recent_spans()[0].name, "stage.load");
     }
 
     #[test]

@@ -44,18 +44,6 @@ impl SpanStats {
     }
 }
 
-/// One closed span in the bounded trace ring: what ran, when it started
-/// (seconds since the registry was created), and how long it took.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanRecord {
-    /// Span name (e.g. `stage.symmetrize` or `sym.Degree-discounted`).
-    pub name: String,
-    /// Start offset in seconds since the registry epoch.
-    pub start_secs: f64,
-    /// Duration in seconds.
-    pub secs: f64,
-}
-
 /// An open timing span; records its wall-clock duration into the registry
 /// when dropped.
 ///
@@ -90,6 +78,6 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         let secs = self.start.elapsed().as_secs_f64();
-        self.registry.record_span(&self.name, self.start, secs);
+        self.registry.observe_span_secs(&self.name, secs);
     }
 }

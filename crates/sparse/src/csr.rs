@@ -257,17 +257,6 @@ impl CsrMatrix {
         &mut self.values
     }
 
-    /// Consumes the matrix, returning `(n_rows, n_cols, indptr, indices, values)`.
-    pub fn into_raw_parts(self) -> (usize, usize, Vec<usize>, Vec<u32>, Vec<f64>) {
-        (
-            self.n_rows,
-            self.n_cols,
-            self.indptr,
-            self.indices,
-            self.values,
-        )
-    }
-
     /// Column indices of the stored entries in `row`.
     #[inline]
     pub fn row_indices(&self, row: usize) -> &[u32] {
@@ -326,27 +315,6 @@ impl CsrMatrix {
                 acc += v * x[col as usize];
             }
             *y_row = acc;
-        }
-        Ok(y)
-    }
-
-    /// Transposed matrix–vector product `y = Aᵀ x` without materializing `Aᵀ`.
-    pub fn mul_vec_transposed(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.n_rows {
-            return Err(SparseError::DimensionMismatch {
-                op: "mul_vec_transposed",
-                lhs: (self.n_cols, self.n_rows),
-                rhs: (x.len(), 1),
-            });
-        }
-        let mut y = vec![0.0; self.n_cols];
-        for (row, &xr) in x.iter().enumerate() {
-            if xr == 0.0 {
-                continue;
-            }
-            for (col, v) in self.row_iter(row) {
-                y[col as usize] += v * xr;
-            }
         }
         Ok(y)
     }
@@ -427,11 +395,6 @@ impl CsrMatrix {
             worst = worst.max(a.abs() / a.abs().max(1.0));
         }
         worst
-    }
-
-    /// Frobenius norm of the stored entries.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 }
 
@@ -608,19 +571,9 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_transposed_matches_dense() {
-        let m = sample();
-        let y = m.mul_vec_transposed(&[1.0, 2.0, 3.0]).unwrap();
-        // Aᵀ x with A as in sample():
-        // col0: 1*1 + 3*3 = 10; col1: 4*3 = 12; col2: 2*1 = 2
-        assert_eq!(y, vec![10.0, 12.0, 2.0]);
-    }
-
-    #[test]
     fn mul_vec_rejects_bad_dims() {
         let m = sample();
         assert!(m.mul_vec(&[1.0]).is_err());
-        assert!(m.mul_vec_transposed(&[1.0]).is_err());
     }
 
     #[test]
@@ -762,13 +715,6 @@ mod tests {
         assert!(!asym.is_symmetric(0.0));
         let rect = CsrMatrix::zeros(2, 3);
         assert!(!rect.is_symmetric(0.0));
-    }
-
-    #[test]
-    fn frobenius_norm_matches_hand_computation() {
-        let m = sample();
-        let expected = (1.0f64 + 4.0 + 9.0 + 16.0).sqrt();
-        assert!((m.frobenius_norm() - expected).abs() < 1e-12);
     }
 
     #[test]

@@ -2,26 +2,26 @@
 
 /// Dot product of two equal-length slices.
 #[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// Euclidean (L2) norm.
 #[inline]
-pub fn norm2(a: &[f64]) -> f64 {
+pub(crate) fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
 /// L1 norm (sum of absolute values).
 #[inline]
-pub fn norm1(a: &[f64]) -> f64 {
+pub(crate) fn norm1(a: &[f64]) -> f64 {
     a.iter().map(|x| x.abs()).sum()
 }
 
 /// `y += alpha * x`.
 #[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub(crate) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
@@ -30,7 +30,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 
 /// Scales `x` in place by `alpha`.
 #[inline]
-pub fn scale(x: &mut [f64], alpha: f64) {
+pub(crate) fn scale(x: &mut [f64], alpha: f64) {
     for xi in x.iter_mut() {
         *xi *= alpha;
     }
@@ -38,7 +38,7 @@ pub fn scale(x: &mut [f64], alpha: f64) {
 
 /// Normalizes `x` to unit L2 norm; returns the original norm.
 /// A zero vector is left untouched and 0.0 is returned.
-pub fn normalize2(x: &mut [f64]) -> f64 {
+pub(crate) fn normalize2(x: &mut [f64]) -> f64 {
     let n = norm2(x);
     if n > 0.0 {
         scale(x, 1.0 / n);
@@ -47,21 +47,12 @@ pub fn normalize2(x: &mut [f64]) -> f64 {
 }
 
 /// Normalizes `x` to unit L1 norm; returns the original norm.
-pub fn normalize1(x: &mut [f64]) -> f64 {
+pub(crate) fn normalize1(x: &mut [f64]) -> f64 {
     let n = norm1(x);
     if n > 0.0 {
         scale(x, 1.0 / n);
     }
     n
-}
-
-/// Maximum absolute difference between two equal-length slices.
-pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -100,11 +91,5 @@ mod tests {
         let n = normalize1(&mut x);
         assert_eq!(n, 4.0);
         assert!((norm1(&x) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_abs_diff_finds_largest_gap() {
-        assert_eq!(max_abs_diff(&[1.0, 2.0], &[1.5, -1.0]), 3.0);
-        assert_eq!(max_abs_diff(&[], &[]), 0.0);
     }
 }

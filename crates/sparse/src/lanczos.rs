@@ -66,7 +66,7 @@ fn xorshift_vec(n: usize, mut state: u64) -> Vec<f64> {
 /// with diagonal `d` and off-diagonal `e` (`e.len() == d.len() - 1`), using
 /// implicit QL with Wilkinson shifts. Returns `(eigenvalues, z)` where `z`
 /// is column-major: `z[j]` is the eigenvector for `eigenvalues[j]`.
-pub fn tridiagonal_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
+fn tridiagonal_eigen(d: &[f64], e: &[f64]) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
     let n = d.len();
     if n == 0 {
         return Ok((Vec::new(), Vec::new()));

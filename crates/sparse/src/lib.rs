@@ -29,7 +29,7 @@
 //!   and by BestWCut),
 //! * [`lanczos`] — a symmetric Lanczos eigensolver with full
 //!   reorthogonalization plus an implicit-QL tridiagonal eigensolver (used by
-//!   the spectral clustering baseline).
+//!   the BestWCut baseline).
 //!
 //! The matrix types use `u32` column indices and `f64` values; graphs of up
 //! to ~4 billion vertices are representable, far beyond what the in-memory
@@ -39,7 +39,7 @@ pub mod accum;
 pub mod cancel;
 pub mod coo;
 pub mod csr;
-pub mod dense;
+mod dense;
 pub mod error;
 pub mod lanczos;
 pub mod ops;
@@ -55,13 +55,8 @@ pub use cancel::CancelToken;
 pub use coo::CooMatrix;
 pub use csr::{validate_parts, CsrMatrix};
 pub use error::SparseError;
-pub use lanczos::{
-    lanczos_smallest, lanczos_smallest_cancellable, tridiagonal_eigen, LanczosOptions,
-    LanczosResult,
-};
-pub use pagerank::{
-    pagerank, pagerank_cancellable, stationary_distribution, PageRankOptions, PageRankResult,
-};
+pub use lanczos::{lanczos_smallest, lanczos_smallest_cancellable, LanczosOptions, LanczosResult};
+pub use pagerank::{pagerank, pagerank_cancellable, PageRankOptions, PageRankResult};
 pub use panel::{PanelPlan, DEFAULT_PANEL_ROWS};
 pub use spgemm::{spgemm, spgemm_flops, SpgemmOptions, SpgemmOutput};
 pub use syrk::{spgemm_syrk_sum, SyrkTerm};

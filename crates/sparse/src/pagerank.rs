@@ -142,12 +142,6 @@ fn pagerank_with(
     })
 }
 
-/// Convenience wrapper returning just the stationary distribution with the
-/// paper's default teleport probability of 0.05.
-pub fn stationary_distribution(a: &CsrMatrix) -> Result<Vec<f64>> {
-    pagerank(a, &PageRankOptions::default()).map(|r| r.pi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,13 +254,6 @@ mod tests {
         for &v in &r.pi {
             assert!((v - 0.25).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn stationary_distribution_wrapper() {
-        let coo = CooMatrix::from_triplets(2, 2, vec![(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
-        let pi = stationary_distribution(&coo.to_csr()).unwrap();
-        assert!((pi[0] - 0.5).abs() < 1e-8);
     }
 
     fn directed_ring(n: usize) -> CsrMatrix {

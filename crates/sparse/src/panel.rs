@@ -83,7 +83,7 @@ impl PanelPlan {
     }
 
     /// The panel size this plan resolves to.
-    pub fn effective_panel_rows(&self) -> usize {
+    fn effective_panel_rows(&self) -> usize {
         self.panel_rows
             .filter(|&r| r > 0)
             .unwrap_or(DEFAULT_PANEL_ROWS)

@@ -57,7 +57,7 @@ impl ArtifactKind {
     }
 
     /// On-disk subdirectory name.
-    pub fn dir_name(self) -> &'static str {
+    pub(crate) fn dir_name(self) -> &'static str {
         match self {
             ArtifactKind::Matrix => "matrix",
             ArtifactKind::Clustering => "clustering",

@@ -276,7 +276,7 @@ impl DiskStore {
     }
 
     /// The quarantine directory (inspect after corruption incidents).
-    pub fn quarantine_dir(&self) -> PathBuf {
+    fn quarantine_dir(&self) -> PathBuf {
         self.root.join("quarantine")
     }
 

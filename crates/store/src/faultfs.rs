@@ -39,7 +39,7 @@ enum OpKind {
 }
 
 /// Reads a whole file (short-read injectable).
-pub fn read(path: &Path) -> io::Result<Vec<u8>> {
+pub(crate) fn read(path: &Path) -> io::Result<Vec<u8>> {
     let verdict = gate(OpKind::Read, None)?;
     let bytes = fs::read(path)?;
     if let Some(op) = verdict {
@@ -52,7 +52,7 @@ pub fn read(path: &Path) -> io::Result<Vec<u8>> {
 /// Reads a whole file as UTF-8 (short-read injectable; the prefix is
 /// clamped to a char boundary so the injected fault is "truncated", not
 /// "undecodable", matching what a real short read of ASCII JSON yields).
-pub fn read_to_string(path: &Path) -> io::Result<String> {
+pub(crate) fn read_to_string(path: &Path) -> io::Result<String> {
     let verdict = gate(OpKind::Read, None)?;
     let text = fs::read_to_string(path)?;
     if let Some(op) = verdict {
@@ -67,7 +67,7 @@ pub fn read_to_string(path: &Path) -> io::Result<String> {
 
 /// Creates/truncates `path` with `contents`, no fsync (torn-write
 /// injectable: a crash here leaves a seeded prefix on disk).
-pub fn write(path: &Path, contents: &[u8]) -> io::Result<()> {
+pub(crate) fn write(path: &Path, contents: &[u8]) -> io::Result<()> {
     if let Some(keep) = gate(OpKind::Mutate, Some(contents.len()))? {
         torn_write_and_abort(path, &contents[..keep.min(contents.len())]);
     }
@@ -77,7 +77,7 @@ pub fn write(path: &Path, contents: &[u8]) -> io::Result<()> {
 /// Creates `path`, writes `contents`, and fsyncs — the blob publication
 /// write. Counts as three schedulable operations (create, write, fsync),
 /// so a crash-point can land between any two of the real syscalls.
-pub fn write_sync(path: &Path, contents: &[u8]) -> io::Result<()> {
+pub(crate) fn write_sync(path: &Path, contents: &[u8]) -> io::Result<()> {
     gate(OpKind::Mutate, None)?; // create
     let mut f = fs::File::create(path)?;
     if let Some(keep) = gate(OpKind::Mutate, Some(contents.len()))? {
@@ -92,37 +92,37 @@ pub fn write_sync(path: &Path, contents: &[u8]) -> io::Result<()> {
 }
 
 /// Renames `from` to `to` (the atomic publication step).
-pub fn rename(from: &Path, to: &Path) -> io::Result<()> {
+pub(crate) fn rename(from: &Path, to: &Path) -> io::Result<()> {
     gate(OpKind::Mutate, None)?;
     fs::rename(from, to)
 }
 
 /// Removes a file (eviction, temp sweep, quarantine fallback).
-pub fn remove_file(path: &Path) -> io::Result<()> {
+pub(crate) fn remove_file(path: &Path) -> io::Result<()> {
     gate(OpKind::Mutate, None)?;
     fs::remove_file(path)
 }
 
 /// Recursively creates a directory.
-pub fn create_dir_all(path: &Path) -> io::Result<()> {
+pub(crate) fn create_dir_all(path: &Path) -> io::Result<()> {
     gate(OpKind::Mutate, None)?;
     fs::create_dir_all(path)
 }
 
 /// Lists a directory.
-pub fn read_dir(path: &Path) -> io::Result<fs::ReadDir> {
+pub(crate) fn read_dir(path: &Path) -> io::Result<fs::ReadDir> {
     gate(OpKind::Read, None)?;
     fs::read_dir(path)
 }
 
 /// Stats a file.
-pub fn metadata(path: &Path) -> io::Result<fs::Metadata> {
+pub(crate) fn metadata(path: &Path) -> io::Result<fs::Metadata> {
     gate(OpKind::Read, None)?;
     fs::metadata(path)
 }
 
 /// Fsyncs a directory, making a completed rename inside it durable.
-pub fn sync_dir(path: &Path) -> io::Result<()> {
+pub(crate) fn sync_dir(path: &Path) -> io::Result<()> {
     gate(OpKind::Mutate, None)?;
     fs::File::open(path)?.sync_all()
 }

@@ -54,11 +54,6 @@ impl Tier {
             Tier::Computed => "computed",
         }
     }
-
-    /// Whether the request was served without running a kernel.
-    pub fn is_hit(self) -> bool {
-        !matches!(self, Tier::Computed)
-    }
 }
 
 /// A memory-resident artifact with the summary taken when it entered L1.
@@ -183,7 +178,7 @@ pub fn cluster_key(sym_key: u64, clusterer: &Clusterer) -> u64 {
 }
 
 /// Symmetrizes `g` with `method` through the tiered cache. On any hit
-/// ([`Tier::is_hit`]) no kernel runs — in particular `spgemm.calls` stays
+/// (a [`Tier`] other than `Computed`) no kernel runs — in particular `spgemm.calls` stays
 /// untouched for the similarity methods; a miss runs them under the
 /// environment's [`Tuning`]. Returns the symmetrized adjacency with its
 /// summary, the tier that served it, and the artifact key.

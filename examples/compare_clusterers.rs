@@ -1,8 +1,8 @@
 //! Stage-2 freedom: any clusterer plugs into the framework (Figure 2).
 //!
 //! Fixes the symmetrization to Degree-discounted and compares every
-//! clustering algorithm in the workspace — MLR-MCL, Metis-like,
-//! Graclus-like, plain spectral — plus the directed BestWCut baseline of
+//! clustering algorithm in the workspace — MLR-MCL, Metis-like and
+//! Graclus-like — plus the directed BestWCut baseline of
 //! Meila & Pentney, which skips symmetrization entirely. Reproduces the
 //! paper's Figure 6 finding: symmetrize-then-cluster beats the specialized
 //! directed spectral method on both quality and wall-clock.
@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example compare_clusterers`
 
 use std::time::Instant;
-use symclust::cluster::{BestWCut, BestWCutOptions, SpectralClustering};
+use symclust::cluster::{BestWCut, BestWCutOptions};
 use symclust::prelude::*;
 
 /// A labeled pipeline to time: (display name, deferred clustering run).
@@ -47,14 +47,6 @@ fn main() {
         (
             "DD + Graclus",
             Box::new(|| GraclusLike::with_k(k).cluster(&sym).expect("graclus")),
-        ),
-        (
-            "DD + Spectral",
-            Box::new(|| {
-                SpectralClustering::with_k(k)
-                    .cluster(&sym)
-                    .expect("spectral")
-            }),
         ),
         (
             "BestWCut (directed)",

@@ -16,14 +16,20 @@ ALL_STAGES=(loc fmt clippy check build test fault debug-assertions threads-matri
 # The size watermark ROADMAP judges simplicity PRs by: every line of
 # .rs/.sh/.toml under the source roots, then the non-test count (.rs
 # lines before a file's first `#[cfg(test)]`, outside `tests/`
-# directories) in total and per crate source directory. Reports only.
+# directories) in total and per crate source directory, and the count of
+# non-test `pub fn|struct|enum|trait` lines in the crates' sources (the
+# public surface every item must earn a consumer for). Reports only.
 LOC_ROOTS=(crates src tests scripts vendor)
-loc_non_test() {
+# Non-test .rs lines under the given roots that match the awk regex $1.
+loc_non_test_matching() {
+  local pattern="$1"
+  shift
   find "$@" -type f -name '*.rs' -not -path '*/tests/*' -not -path 'tests/*' -print0 |
-    xargs -0 -r awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 } !t { n++ }
-      END { print n + 0 }' |
+    xargs -0 -r awk -v pat="$pattern" 'FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 }
+      !t && $0 ~ pat { n++ } END { print n + 0 }' |
     awk '{ s += $1 } END { print s + 0 }'
 }
+loc_non_test() { loc_non_test_matching '' "$@"; }
 stage_loc() {
   local all
   all="$(find "${LOC_ROOTS[@]}" -type f \( -name '*.rs' -o -name '*.sh' -o -name '*.toml' \) -print0 |
@@ -34,6 +40,8 @@ stage_loc() {
   for dir in crates/*/src src; do
     printf 'loc:   %-24s %6d\n' "$dir" "$(loc_non_test "$dir")"
   done
+  echo "loc: non-test pub fn|struct|enum|trait lines (crates/*/src src):" \
+    "$(loc_non_test_matching '^[[:space:]]*pub (fn|struct|enum|trait) ' crates/*/src src)"
 }
 stage_fmt() { cargo fmt --all -- --check; }
 stage_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }

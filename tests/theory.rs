@@ -38,7 +38,7 @@ fn gleich_equivalence_of_random_walk_symmetrization() {
             continue;
         }
         let undirected = normalized_cut(sym.graph(), &assignment);
-        let directed = directed_normalized_cut(&g, &assignment, 0.05);
+        let directed = directed_normalized_cut(&g, &assignment, 0.05).unwrap();
         assert!(
             (undirected - directed).abs() < 1e-6,
             "NCut_U = {undirected} vs NCut_dir = {directed}"
@@ -149,7 +149,7 @@ fn figure1_high_ncut_but_high_similarity() {
     let mut assignment = vec![0u32; 9];
     assignment[4] = 1;
     assignment[5] = 1;
-    let ncut_term = directed_normalized_cut(&g, &assignment, 0.05);
+    let ncut_term = directed_normalized_cut(&g, &assignment, 0.05).unwrap();
     assert!(ncut_term > 0.9);
     let dd = DegreeDiscounted::default()
         .symmetrize(&g)
