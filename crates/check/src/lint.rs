@@ -209,11 +209,6 @@ const ALLOW_UNWRAP: &[(&str, &str, &str)] = &[
         "the constructor always appends the overflow bucket",
     ),
     (
-        "sparse/src/syrk.rs",
-        "indptr.last().unwrap()",
-        "indptr starts from a pushed 0 and is never empty",
-    ),
-    (
         "cluster/src/mcl.rs",
         ".expect(\"same-shape add cannot fail\")",
         "operands constructed with identical shape on the preceding lines",

@@ -34,7 +34,8 @@ fn read_ungraph(path: &str, tolerance: f64) -> Result<UnGraph, String> {
     // Symmetrized edge lists store both directions; accept either and
     // symmetrize structurally if needed.
     let adj = g.into_adjacency();
-    if adj.is_symmetric(1e-9) {
+    if adj.validate_symmetric().is_ok() {
+        // Already bit-identical to its mirror: pass through untouched.
         Ok(UnGraph::from_symmetric_unchecked(adj))
     } else if adj.is_symmetric(tolerance) {
         // Asymmetry within the user's tolerance is numerical noise:
@@ -761,6 +762,19 @@ mod tests {
             ("output", &tmp("tol_clusters.txt")),
         ]))
         .unwrap();
+    }
+
+    #[test]
+    fn near_symmetric_input_within_the_default_tolerance_is_canonicalized() {
+        let edges = tmp("edges_ulps.txt");
+        // Asymmetry ≈ 1e-13: inside the default tolerance, yet not the
+        // bit-identical mirror every clusterer's input must be.
+        std::fs::write(&edges, "0 1 1.0\n1 0 1.0000000000001\n").unwrap();
+        let g = read_ungraph(&edges, DEFAULT_SYMMETRY_TOLERANCE).unwrap();
+        g.adjacency().validate_symmetric().unwrap();
+        let mean = 0.5 * 1.0f64 + 0.5 * 1.0000000000001f64;
+        assert_eq!(g.weight(0, 1).to_bits(), mean.to_bits());
+        assert_eq!(g.weight(1, 0).to_bits(), mean.to_bits());
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use crate::error::SparseError;
 use crate::Result;
+use std::ops::ControlFlow;
 
 /// A sparse matrix in compressed sparse row format.
 ///
@@ -139,13 +140,14 @@ impl CsrMatrix {
         Ok(())
     }
 
-    /// [`validate_graph`](Self::validate_graph) plus *exact* symmetry: the
-    /// structure must equal its transpose and mirrored values must be
-    /// bit-identical. This is the contract of every symmetrization output —
-    /// in particular the SYRK kernels' mirror pass (DESIGN.md §12), which
-    /// copies upper-triangle values into the lower triangle rather than
-    /// recomputing them, so even one ULP of asymmetry indicates a kernel
-    /// bug or corruption rather than rounding.
+    /// [`validate_graph`](Self::validate_graph) plus *exact* symmetry:
+    /// every stored `(i, j)` has a stored mirror `(j, i)` and the two
+    /// values are bit-identical. This is the contract of every
+    /// symmetrization output — in particular the SYRK kernels' mirror pass
+    /// (DESIGN.md §12), which copies upper-triangle values into the lower
+    /// triangle rather than recomputing them, so even one ULP of asymmetry
+    /// indicates a kernel bug or corruption rather than rounding. Checked
+    /// by one walk over the stored entries with O(n) extra memory.
     pub fn validate_symmetric(&self) -> Result<()> {
         self.validate_graph()?;
         if self.n_rows != self.n_cols {
@@ -154,33 +156,89 @@ impl CsrMatrix {
                 detail: format!("matrix is {}x{}, not square", self.n_rows, self.n_cols),
             });
         }
-        let t = crate::ops::transpose(self);
-        for row in 0..self.n_rows {
-            let (a, b) = (self.row_indices(row), t.row_indices(row));
-            if a != b {
-                return Err(SparseError::Corrupted {
-                    check: "symmetry",
-                    detail: format!(
-                        "row {row} structure differs from its transpose \
-                         ({} vs {} entries or mismatched columns)",
-                        a.len(),
-                        b.len()
-                    ),
-                });
+        let walk = self.mirror_walk(|pair| match pair {
+            Mirror::Pair { row, col, a, b } if a.to_bits() != b.to_bits() => {
+                ControlFlow::Break(format!(
+                    "entry ({row}, {col}) = {a:?} is not bit-identical \
+                     to its mirror ({col}, {row}) = {b:?}"
+                ))
             }
-            for ((col, v), w) in self.row_iter(row).zip(t.row_values(row)) {
-                if v.to_bits() != w.to_bits() {
-                    return Err(SparseError::Corrupted {
-                        check: "symmetry",
-                        detail: format!(
-                            "entry ({row}, {col}) = {v:?} is not bit-identical \
-                             to its mirror ({col}, {row}) = {w:?}"
-                        ),
-                    });
+            Mirror::Lone { row, col, .. } => ControlFlow::Break(format!(
+                "entry ({row}, {col}) has no stored mirror ({col}, {row})"
+            )),
+            Mirror::Pair { .. } => ControlFlow::Continue(()),
+        });
+        match walk {
+            ControlFlow::Break(detail) => Err(SparseError::Corrupted {
+                check: "symmetry",
+                detail,
+            }),
+            ControlFlow::Continue(()) => Ok(()),
+        }
+    }
+
+    /// Visits every stored entry of a square matrix once, paired with its
+    /// mirror: each stored pair `(i, j)`, `(j, i)` with `i ≤ j` as one
+    /// [`Mirror::Pair`] (a diagonal entry is its own mirror), each entry
+    /// whose mirror is not stored as a [`Mirror::Lone`]. Stops at the first
+    /// `Break`. O(nnz) time and one cursor per row; no transpose is built.
+    ///
+    /// Rows are walked in ascending order, and `next[j]` is row `j`'s
+    /// first entry not yet visited. When row `i` begins, every row before
+    /// it has claimed its mirrors in row `i`, so the entries left before
+    /// column `i` are lone. Each upper entry `(i, j)`, `j > i`, then looks
+    /// at row `j`'s next entries: those before column `i` are lone (their
+    /// rows have passed), and one at column `i` is its mirror.
+    fn mirror_walk<B>(&self, mut visit: impl FnMut(Mirror) -> ControlFlow<B>) -> ControlFlow<B> {
+        debug_assert_eq!(
+            self.n_rows, self.n_cols,
+            "mirror_walk needs a square matrix"
+        );
+        let (indptr, indices, values) = (&self.indptr, &self.indices, &self.values);
+        let mut next = indptr[..self.n_rows].to_vec();
+        for i in 0..self.n_rows {
+            self.lone_before(&mut next[i], i, i, &mut visit)?;
+            for at in next[i]..indptr[i + 1] {
+                let (j, a) = (indices[at] as usize, values[at]);
+                let mirror = if j == i {
+                    Some(a)
+                } else {
+                    self.lone_before(&mut next[j], j, i, &mut visit)?;
+                    let p = next[j];
+                    (p < indptr[j + 1] && indices[p] as usize == i).then(|| {
+                        next[j] += 1;
+                        values[p]
+                    })
+                };
+                let col = indices[at];
+                match mirror {
+                    Some(b) => visit(Mirror::Pair { row: i, col, a, b })?,
+                    None => visit(Mirror::Lone { row: i, col, v: a })?,
                 }
             }
         }
-        Ok(())
+        ControlFlow::Continue(())
+    }
+
+    /// The [`mirror_walk`](Self::mirror_walk) step that visits row `row`'s
+    /// entries from `*next` on that lie before column `col` as lone, and
+    /// moves `*next` past them.
+    fn lone_before<B>(
+        &self,
+        next: &mut usize,
+        row: usize,
+        col: usize,
+        visit: &mut impl FnMut(Mirror) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        while *next < self.indptr[row + 1] && (self.indices[*next] as usize) < col {
+            visit(Mirror::Lone {
+                row,
+                col: self.indices[*next],
+                v: self.values[*next],
+            })?;
+            *next += 1;
+        }
+        ControlFlow::Continue(())
     }
 
     /// Builds a matrix from a dense row-major slice, skipping zeros.
@@ -349,53 +407,56 @@ impl CsrMatrix {
         counts
     }
 
-    /// True if the matrix is square and numerically symmetric within `tol`.
+    /// True if the matrix is square, every stored entry has a stored
+    /// mirror, and each mirrored pair `(a, b)` is within `tol`:
+    /// `|a − b| ≤ tol · max(|a|, |b|, 1)`.
     pub fn is_symmetric(&self, tol: f64) -> bool {
-        if self.n_rows != self.n_cols {
-            return false;
-        }
-        // Structural + numeric check via transpose comparison.
-        let t = crate::ops::transpose(self);
-        if t.indptr != self.indptr || t.indices != self.indices {
-            return false;
-        }
-        self.values
-            .iter()
-            .zip(t.values.iter())
-            .all(|(a, b)| (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0))
+        self.n_rows == self.n_cols
+            && self
+                .mirror_walk(|pair| match pair {
+                    Mirror::Pair { a, b, .. }
+                        if (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0) =>
+                    {
+                        ControlFlow::Continue(())
+                    }
+                    _ => ControlFlow::Break(()),
+                })
+                .is_continue()
     }
 
     /// Largest relative asymmetry `|a_ij − a_ji| / max(|a_ij|, |a_ji|, 1)`
-    /// over all stored entries — the quantity [`CsrMatrix::is_symmetric`]
+    /// over all stored entries, an entry without a stored mirror paired
+    /// with an implicit zero — the quantity [`CsrMatrix::is_symmetric`]
     /// compares against `tol`, useful for reporting *how* asymmetric a
     /// matrix is. Returns `f64::INFINITY` for non-square matrices.
     pub fn max_asymmetry(&self) -> f64 {
         if self.n_rows != self.n_cols {
             return f64::INFINITY;
         }
-        let t = crate::ops::transpose(self);
-        let mut entries: std::collections::HashMap<(usize, u32), f64> =
-            std::collections::HashMap::new();
-        for i in 0..self.n_rows {
-            for idx in self.indptr[i]..self.indptr[i + 1] {
-                entries.insert((i, self.indices[idx]), self.values[idx]);
-            }
-        }
         let mut worst = 0.0f64;
-        // t(i,j) == self(j,i): compare each mirrored pair, treating entries
-        // stored on only one side as paired with an implicit zero.
-        for i in 0..t.n_rows {
-            for idx in t.indptr[i]..t.indptr[i + 1] {
-                let b = t.values[idx];
-                let a = entries.remove(&(i, t.indices[idx])).unwrap_or(0.0);
-                worst = worst.max((a - b).abs() / a.abs().max(b.abs()).max(1.0));
-            }
-        }
-        for a in entries.into_values() {
-            worst = worst.max(a.abs() / a.abs().max(1.0));
-        }
+        let _ = self.mirror_walk(|pair| {
+            let (a, b) = match pair {
+                Mirror::Pair { a, b, .. } => (a, b),
+                Mirror::Lone { v, .. } => (v, 0.0),
+            };
+            worst = worst.max((a - b).abs() / a.abs().max(b.abs()).max(1.0));
+            ControlFlow::<()>::Continue(())
+        });
         worst
     }
+}
+
+/// One stored entry met by [`CsrMatrix::mirror_walk`], with its mirror.
+enum Mirror {
+    /// `(row, col) = a` and `(col, row) = b` are both stored, `row ≤ col`.
+    Pair {
+        row: usize,
+        col: u32,
+        a: f64,
+        b: f64,
+    },
+    /// `(row, col) = v` is stored and `(col, row)` is not.
+    Lone { row: usize, col: u32, v: f64 },
 }
 
 /// Checks the CSR invariants over borrowed components, with no allocation:

@@ -74,6 +74,9 @@ pub mod metric_names {
     /// multiply-adds the symmetric kernel *skipped*; full output nnz is
     /// [`NNZ_FINAL`] + this).
     pub const SYRK_MIRRORED_NNZ: &str = "spgemm.syrk_mirrored_nnz";
+    /// Span: the SYRK mirror pass that fills the lower triangle in place
+    /// (one observation per SYRK product; none for a general product).
+    pub const MIRROR_SPAN: &str = "spgemm.mirror";
     /// Row blocks executed by a worker other than their initial owner
     /// under the work-stealing scheduler. Scheduling-dependent: varies
     /// with thread count and machine load (not pinned by golden counts),
@@ -647,8 +650,10 @@ where
 ///
 /// `upper` marks a square upper-triangle (SYRK) product: its panel grid is
 /// triangular, its degraded pass may keep only half the budget, and its
-/// rows are mirrored into the full symmetric matrix (which doubles the
-/// output back) before it is returned.
+/// rows are mirrored into the full symmetric matrix before it is
+/// returned. The mirror grows the row pass's own buffers in place, so the
+/// upper triangle and the full matrix are never held side by side; it is
+/// timed under the `spgemm.mirror` span.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<S, N, B>(
     n_rows: usize,
@@ -724,8 +729,9 @@ where
     } = out;
     counts.flush(metrics);
     if upper {
-        let mirrored;
-        (indptr, indices, values, mirrored) = mirror_upper(n_rows, &indptr, &indices, &values);
+        let span = metrics.map(|m| m.span(metric_names::MIRROR_SPAN));
+        let mirrored = mirror_upper(&mut indptr, &mut indices, &mut values);
+        drop(span);
         if let Some(m) = metrics {
             m.counter(metric_names::SYRK_CALLS).inc();
             m.counter(metric_names::SYRK_MIRRORED_NNZ).add(mirrored);

@@ -11,7 +11,11 @@
 //! only columns `j ≥ i`, found by a binary search (`partition_point`) on
 //! the sorted column indices of the transpose's rows, then mirrors the
 //! strict upper entries into the lower triangle in one O(nnz) pass —
-//! roughly halving multiply-adds and accumulator traffic.
+//! roughly halving multiply-adds and accumulator traffic. The mirror
+//! works in place: it grows the upper triangle's own buffers to full
+//! length and moves each row's entries right into their final slots, so
+//! the product's memory peak is the full output plus O(n), never the
+//! upper triangle beside a second, full copy.
 //!
 //! Why the mirror is exact and not an approximation:
 //! `C(j,i) = Σₖ X(j,k)·Xᵀ(k,i)` and `C(i,j) = Σₖ X(i,k)·Xᵀ(k,j)`. When
@@ -44,7 +48,9 @@
 //! ([`drive`]): this module supplies only the row body — which, like the
 //! general one, accumulates a column range of its row, `[row, n)` in
 //! memory and `[max(row, c_lo), c_hi)` for a panel tile — and the mirror,
-//! whose entries the funnel tallies under the SYRK-specific
+//! which every path (row blocks, panel merge, degraded loop, any thread
+//! count) reaches through the funnel. The funnel times it under the
+//! `spgemm.mirror` span and tallies its entries under the SYRK-specific
 //! `spgemm.syrk_calls` / `spgemm.syrk_mirrored_nnz` counters.
 
 use crate::accum::TermAccum;
@@ -178,57 +184,66 @@ fn syrk_row(
 }
 
 /// Mirrors an upper-triangular CSR (every stored column `j ≥` its row)
-/// into the full symmetric matrix in one O(nnz) pass. Returns the full
-/// CSR triple plus the number of lower-triangle entries materialized.
+/// into the full symmetric matrix in place, in O(nnz) time and O(n)
+/// extra memory, and returns the number of lower-triangle entries it
+/// materialized.
+///
+/// `indices` and `values` grow to full length once; each row's own upper
+/// entries then move right to their final place, last row first (a row
+/// only ever moves right, onto slots its successors have already
+/// vacated), and the strict upper entries are scattered into the gaps
+/// left before each row's own entries.
 pub(crate) fn mirror_upper(
-    n: usize,
-    upper_indptr: &[usize],
-    upper_indices: &[u32],
-    upper_values: &[f64],
-) -> (Vec<usize>, Vec<u32>, Vec<f64>, u64) {
-    // Count pass: row i gets its own upper entries plus one mirrored
-    // entry for every strict-upper (i', i) with i' < i.
-    let mut full_len = vec![0usize; n];
+    indptr: &mut [usize],
+    indices: &mut Vec<u32>,
+    values: &mut Vec<f64>,
+) -> u64 {
+    let n = indptr.len() - 1;
+    // Count pass: row j gets one mirrored entry for every strict-upper
+    // (i, j) with i < j.
+    let mut lower = vec![0usize; n];
     for i in 0..n {
-        full_len[i] += upper_indptr[i + 1] - upper_indptr[i];
-        for &j in &upper_indices[upper_indptr[i]..upper_indptr[i + 1]] {
+        for &j in &indices[indptr[i]..indptr[i + 1]] {
             if j as usize > i {
-                full_len[j as usize] += 1;
+                lower[j as usize] += 1;
             }
         }
     }
-    let mut indptr = Vec::with_capacity(n + 1);
-    indptr.push(0usize);
-    for len in &full_len {
-        indptr.push(indptr.last().unwrap() + len);
+    let mirrored: usize = lower.iter().sum();
+    let total = indices.len() + mirrored;
+    // `resize` alone would grow capacity geometrically, well past `total`.
+    indices.reserve_exact(total - indices.len());
+    values.reserve_exact(total - values.len());
+    indices.resize(total, 0);
+    values.resize(total, 0.0);
+    // Move pass, last row first: row i's own entries shift right by the
+    // mirrored entries of rows 0..=i, and its end becomes its new end.
+    let mut shift = mirrored;
+    for i in (0..n).rev() {
+        let (lo, hi) = (indptr[i], indptr[i + 1]);
+        indices.copy_within(lo..hi, lo + shift);
+        values.copy_within(lo..hi, lo + shift);
+        indptr[i + 1] = hi + shift;
+        shift -= lower[i];
     }
-    let total = *indptr.last().unwrap();
-    let mirrored = (total - upper_indices.len()) as u64;
-    let mut indices = vec![0u32; total];
-    let mut values = vec![0.0f64; total];
-    let mut cursor: Vec<usize> = indptr[..n].to_vec();
-    // Fill pass, ascending rows. When row i is reached, its lower
-    // entries (columns < i) have already been scattered by earlier rows
-    // in ascending column order; its own upper entries (columns ≥ i)
-    // follow, so each row ends up sorted without any per-row sort.
+    // The counts become each row's scatter cursor, at its new start.
+    let mut cursor = lower;
+    cursor.copy_from_slice(&indptr[..n]);
+    // Scatter pass, ascending rows. When row i is reached, earlier rows
+    // have filled its mirrored slots in ascending column order, so its
+    // cursor sits on its own upper entries (columns ≥ i): each row ends up
+    // sorted without any per-row sort.
     for i in 0..n {
-        let lo = upper_indptr[i];
-        let hi = upper_indptr[i + 1];
-        let own = hi - lo;
-        let at = cursor[i];
-        indices[at..at + own].copy_from_slice(&upper_indices[lo..hi]);
-        values[at..at + own].copy_from_slice(&upper_values[lo..hi]);
-        cursor[i] += own;
-        for (&j, &v) in upper_indices[lo..hi].iter().zip(&upper_values[lo..hi]) {
-            let j = j as usize;
+        for at in cursor[i]..indptr[i + 1] {
+            let j = indices[at] as usize;
             if j > i {
                 indices[cursor[j]] = i as u32;
-                values[cursor[j]] = v;
+                values[cursor[j]] = values[at];
                 cursor[j] += 1;
             }
         }
     }
-    (indptr, indices, values, mirrored)
+    mirrored as u64
 }
 
 /// Fused symmetric product sum: `C = Σₜ Xₜ·Xₜᵀ` in one upper-triangle
@@ -320,15 +335,43 @@ mod tests {
         assert_eq!(general(&x, &xt, &SpgemmOptions::default()), c);
     }
 
+    /// Factors whose products stress the in-place mirror: a hub row 0
+    /// (every row of the product gets a mirrored entry from row 0), a
+    /// diagonal (nothing to mirror), trailing empty rows (empty rows whose
+    /// bounds still shift), and n = 0.
+    fn mirror_edge_factors() -> Vec<(&'static str, CsrMatrix)> {
+        let mut hub = vec![vec![0.0; 6]; 9];
+        hub[0] = vec![1.5; 6];
+        for (i, row) in hub.iter_mut().enumerate().skip(1) {
+            row[i % 6] = 0.5 * i as f64;
+        }
+        let mut trailing = pseudo_random_matrix(12, 7, 0x452821E638D01377, 2).to_dense();
+        trailing.extend(vec![vec![0.0; 7]; 5]);
+        vec![
+            ("hub row 0", CsrMatrix::from_dense(&hub)),
+            ("diagonal", CsrMatrix::identity(8)),
+            ("trailing empty rows", CsrMatrix::from_dense(&trailing)),
+            ("n = 0", CsrMatrix::zeros(0, 4)),
+        ]
+    }
+
     #[test]
     fn syrk_rectangular_and_empty_rows() {
-        // Tall, sparse factor with several all-zero rows.
-        let x = pseudo_random_matrix(37, 5, 0x9E3779B97F4A7C15, 5);
-        let xt = transpose(&x);
-        assert_eq!(
-            general(&x, &xt, &SpgemmOptions::default()),
-            syrk(&x, &xt, &SpgemmOptions::default())
-        );
+        // Tall, sparse factor with several all-zero rows, then the mirror's
+        // edge cases.
+        let tall = pseudo_random_matrix(37, 5, 0x9E3779B97F4A7C15, 5);
+        for (name, x) in [("tall", tall)].into_iter().chain(mirror_edge_factors()) {
+            let xt = transpose(&x);
+            for drop_diagonal in [false, true] {
+                let opts = SpgemmOptions {
+                    drop_diagonal,
+                    ..Default::default()
+                };
+                let c = syrk(&x, &xt, &opts);
+                c.validate_symmetric().unwrap();
+                assert_eq!(general(&x, &xt, &opts), c, "{name}, drop {drop_diagonal}");
+            }
+        }
     }
 
     #[test]
@@ -404,6 +447,9 @@ mod tests {
         assert_eq!(emitted + mirrored, c.nnz() as u64);
         // General kernel records the full output as final nnz.
         assert_eq!(gsnap.counter(metric_names::NNZ_FINAL), Some(c.nnz() as u64));
+        // One mirror pass per SYRK product, none for a general product.
+        assert_eq!(ssnap.span(metric_names::MIRROR_SPAN).unwrap().count, 1);
+        assert!(gsnap.span(metric_names::MIRROR_SPAN).is_none());
     }
 
     #[test]

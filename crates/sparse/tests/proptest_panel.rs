@@ -112,11 +112,30 @@ fn general_kernel_panel_matches_in_memory_across_sizes_and_budgets() {
     }
 }
 
+/// Factor pairs whose products stress the in-place mirror after a panel
+/// merge: a hub row 0, a diagonal, trailing empty rows, and n = 0.
+fn mirror_edge_pairs() -> Vec<(CsrMatrix, CsrMatrix)> {
+    let mut hub = skewed_matrix(40, 24, SEEDS[2]).to_dense();
+    hub[0] = vec![0.75; 24];
+    let mut trailing = skewed_matrix(30, 20, SEEDS[1]).to_dense();
+    trailing.extend(vec![vec![0.0; 20]; 10]);
+    vec![
+        (CsrMatrix::from_dense(&hub), skewed_matrix(40, 16, SEEDS[0])),
+        (CsrMatrix::identity(24), CsrMatrix::identity(24)),
+        (CsrMatrix::from_dense(&trailing), CsrMatrix::zeros(40, 3)),
+        (CsrMatrix::zeros(0, 5), CsrMatrix::zeros(0, 2)),
+    ]
+}
+
 #[test]
 fn syrk_sum_panel_matches_in_memory_across_thresholds() {
-    for &seed in &SEEDS[..2] {
-        let x = skewed_matrix(56, 48, seed);
-        let y = skewed_matrix(56, 40, seed ^ 0xA5A5A5A5);
+    let random = SEEDS[..2].iter().map(|&seed| {
+        (
+            skewed_matrix(56, 48, seed),
+            skewed_matrix(56, 40, seed ^ 0xA5A5A5A5),
+        )
+    });
+    for (input, (x, y)) in random.chain(mirror_edge_pairs()).enumerate() {
         let (xt, yt) = (transpose(&x), transpose(&y));
         let terms = [SyrkTerm { x: &x, xt: &xt }, SyrkTerm { x: &y, xt: &yt }];
         for threshold in [0.0, 0.5] {
@@ -134,7 +153,7 @@ fn syrk_sum_panel_matches_in_memory_across_thresholds() {
                         let c = spgemm_syrk_sum(&terms, &o, None, None).unwrap().matrix;
                         assert_eq!(
                             reference, c,
-                            "seed {seed:#x} threshold {threshold} drop {drop_diagonal} \
+                            "input {input} threshold {threshold} drop {drop_diagonal} \
                              panel_rows {panel_rows} budget {budget:?}"
                         );
                     }
