@@ -248,6 +248,42 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_infinite_or_negative_threshold_fails_symmetrize_and_writes_nothing() {
+        let dir = std::env::temp_dir().join(format!("symclust_threshold_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (input, output) = (dir.join("g.txt"), dir.join("o.txt"));
+        std::fs::write(&input, "0 1\n1 2\n2 0\n0 2\n").unwrap();
+        let (input, output) = (input.to_str().unwrap(), output.to_str().unwrap());
+        let symmetrize = |method, threshold| {
+            let flags = [
+                "symmetrize",
+                "--input",
+                input,
+                "--method",
+                method,
+                "--threshold",
+                threshold,
+                "--output",
+                output,
+            ];
+            run(&argv(&flags))
+        };
+        for method in ["dd", "bib"] {
+            for threshold in ["nan", "inf", "-inf", "-1"] {
+                assert_ne!(symmetrize(method, threshold), 0, "{method} {threshold}");
+                assert!(
+                    !std::path::Path::new(output).exists(),
+                    "{method} {threshold}: no output written"
+                );
+            }
+            assert_eq!(symmetrize(method, "0"), 0, "{method}");
+            assert!(std::fs::read_to_string(output).unwrap().lines().count() > 0);
+            std::fs::remove_file(output).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn removed_surfaces_are_refused_like_any_unknown_name() {
         assert_eq!(
             run(&argv(&["nibble", "--input", "x", "--seed-node", "0"])),

@@ -160,6 +160,9 @@ fn parse_method(map: &HashMap<String, JsonValue>) -> Result<SymMethod, String> {
     let alpha = get_f64(map, "alpha", 0.5)?;
     let beta = get_f64(map, "beta", 0.5)?;
     let threshold = get_f64(map, "threshold", 0.0)?;
+    if !(threshold.is_finite() && threshold >= 0.0) {
+        return Err("field 'threshold' must be a finite non-negative number".into());
+    }
     match method.as_str() {
         "aat" => Ok(SymMethod::PlusTranspose),
         "rw" => Ok(SymMethod::RandomWalk),
@@ -393,6 +396,28 @@ mod tests {
             .unwrap_err()
             .contains("timeout-ms"));
         assert!(parse_request(r#"{"op":"query-membership","key":"1","node":-2}"#).is_err());
+    }
+
+    #[test]
+    fn a_threshold_that_is_nan_infinite_or_negative_is_a_bad_request() {
+        for op in [
+            r#""op":"symmetrize""#,
+            r#""op":"cluster","algo":"metis","k":4"#,
+        ] {
+            for method in ["dd", "bib", "aat"] {
+                for t in ["-1", "-1e-300", "NaN", "inf", "1e999", "-inf"] {
+                    let line =
+                        format!(r#"{{{op},"graph":"1","method":"{method}","threshold":{t}}}"#);
+                    let err = parse_request(&line).unwrap_err();
+                    assert!(err.contains("'threshold'"), "{line}: {err}");
+                }
+                for t in ["0", "-0", "0.05", "3"] {
+                    let line =
+                        format!(r#"{{{op},"graph":"1","method":"{method}","threshold":{t}}}"#);
+                    assert!(parse_request(&line).is_ok(), "{line}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -74,6 +74,9 @@ pub mod metric_names {
     /// multiply-adds the symmetric kernel *skipped*; full output nnz is
     /// [`NNZ_FINAL`] + this).
     pub const SYRK_MIRRORED_NNZ: &str = "spgemm.syrk_mirrored_nnz";
+    /// Span: the row pass that accumulates and emits every output row —
+    /// in memory, by panels or degraded (one observation per product).
+    pub const ROW_PASS_SPAN: &str = "spgemm.row_pass";
     /// Span: the SYRK mirror pass that fills the lower triangle in place
     /// (one observation per SYRK product; none for a general product).
     pub const MIRROR_SPAN: &str = "spgemm.mirror";
@@ -149,6 +152,8 @@ impl SpgemmCounts {
 pub struct SpgemmOptions {
     /// Entries with value strictly below this threshold are discarded from
     /// the output (applied to the final accumulated value of each entry).
+    /// Must be finite and non-negative; the multiply rejects anything else
+    /// with [`SparseError::InvalidArgument`].
     pub threshold: f64,
     /// When true, diagonal entries of the output are discarded. Similarity
     /// matrices use this: self-similarity carries no clustering signal.
@@ -198,9 +203,11 @@ fn check_dims(a: &CsrMatrix, b: &CsrMatrix) -> Result<()> {
 }
 
 /// Whether an accumulated entry survives emission for output row `row`.
+/// The tests are joined by `&`, not `&&`, so the answer is computed
+/// without a branch: the SYRK row adds it to a length.
 #[inline]
 pub(crate) fn emits(v: f64, j: u32, row: usize, opts: &SpgemmOptions) -> bool {
-    v != 0.0 && v.abs() >= opts.threshold && !(opts.drop_diagonal && j as usize == row)
+    (v != 0.0) & (v.abs() >= opts.threshold) & !(opts.drop_diagonal & (j as usize == row))
 }
 
 /// The column range `[lo, hi)` of an output row that one call of a row
@@ -652,8 +659,12 @@ where
 /// triangular, its degraded pass may keep only half the budget, and its
 /// rows are mirrored into the full symmetric matrix before it is
 /// returned. The mirror grows the row pass's own buffers in place, so the
-/// upper triangle and the full matrix are never held side by side; it is
-/// timed under the `spgemm.mirror` span.
+/// upper triangle and the full matrix are never held side by side. The
+/// row pass is timed under the `spgemm.row_pass` span, the mirror under
+/// `spgemm.mirror`.
+///
+/// A threshold that is NaN, infinite or negative is an error: no entry
+/// passes a NaN or infinite one, and a negative one means zero.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<S, N, B>(
     n_rows: usize,
@@ -671,6 +682,12 @@ where
     B: Fn(usize, ColRange, &mut S, &SpgemmOptions, &mut Vec<u32>, &mut Vec<f64>, &mut SpgemmCounts)
         + Sync,
 {
+    if !(opts.threshold.is_finite() && opts.threshold >= 0.0) {
+        return Err(SparseError::InvalidArgument(format!(
+            "spgemm threshold must be finite and non-negative, got {}",
+            opts.threshold
+        )));
+    }
     let estimated_nnz: usize = (0..n_rows).map(&row_width).sum();
     let over_budget = match opts.nnz_budget {
         Some(0) => {
@@ -681,6 +698,7 @@ where
         Some(budget) if estimated_nnz > budget => Some(budget),
         _ => None,
     };
+    let span = metrics.map(|m| m.span(metric_names::ROW_PASS_SPAN));
     let (out, degraded, threshold_used) = if let Some(budget) = over_budget {
         let budget = if upper { (budget / 2).max(1) } else { budget };
         let (out, threshold_used) = run_degraded(
@@ -721,6 +739,7 @@ where
         };
         (out, false, opts.threshold)
     };
+    drop(span);
     let RowKernelOutput {
         mut indptr,
         mut indices,
@@ -1442,6 +1461,48 @@ mod tests {
             snap.counter(metric_names::NNZ_FINAL),
             Some(r.matrix.nnz() as u64)
         );
+    }
+
+    #[test]
+    fn threshold_that_is_nan_infinite_or_negative_is_rejected() {
+        use crate::syrk::{spgemm_syrk_sum, SyrkTerm};
+        let a = CsrMatrix::from_dense(&[vec![1.0, 1.0], vec![0.0, 1.0]]);
+        let at = transpose(&a);
+        let terms = [SyrkTerm { x: &a, xt: &at }];
+        for threshold in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -1e-300] {
+            for nnz_budget in [None, Some(1)] {
+                let opts = SpgemmOptions {
+                    threshold,
+                    nnz_budget,
+                    ..Default::default()
+                };
+                let m = MetricsRegistry::new();
+                for r in [
+                    spgemm(&a, &a, &opts, None, Some(&m)),
+                    spgemm_syrk_sum(&terms, &opts, None, Some(&m)),
+                ] {
+                    match r {
+                        Err(SparseError::InvalidArgument(msg)) => {
+                            assert!(msg.contains("threshold"), "{msg}")
+                        }
+                        other => panic!("threshold {threshold}: {other:?}"),
+                    }
+                }
+                assert_eq!(m.snapshot().counter(metric_names::CALLS), None);
+            }
+        }
+        // Zero, -0.0 and any finite positive threshold still run.
+        for threshold in [0.0, -0.0, 1e-300, 1.5] {
+            let opts = SpgemmOptions {
+                threshold,
+                ..Default::default()
+            };
+            assert!(spgemm(&a, &a, &opts, None, None).is_ok(), "{threshold}");
+            assert!(
+                spgemm_syrk_sum(&terms, &opts, None, None).is_ok(),
+                "{threshold}"
+            );
+        }
     }
 
     #[test]

@@ -37,7 +37,9 @@
 //!
 //! Every row scatters into per-term slots under one epoch stamp per
 //! column ([`TermAccum`], see [`crate::accum`]), which keeps the touched
-//! list duplicate-free at one stamp test per product. A row pays per
+//! list duplicate-free with no branch per product: each product stores
+//! its stamp and writes its column at the list's end, and the first
+//! touch is the 1 added to the list's length. A row pays per
 //! *survivor*, not per touched column, for its order: it sums and filters
 //! its touched columns in first-touch order and sorts only the entries
 //! that pass. A thresholded similarity emits a small share of what it
@@ -97,8 +99,11 @@ fn check_terms(terms: &[SyrkTerm<'_>]) -> Result<usize> {
 }
 
 /// Per-worker scratch: the dense accumulator of every term under one
-/// stamp, its duplicate-free touched-column list, and a row's surviving
-/// `(column, value)` entries.
+/// stamp, and the buffers that a row's duplicate-free touched-column list
+/// and its surviving `(column, value)` entries are written into. Both
+/// lists grow by a value, not a branch (see [`TermAccum::scatter`]), so
+/// each buffer has `n + 1` slots: one per column, plus one for the write
+/// after all `n` are listed.
 struct SyrkScratch {
     acc: TermAccum,
     touched: Vec<u32>,
@@ -109,8 +114,8 @@ impl SyrkScratch {
     fn new(n: usize, n_terms: usize) -> Self {
         SyrkScratch {
             acc: TermAccum::new(n, n_terms),
-            touched: Vec::new(),
-            kept: Vec::new(),
+            touched: vec![0; n + 1],
+            kept: vec![(0, 0.0); n + 1],
         }
     }
 }
@@ -153,7 +158,7 @@ fn syrk_row(
     };
     let SyrkScratch { acc, touched, kept } = scratch;
     acc.begin_row();
-    touched.clear();
+    let mut len = 0;
     for (t, term) in terms.iter().enumerate() {
         for (k, xv) in term.x.row_iter(row) {
             let (tcols, tvals) = cols.clip(
@@ -161,19 +166,21 @@ fn syrk_row(
                 term.xt.row_values(k as usize),
             );
             counts.flops += tcols.len() as u64;
-            acc.scatter(t, touched, xv, tcols, tvals);
+            len = acc.scatter(t, touched, len, xv, tcols, tvals);
         }
     }
+    let touched = &touched[..len];
     // Sum and filter in first-touch order (every listed column must be
     // taken), then sort only the survivors: block-ordered assembly and the
-    // mirror need ascending rows.
-    kept.clear();
-    kept.extend(
-        touched
-            .iter()
-            .map(|&j| (j, acc.take(j)))
-            .filter(|&(j, v)| emits(v, j, row, opts)),
-    );
+    // mirror need ascending rows. Like a first touch, a survivor is a
+    // value added to the kept length, not a branch.
+    let mut n_kept = 0;
+    for &j in touched {
+        let v = acc.take(j);
+        kept[n_kept] = (j, v);
+        n_kept += emits(v, j, row, opts) as usize;
+    }
+    let kept = &mut kept[..n_kept];
     kept.sort_unstable_by_key(|&(j, _)| j);
     for &(j, v) in kept.iter() {
         indices.push(j);
@@ -447,9 +454,31 @@ mod tests {
         assert_eq!(emitted + mirrored, c.nnz() as u64);
         // General kernel records the full output as final nnz.
         assert_eq!(gsnap.counter(metric_names::NNZ_FINAL), Some(c.nnz() as u64));
-        // One mirror pass per SYRK product, none for a general product.
+        // One mirror pass per SYRK product, none for a general product;
+        // one row pass per product of either kind.
         assert_eq!(ssnap.span(metric_names::MIRROR_SPAN).unwrap().count, 1);
         assert!(gsnap.span(metric_names::MIRROR_SPAN).is_none());
+        assert_eq!(ssnap.span(metric_names::ROW_PASS_SPAN).unwrap().count, 1);
+        assert_eq!(gsnap.span(metric_names::ROW_PASS_SPAN).unwrap().count, 1);
+        // In panel mode too, and once per call on a shared registry.
+        let panel = SpgemmOptions {
+            tuning: Tuning {
+                threads: 1,
+                panel: crate::panel::PanelPlan {
+                    panel_rows: Some(16),
+                    ..Default::default()
+                },
+            },
+            ..Default::default()
+        };
+        let both = MetricsRegistry::new();
+        let again = spgemm_syrk_sum(&terms, &threads(1), None, Some(&both)).unwrap();
+        let paneled = spgemm_syrk_sum(&terms, &panel, None, Some(&both)).unwrap();
+        assert_eq!((&again.matrix, &paneled.matrix), (&c, &c));
+        let bsnap = both.snapshot();
+        assert!(bsnap.counter(metric_names::PANELS).unwrap() > 0);
+        assert_eq!(bsnap.span(metric_names::ROW_PASS_SPAN).unwrap().count, 2);
+        assert_eq!(bsnap.span(metric_names::MIRROR_SPAN).unwrap().count, 2);
     }
 
     #[test]

@@ -83,13 +83,15 @@ stage_chaos() {
   cargo build --release -q -p symclust-cli --features fault-injection
   ./target/release/symclust chaos --seed 42 --cycles 25
 }
-# Release arithmetic with the debug_assert!s left in: the engine suite,
-# and the cluster suite so that the row runner's "epilogue leaves
-# ascending columns" assertion and the R-MCL epilogue's bit-equality
-# property tests run against optimised floating point.
+# Release arithmetic with the debug_assert!s and overflow checks left in:
+# the engine suite; the cluster suite so that the row runner's "epilogue
+# leaves ascending columns" assertion and the R-MCL epilogue's
+# bit-equality property tests run against optimised floating point; and
+# the sparse suite, so the kernels' bit-identity property tests and the
+# SYRK scatter's touched-list length run under overflow checks.
 stage_debug_assertions() {
   RUSTFLAGS="${RUSTFLAGS:-} -C debug-assertions=on" \
-    cargo test -q --release -p symclust-engine -p symclust-cluster
+    cargo test -q --release -p symclust-engine -p symclust-cluster -p symclust-sparse
 }
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md) is a package
 # of its own that compiles against the library's public names. Its unit
