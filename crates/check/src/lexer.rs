@@ -1,12 +1,11 @@
 //! A small Rust token-stream lexer for the lint driver.
 //!
 //! The lint rules scan source for tokens like `Ordering::Relaxed` or
-//! `.unwrap()` and must not trip over prose: the same spelling inside a
-//! comment, a string literal, or a doc example is not a violation. The
+//! `Instant::now` and must not trip over prose: the same spelling inside
+//! a comment, a string literal, or a doc example is not a violation. The
 //! original implementation was a single byte-scan inside `lint.rs`; this
-//! module replaces it with an explicit token stream so every consumer
-//! (comment stripping, string-literal extraction, the ordering audit)
-//! shares one lexing truth.
+//! module replaces it with an explicit token stream that comment
+//! stripping, and through it every rule, shares.
 //!
 //! This is a *classifier*, not a parser: it splits source into runs of
 //! [`TokenKind::Code`] and the non-code islands (line comments, nested
@@ -285,35 +284,4 @@ fn blank_interior(out: &mut String, text: &str, head: usize, tail: usize) {
         out.push(if c == '\n' { '\n' } else { ' ' });
     }
     out.push_str(&text[text.len() - tail..]);
-}
-
-/// Extracts the string literals of `src` (non-raw, single-line), in
-/// order, as `(line_no_1based, literal)`. Escapes are kept as their
-/// escaped character without the backslash (good enough for taxonomy
-/// names, which never contain escapes).
-pub fn string_literals(src: &str) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for tok in lex(src) {
-        if tok.kind != TokenKind::Str || tok.text.contains('\n') {
-            continue;
-        }
-        let Some(open) = tok.text.find('"') else {
-            continue;
-        };
-        let body = &tok.text[open + 1..];
-        let body = body.strip_suffix('"').unwrap_or(body);
-        let mut lit = String::with_capacity(body.len());
-        let mut chars = body.chars();
-        while let Some(c) = chars.next() {
-            if c == '\\' {
-                if let Some(next) = chars.next() {
-                    lit.push(next);
-                }
-            } else {
-                lit.push(c);
-            }
-        }
-        out.push((tok.line, lit));
-    }
-    out
 }

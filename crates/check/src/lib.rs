@@ -1,17 +1,19 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! Correctness tooling for the `symclust` workspace (DESIGN.md §13, §18).
 //!
 //! Four pillars live here; a fifth (CSR structural validators) lives in
 //! `symclust-sparse` next to the data structure it validates:
 //!
-//! * [`lint`] — a dependency-free lint driver enforcing repo-specific
-//!   contracts that `clippy` cannot know: cancellation plumbing on public
-//!   kernels, the DESIGN.md §11 metric-name taxonomy (cross-checked
-//!   against the golden-counts test's `EXACT_KEYS`), no panicking `unwrap`/
-//!   `expect` in library code, purity of the engine's cache-key /
-//!   fingerprint code, the DESIGN.md §14 error-code taxonomy, and a
-//!   reason-carrying audit of every `Ordering::Relaxed` atomic site.
+//! * [`lint`] — a dependency-free lint driver for the three contracts no
+//!   compiler lint can state: cancellation plumbing on public kernels,
+//!   purity of the engine's and store's cache-key / fingerprint code, and
+//!   a reason-carrying audit of every `Ordering::Relaxed` atomic site.
+//!   The rest is left to the compiler: clippy denies `unwrap`/`expect` in
+//!   library code and raw `std::fs` in the store and sparse crates, and
+//!   the tier-1 test `tests/taxonomy.rs` holds the metric names and error
+//!   codes to DESIGN.md §11 and §14.
 //! * [`lexer`] — the token-stream lexer behind the lint rules: a small
 //!   Rust tokenizer handling line/nested-block comments, strings, raw
 //!   strings, char literals, and lifetimes, replacing the old byte-scan.

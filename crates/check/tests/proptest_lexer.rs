@@ -10,40 +10,27 @@
 //!   escaped char literals, lifetimes;
 //! * `strip` preserves the char count and every newline position (so
 //!   line-based rules see the raw file's geometry) and blanks exactly the
-//!   non-code islands;
-//! * `string_literals` extracts exactly the planted literals, escapes
-//!   included, and never reports raw-string or comment contents.
+//!   non-code islands.
 //!
 //! Failing inputs persist in `proptest-regressions/` as replay seeds.
 
 use proptest::prelude::*;
-use symclust_check::lexer::{lex, string_literals, strip, Token, TokenKind};
+use symclust_check::lexer::{lex, strip, Token, TokenKind};
 
 /// Marker planted inside fragments; must survive `strip` only when it sits
 /// in ordinary code.
 const MARK: &str = "ZZMARKZZ";
 
-/// One generated source fragment: its text, the island kind it must lex as
-/// (`None` for plain code), and the literal `string_literals` must report
-/// for it (`None` if it must report nothing).
+/// One generated source fragment: its text and the island kind it must
+/// lex as (`None` for plain code).
 #[derive(Debug, Clone)]
 struct Frag {
     text: String,
     kind: Option<TokenKind>,
-    lit: Option<String>,
 }
 
-/// Escape-capable string-interior pieces: `(source text, extracted form)`.
-/// Extraction keeps the escaped char and drops the backslash.
-const STR_PIECES: &[(&str, &str)] = &[
-    ("a", "a"),
-    ("é", "é"),
-    (" ", " "),
-    (MARK, MARK),
-    ("\\\"", "\""),
-    ("\\\\", "\\"),
-    ("\\n", "n"),
-];
+/// Escape-capable string-interior pieces.
+const STR_PIECES: &[&str] = &["a", "é", " ", MARK, "\\\"", "\\\\", "\\n"];
 
 /// Builds one fragment from drawn randomness. `sel` weights the fragment
 /// families (the vendored proptest stub has no `prop_oneof`, so selection
@@ -66,22 +53,15 @@ fn build_frag(sel: usize, aux: usize, b1: bool, b2: bool, b3: bool, pieces: &[us
             } else {
                 pool[aux % pool.len()].clone()
             };
-            Frag {
-                text,
-                kind: None,
-                lit: None,
-            }
+            Frag { text, kind: None }
         }
         // `"…"` / `b"…"` string literals with escapes.
         3 | 4 => {
-            let interior: String = pieces.iter().map(|&i| STR_PIECES[i].0).collect();
-            let lit: String = pieces.iter().map(|&i| STR_PIECES[i].1).collect();
+            let interior: String = pieces.iter().map(|&i| STR_PIECES[i]).collect();
             let prefix = if b1 { "b" } else { "" };
             Frag {
                 text: format!("{prefix}\"{interior}\""),
                 kind: Some(TokenKind::Str),
-                // Byte strings are still `Str` tokens and extracted alike.
-                lit: Some(lit),
             }
         }
         // Raw strings, hash depth 0–2. Quotes are only planted at
@@ -102,8 +82,6 @@ fn build_frag(sel: usize, aux: usize, b1: bool, b2: bool, b3: bool, pieces: &[us
             Frag {
                 text: format!("{prefix}{h}\"{interior}\"{h}"),
                 kind: Some(TokenKind::RawStr),
-                // Raw strings must never surface in `string_literals`.
-                lit: None,
             }
         }
         // `// …` comments. The trailing newline is part of the fragment
@@ -117,7 +95,6 @@ fn build_frag(sel: usize, aux: usize, b1: bool, b2: bool, b3: bool, pieces: &[us
             Frag {
                 text: pool[aux % pool.len()].clone(),
                 kind: Some(TokenKind::LineComment),
-                lit: None,
             }
         }
         // Nested `/* … */` comments, depth 1–3, optionally multi-line.
@@ -138,7 +115,6 @@ fn build_frag(sel: usize, aux: usize, b1: bool, b2: bool, b3: bool, pieces: &[us
             Frag {
                 text,
                 kind: Some(TokenKind::BlockComment),
-                lit: None,
             }
         }
         // Char literals, escapes and multi-byte chars included.
@@ -156,7 +132,6 @@ fn build_frag(sel: usize, aux: usize, b1: bool, b2: bool, b3: bool, pieces: &[us
             Frag {
                 text: pool[(aux + 4 * usize::from(b1)) % pool.len()].to_string(),
                 kind: Some(TokenKind::Char),
-                lit: None,
             }
         }
         // Lifetimes / loop labels; the space ends the identifier scan.
@@ -165,7 +140,6 @@ fn build_frag(sel: usize, aux: usize, b1: bool, b2: bool, b3: bool, pieces: &[us
             Frag {
                 text: pool[aux % pool.len()].to_string(),
                 kind: Some(TokenKind::Lifetime),
-                lit: None,
             }
         }
     }
@@ -273,14 +247,6 @@ proptest! {
             .count();
         prop_assert_eq!(out.matches(MARK).count(), in_code);
     }
-
-    #[test]
-    fn string_literal_extraction_matches_planted(frags in soup()) {
-        let src = join(&frags);
-        let expected: Vec<String> = frags.iter().filter_map(|f| f.lit.clone()).collect();
-        let got: Vec<String> = string_literals(&src).into_iter().map(|(_, l)| l).collect();
-        prop_assert_eq!(got, expected);
-    }
 }
 
 // ------------------------------------------------------- pinned edge cases
@@ -306,17 +272,20 @@ fn raw_string_swallows_quotes_and_comment_openers() {
         .iter()
         .any(|t| t.kind == TokenKind::RawStr && t.text.contains("not a comment")));
     assert!(strip(src).contains("t();"));
-    assert!(
-        string_literals(src).is_empty(),
-        "raw strings are not extracted"
-    );
 }
 
 #[test]
 fn char_holding_a_quote_does_not_open_a_string() {
     let src = "let c = '\"'; let s = \"x\";";
-    let lits = string_literals(src);
-    assert_eq!(lits, vec![(1, "x".to_string())]);
+    let islands: Vec<(TokenKind, &str)> = lex(src)
+        .iter()
+        .filter(|t| t.kind != TokenKind::Code)
+        .map(|t| (t.kind, t.text))
+        .collect();
+    assert_eq!(
+        islands,
+        vec![(TokenKind::Char, "'\"'"), (TokenKind::Str, "\"x\"")]
+    );
 }
 
 #[test]

@@ -17,6 +17,8 @@ use symclust_graph::generators::{
 };
 use symclust_graph::stats::GraphStats;
 use symclust_graph::{io, DiGraph, GroundTruth, UnGraph};
+use symclust_sparse::spgemm::check_threshold;
+use symclust_sparse::spgemm::metric_names::{DEGRADED_FALLBACKS, SCHED_STEALS};
 use symclust_sparse::Tuning;
 
 type CmdResult = Result<(), String>;
@@ -245,6 +247,10 @@ pub fn cluster(args: &ParsedArgs) -> CmdResult {
 
 /// `symclust pipeline`: run a full symmetrization × clusterer sweep
 /// through the concurrent engine, rendering structured events live.
+#[expect(
+    clippy::unwrap_used,
+    reason = "event-log mutex; poisoning means the event callback panicked, which aborted the run"
+)]
 pub fn pipeline(args: &ParsedArgs) -> CmdResult {
     // Dataset: an edge list (with optional ground truth) or a synthetic model.
     let (name, graph, truth) = if let Some(input) = args.optional("input") {
@@ -271,6 +277,7 @@ pub fn pipeline(args: &ParsedArgs) -> CmdResult {
         }
         None => {
             let t: f64 = args.get_or("threshold", 0.0)?;
+            check_threshold(t).map_err(|e| format!("--threshold: {e}"))?;
             (t, t)
         }
     };
@@ -367,11 +374,8 @@ pub fn pipeline(args: &ParsedArgs) -> CmdResult {
 
     if args.get_or("metrics", false)? {
         println!("\n{}", result.metrics.render_table());
-        let fallbacks = result
-            .metrics
-            .counter("spgemm.degraded_fallbacks")
-            .unwrap_or(0);
-        let steals = result.metrics.counter("spgemm.sched_steals");
+        let fallbacks = result.metrics.counter(DEGRADED_FALLBACKS).unwrap_or(0);
+        let steals = result.metrics.counter(SCHED_STEALS);
         if let Some(steals) = steals {
             println!(
                 "(work-stealing scheduler: {steals} row block(s) stolen across parallel \

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! Library backing the `symclust` command-line tool.
 //!
@@ -279,6 +280,42 @@ mod tests {
             assert_eq!(symmetrize(method, "0"), 0, "{method}");
             assert!(std::fs::read_to_string(output).unwrap().lines().count() > 0);
             std::fs::remove_file(output).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_nan_infinite_or_negative_threshold_fails_pipeline_and_writes_nothing() {
+        let dir = std::env::temp_dir().join(format!("symclust_pipeline_t_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (records, events) = (dir.join("rec.jsonl"), dir.join("ev.jsonl"));
+        let (records, events) = (records.to_str().unwrap(), events.to_str().unwrap());
+        for threshold in ["nan", "inf", "-inf", "-1"] {
+            let flags = [
+                "pipeline",
+                "--model",
+                "dsbm",
+                "--nodes",
+                "300",
+                "--clusters",
+                "6",
+                "--clusterers",
+                "metis",
+                "--threshold",
+                threshold,
+                "--records",
+                records,
+                "--events",
+                events,
+                "--quiet",
+            ];
+            assert_eq!(run(&argv(&flags)), 1, "{threshold}");
+            for path in [records, events] {
+                assert!(
+                    !std::path::Path::new(path).exists(),
+                    "{threshold}: {path} written"
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

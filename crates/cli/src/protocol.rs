@@ -28,6 +28,7 @@ use std::collections::HashMap;
 
 use symclust_engine::json::{parse_object, JsonObject, JsonValue};
 use symclust_engine::{Clusterer, SymMethod};
+use symclust_sparse::spgemm::check_threshold;
 
 /// A parsed request line: the op payload plus the cross-cutting fields.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,9 +161,8 @@ fn parse_method(map: &HashMap<String, JsonValue>) -> Result<SymMethod, String> {
     let alpha = get_f64(map, "alpha", 0.5)?;
     let beta = get_f64(map, "beta", 0.5)?;
     let threshold = get_f64(map, "threshold", 0.0)?;
-    if !(threshold.is_finite() && threshold >= 0.0) {
-        return Err("field 'threshold' must be a finite non-negative number".into());
-    }
+    check_threshold(threshold)
+        .map_err(|_| "field 'threshold' must be a finite non-negative number".to_string())?;
     match method.as_str() {
         "aat" => Ok(SymMethod::PlusTranspose),
         "rw" => Ok(SymMethod::RandomWalk),

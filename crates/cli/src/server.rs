@@ -63,30 +63,32 @@ use symclust_store::{
 
 use crate::protocol::{self, Envelope, ErrorCode, Request};
 
-/// Metric names the daemon emits (documented in DESIGN.md §11).
-pub mod metric_names {
-    /// Counter: connections accepted.
-    pub const SERVE_CONNECTIONS: &str = "serve.connections";
-    /// Counter: requests taken up for an answer — dequeued by a worker,
-    /// or answered inline by the read lane.
-    pub const SERVE_REQUESTS: &str = "serve.requests";
-    /// Counter: `query-membership` requests the reader thread answered
-    /// from L1 without queueing (a subset of `serve.requests`).
-    pub const SERVE_INLINE_READS: &str = "serve.inline_reads";
-    /// Span: admission (`try_send`) to dequeue, one per queued request.
-    /// Its counterpart `serve.service.<op>` (dequeue to response written)
-    /// is named per op at the recording site in `worker_loop`.
-    pub const SERVE_WAIT: &str = "serve.wait";
-    /// Counter: error responses sent (any error code).
-    pub const SERVE_ERRORS: &str = "serve.errors";
-    /// Counter: requests rejected because the admission queue was full.
-    pub const SERVE_OVERLOADED: &str = "serve.overloaded";
-    /// Counter: requests that hit their deadline.
-    pub const SERVE_DEADLINE: &str = "serve.deadline_exceeded";
-    /// Counter: requests cancelled by client disconnect.
-    pub const SERVE_CANCELLED: &str = "serve.cancelled";
-    /// Gauge: high-water mark of the admission queue depth.
-    pub const SERVE_QUEUE_DEPTH_HWM: &str = "serve.queue_depth_hwm";
+symclust_obs::metric_names! {
+    /// Metric names the daemon emits (documented in DESIGN.md §11).
+    pub mod metric_names {
+        /// Counter: connections accepted.
+        pub const SERVE_CONNECTIONS: &str = "serve.connections";
+        /// Counter: requests taken up for an answer — dequeued by a worker,
+        /// or answered inline by the read lane.
+        pub const SERVE_REQUESTS: &str = "serve.requests";
+        /// Counter: `query-membership` requests the reader thread answered
+        /// from L1 without queueing (a subset of `serve.requests`).
+        pub const SERVE_INLINE_READS: &str = "serve.inline_reads";
+        /// Span: admission (`try_send`) to dequeue, one per queued request.
+        /// Its counterpart `serve.service.<op>` (dequeue to response written)
+        /// is named per op at the recording site in `worker_loop`.
+        pub const SERVE_WAIT: &str = "serve.wait";
+        /// Counter: error responses sent (any error code).
+        pub const SERVE_ERRORS: &str = "serve.errors";
+        /// Counter: requests rejected because the admission queue was full.
+        pub const SERVE_OVERLOADED: &str = "serve.overloaded";
+        /// Counter: requests that hit their deadline.
+        pub const SERVE_DEADLINE: &str = "serve.deadline_exceeded";
+        /// Counter: requests cancelled by client disconnect.
+        pub const SERVE_CANCELLED: &str = "serve.cancelled";
+        /// Gauge: high-water mark of the admission queue depth.
+        pub const SERVE_QUEUE_DEPTH_HWM: &str = "serve.queue_depth_hwm";
+    }
 }
 
 /// Where the daemon listens.

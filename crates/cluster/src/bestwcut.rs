@@ -128,6 +128,10 @@ impl BestWCut {
 
     /// Clusters a directed graph. This is the paper's comparison baseline —
     /// note the input is the *directed* graph, not a symmetrized one.
+    #[expect(
+        clippy::expect_used,
+        reason = "shape/length preconditions established immediately above; candidate set non-empty by loop bounds"
+    )]
     pub fn cluster_digraph(&self, g: &DiGraph) -> Result<Clustering> {
         let k = self.options.k;
         let n = g.n_nodes();
@@ -204,6 +208,10 @@ fn cluster_embedding(
 }
 
 /// Builds the WCut Laplacian `I − (Θ^{1/2}PΘ^{-1/2} + Θ^{-1/2}PᵀΘ^{1/2})/2`.
+#[expect(
+    clippy::expect_used,
+    reason = "shape/length preconditions established immediately above; candidate set non-empty by loop bounds"
+)]
 fn wcut_laplacian(g: &DiGraph, t: &[f64]) -> CsrMatrix {
     let p = ops::row_normalize(g.adjacency());
     let sqrt_t: Vec<f64> = t.iter().map(|&x| x.max(0.0).sqrt()).collect();

@@ -154,6 +154,10 @@ fn lloyd(
 
 /// Runs k-means++ / Lloyd on `n` points of dimension `d` stored row-major
 /// in `points`.
+#[expect(
+    clippy::expect_used,
+    reason = "the init loop runs n_init.max(1) >= 1 times, so best is always Some"
+)]
 pub fn kmeans(points: &[f64], n: usize, d: usize, opts: &KMeansOptions) -> Result<KMeansResult> {
     if points.len() != n * d {
         return Err(ClusterError::InvalidConfig(format!(

@@ -45,33 +45,35 @@ use symclust_obs::{Counter, MetricsRegistry};
 use symclust_sparse::spgemm::run_rows_with_epilogue;
 use symclust_sparse::{ops, CancelToken, CsrMatrix};
 
-/// Stable metric names recorded by the R-MCL iteration (DESIGN.md §11).
-pub mod metric_names {
-    /// R-MCL iteration loops completed (one per flow run, across levels).
-    pub const RUNS: &str = "mcl.runs";
-    /// Total expand–inflate–prune iterations performed.
-    pub const ITERATIONS: &str = "mcl.iterations";
-    /// Runs whose assignment stabilized within the iteration budget.
-    pub const CONVERGED_RUNS: &str = "mcl.converged_runs";
-    /// Runs that exhausted the budget without stabilizing.
-    pub const NONCONVERGED_RUNS: &str = "mcl.nonconverged_runs";
-    /// Gauge: fraction of nodes whose cluster assignment changed in the
-    /// last iteration of the most recent run (0 at convergence).
-    pub const FINAL_RESIDUAL: &str = "mcl.final_residual";
-    /// Accumulated entries handed to the row epilogue (the expansion's
-    /// output width, summed over rows and iterations).
-    pub const TOUCHED: &str = "mcl.touched";
-    /// `powf` calls: the entries that survived the pre-inflation cut, or,
-    /// on a row where the gap rule holds, the top `max_row_nnz` and the
-    /// rule's two test calls. `INFLATED / TOUCHED` is the share of the
-    /// epilogue's input it pays for.
-    pub const INFLATED: &str = "mcl.inflated";
-    /// Entries emitted into the next flow matrix.
-    pub const KEPT: &str = "mcl.kept";
-    /// Span: one expand-inflate-prune step (one observation per iteration).
-    pub const EXPAND_SPAN: &str = "mcl.expand";
-    /// Span: one convergence vote — `extract_clusters` plus the label diff.
-    pub const VOTE_SPAN: &str = "mcl.vote";
+symclust_obs::metric_names! {
+    /// Stable metric names recorded by the R-MCL iteration (DESIGN.md §11).
+    pub mod metric_names {
+        /// R-MCL iteration loops completed (one per flow run, across levels).
+        pub const RUNS: &str = "mcl.runs";
+        /// Total expand–inflate–prune iterations performed.
+        pub const ITERATIONS: &str = "mcl.iterations";
+        /// Runs whose assignment stabilized within the iteration budget.
+        pub const CONVERGED_RUNS: &str = "mcl.converged_runs";
+        /// Runs that exhausted the budget without stabilizing.
+        pub const NONCONVERGED_RUNS: &str = "mcl.nonconverged_runs";
+        /// Gauge: fraction of nodes whose cluster assignment changed in the
+        /// last iteration of the most recent run (0 at convergence).
+        pub const FINAL_RESIDUAL: &str = "mcl.final_residual";
+        /// Accumulated entries handed to the row epilogue (the expansion's
+        /// output width, summed over rows and iterations).
+        pub const TOUCHED: &str = "mcl.touched";
+        /// `powf` calls: the entries that survived the pre-inflation cut, or,
+        /// on a row where the gap rule holds, the top `max_row_nnz` and the
+        /// rule's two test calls. `INFLATED / TOUCHED` is the share of the
+        /// epilogue's input it pays for.
+        pub const INFLATED: &str = "mcl.inflated";
+        /// Entries emitted into the next flow matrix.
+        pub const KEPT: &str = "mcl.kept";
+        /// Span: one expand-inflate-prune step (one observation per iteration).
+        pub const EXPAND_SPAN: &str = "mcl.expand";
+        /// Span: one convergence vote — `extract_clusters` plus the label diff.
+        pub const VOTE_SPAN: &str = "mcl.vote";
+    }
 }
 
 /// Options for [`rmcl`].
@@ -157,6 +159,10 @@ pub struct MclResult {
 /// than `max_graph_row_nnz` are truncated to their heaviest entries before
 /// normalization (see [`MclOptions::max_graph_row_nnz`]); self-loops carry
 /// the row maximum so they always survive truncation.
+#[expect(
+    clippy::expect_used,
+    reason = "operands constructed with identical shape on the preceding lines"
+)]
 pub(crate) fn canonical_flow_capped(g: &UnGraph, max_graph_row_nnz: usize) -> CsrMatrix {
     let a = g.adjacency();
     let n = a.n_rows();

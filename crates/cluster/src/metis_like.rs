@@ -67,6 +67,10 @@ impl MetisLike {
 /// Greedy graph-growing initial partition: grow each part from a seed by
 /// repeatedly absorbing the unassigned node most strongly connected to the
 /// region, until the part reaches its weight target.
+#[expect(
+    clippy::expect_used,
+    reason = "k is validated positive at entry; max over 0..k is Some"
+)]
 pub fn region_growing_partition(
     g: &UnGraph,
     vertex_weights: &[f64],
@@ -268,6 +272,10 @@ fn grow_bisection(g: &UnGraph, vertex_weights: &[f64], target: f64, seed: u64) -
 /// `k_left : k_right`, refine the two-way cut, and recurse into the induced
 /// halves. Far more robust than simultaneous k-way region growing, which can
 /// strand seeds inside already-consumed regions.
+#[expect(
+    clippy::expect_used,
+    reason = "k is validated positive at entry; max over 0..k is Some"
+)]
 pub fn recursive_bisection_partition(
     g: &UnGraph,
     vertex_weights: &[f64],

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! # symclust-datasets — synthetic stand-ins for the paper's datasets
 //!
@@ -45,6 +46,10 @@ pub struct Dataset {
 }
 
 impl Dataset {
+    #[expect(
+        clippy::expect_used,
+        reason = "the config literal is a compile-time constant known to be valid"
+    )]
     fn from_config(name: &str, cfg: &SharedLinkDsbmConfig, keep_truth: bool) -> Dataset {
         let generated = shared_link_dsbm(cfg).expect("generator config is valid");
         Dataset {

@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Slot states for one key.
 enum Slot<T> {
@@ -107,7 +107,7 @@ impl<T> ArtifactCache<T> {
     ) -> Result<(Arc<T>, bool), E> {
         let mut waited = false;
         loop {
-            let mut slots = self.slots.lock().expect("cache lock");
+            let mut slots = self.lock();
             match slots.get(&key) {
                 Some(Slot::Ready(v)) => {
                     let v = Arc::clone(v);
@@ -122,6 +122,10 @@ impl<T> ArtifactCache<T> {
                     // Another worker is on it; park until the slot changes,
                     // then re-examine (it may be Ready, or cleared by a
                     // failed computation).
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "mutex/condvar poisoning is fatal by design"
+                    )]
                     let _guard = self.ready.wait(slots).expect("cache lock");
                     continue;
                 }
@@ -141,7 +145,7 @@ impl<T> ArtifactCache<T> {
         };
         self.misses.fetch_add(1, Ordering::Relaxed);
         let outcome = compute();
-        let mut slots = self.slots.lock().expect("cache lock");
+        let mut slots = self.lock();
         guard.armed = false; // both paths below settle the slot themselves
         match outcome {
             Ok(v) => {
@@ -158,9 +162,17 @@ impl<T> ArtifactCache<T> {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "mutex/condvar poisoning is fatal by design"
+    )]
+    fn lock(&self) -> MutexGuard<'_, HashMap<u64, Slot<T>>> {
+        self.slots.lock().expect("cache lock")
+    }
+
     /// Fetches without computing.
     pub fn get(&self, key: u64) -> Option<Arc<T>> {
-        let slots = self.slots.lock().expect("cache lock");
+        let slots = self.lock();
         match slots.get(&key) {
             Some(Slot::Ready(v)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -172,7 +184,7 @@ impl<T> ArtifactCache<T> {
 
     /// Number of ready artifacts.
     pub fn len(&self) -> usize {
-        let slots = self.slots.lock().expect("cache lock");
+        let slots = self.lock();
         slots
             .values()
             .filter(|s| matches!(s, Slot::Ready(_)))

@@ -45,7 +45,7 @@ use crossbeam::channel::{bounded, unbounded, RecvTimeoutError};
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use symclust_cluster::Clustering;
 use symclust_core::{SymmetrizeError, SymmetrizedGraph};
@@ -54,32 +54,34 @@ use symclust_graph::{DiGraph, GroundTruth, UnGraph};
 use symclust_obs::{MetricsRegistry, MetricsSnapshot};
 use symclust_sparse::{ops, CancelToken, Tuning};
 
-/// Stable metric names the executor records (DESIGN.md §11). Kernel-level
-/// names (`spgemm.*`, `mcl.*`) live next to their kernels; these cover the
-/// engine and the prune stage, which the executor runs itself.
-pub mod metric_names {
-    /// Counter: cache requests served from a ready artifact (per sweep).
-    pub const CACHE_HITS: &str = "engine.cache_hits";
-    /// Counter: cache requests that ran the compute closure (per sweep).
-    pub const CACHE_MISSES: &str = "engine.cache_misses";
-    /// Counter: hits that parked behind another worker's in-flight
-    /// computation of the same key (duplicate work avoided).
-    pub const INFLIGHT_DEDUPS: &str = "engine.inflight_dedups";
-    /// Counter: stage attempts re-run after a transient failure.
-    pub const RETRIES: &str = "engine.retries";
-    /// Gauge: high-water mark of the dispatcher's ready queue.
-    pub const QUEUE_DEPTH_HWM: &str = "engine.queue_depth_hwm";
-    /// Counter: entries entering prune stages.
-    pub const PRUNE_EDGES_IN: &str = "prune.edges_in";
-    /// Counter: entries surviving prune stages.
-    pub const PRUNE_EDGES_OUT: &str = "prune.edges_out";
-    /// Gauge: survival ratio (`edges_out / edges_in`) of the most recent
-    /// prune computation.
-    pub const PRUNE_SURVIVAL_RATIO: &str = "prune.survival_ratio";
-    /// Counter: symmetrize stages whose artifact was computed in degraded
-    /// (budget-thresholded) mode. Cache hits of a degraded artifact do not
-    /// recount.
-    pub const SYM_DEGRADED_RUNS: &str = "sym.degraded_runs";
+symclust_obs::metric_names! {
+    /// Stable metric names the executor records (DESIGN.md §11). Kernel-level
+    /// names (`spgemm.*`, `mcl.*`) live next to their kernels; these cover the
+    /// engine and the prune stage, which the executor runs itself.
+    pub mod metric_names {
+        /// Counter: cache requests served from a ready artifact (per sweep).
+        pub const CACHE_HITS: &str = "engine.cache_hits";
+        /// Counter: cache requests that ran the compute closure (per sweep).
+        pub const CACHE_MISSES: &str = "engine.cache_misses";
+        /// Counter: hits that parked behind another worker's in-flight
+        /// computation of the same key (duplicate work avoided).
+        pub const INFLIGHT_DEDUPS: &str = "engine.inflight_dedups";
+        /// Counter: stage attempts re-run after a transient failure.
+        pub const RETRIES: &str = "engine.retries";
+        /// Gauge: high-water mark of the dispatcher's ready queue.
+        pub const QUEUE_DEPTH_HWM: &str = "engine.queue_depth_hwm";
+        /// Counter: entries entering prune stages.
+        pub const PRUNE_EDGES_IN: &str = "prune.edges_in";
+        /// Counter: entries surviving prune stages.
+        pub const PRUNE_EDGES_OUT: &str = "prune.edges_out";
+        /// Gauge: survival ratio (`edges_out / edges_in`) of the most recent
+        /// prune computation.
+        pub const PRUNE_SURVIVAL_RATIO: &str = "prune.survival_ratio";
+        /// Counter: symmetrize stages whose artifact was computed in degraded
+        /// (budget-thresholded) mode. Cache hits of a degraded artifact do not
+        /// recount.
+        pub const SYM_DEGRADED_RUNS: &str = "sym.degraded_runs";
+    }
 }
 
 /// The input a pipeline runs over: a directed graph plus optional ground
@@ -283,6 +285,16 @@ struct TokenRegistry {
     tokens: Mutex<HashMap<usize, CancelToken>>,
 }
 
+/// Locks one of the executor's mutexes. `what` names the lock in the
+/// panic message.
+#[expect(
+    clippy::expect_used,
+    reason = "mutex poisoning is fatal by design: a poisoned worker already aborted the sweep"
+)]
+fn lock<'a, T>(mutex: &'a Mutex<T>, what: &str) -> MutexGuard<'a, T> {
+    mutex.lock().expect(what)
+}
+
 impl TokenRegistry {
     fn new() -> Self {
         TokenRegistry {
@@ -291,21 +303,21 @@ impl TokenRegistry {
     }
 
     fn register(&self, node: usize, token: CancelToken) {
-        self.tokens.lock().expect("token lock").insert(node, token);
+        lock(&self.tokens, "token lock").insert(node, token);
     }
 
     fn release(&self, node: usize) {
-        self.tokens.lock().expect("token lock").remove(&node);
+        lock(&self.tokens, "token lock").remove(&node);
     }
 
     fn cancel_all(&self) {
-        for t in self.tokens.lock().expect("token lock").values() {
+        for t in lock(&self.tokens, "token lock").values() {
             t.cancel();
         }
     }
 
     fn len(&self) -> usize {
-        self.tokens.lock().expect("token lock").len()
+        lock(&self.tokens, "token lock").len()
     }
 }
 
@@ -429,9 +441,7 @@ impl Engine {
                         key,
                     });
                 }
-                ctx.outputs
-                    .lock()
-                    .expect("outputs lock")
+                lock(&ctx.outputs, "outputs lock")
                     .insert(node.id, NodeOutput::Record(Box::new(record.clone())));
                 resumed += 1;
             }
@@ -467,6 +477,10 @@ impl Engine {
         let queue_gauge = registry.gauge(metric_names::QUEUE_DEPTH_HWM);
         queue_gauge.record_max(ready.len() as f64);
 
+        #[expect(
+            clippy::expect_used,
+            reason = "crossbeam scope join fails only on a worker panic, already caught per-stage"
+        )]
         crossbeam::thread::scope(|scope| {
             for _ in 0..threads {
                 let task_rx = task_rx.clone();
@@ -554,7 +568,7 @@ impl Engine {
                                         }
                                     }
                                 }
-                                ctx.outputs.lock().expect("outputs lock").insert(id, output);
+                                lock(&ctx.outputs, "outputs lock").insert(id, output);
                                 for &dep in &dependents[id] {
                                     if settled[dep] {
                                         continue; // pre-settled by resume
@@ -613,6 +627,10 @@ impl Engine {
 
         // Collect records in plan (node-id) order for deterministic output.
         let mut records = Vec::new();
+        #[expect(
+            clippy::expect_used,
+            reason = "mutex poisoning is fatal by design: a poisoned worker already aborted the sweep"
+        )]
         let outputs = ctx.outputs.into_inner().expect("outputs lock");
         let mut ids: Vec<usize> = outputs.keys().copied().collect();
         ids.sort_unstable();
@@ -693,15 +711,15 @@ fn chain_key(plan: &Plan, eval: &StageNode, root_fp: u64, opts: &EngineOptions) 
     } else {
         (None, upstream)
     };
-    let method = eval.method.expect("evaluate node has a method");
+    let method = eval.planned_method();
     let budget = effective_budget(opts.memory_budget, &fault_name(sym));
     let (sym_stage, sym_params) = method.cache_params_with_budget(budget);
     let mut key = stage_key(root_fp, sym_stage, &sym_params);
     if let Some(p) = prune {
-        let t = p.prune_threshold.expect("prune node has a threshold");
+        let t = p.planned_threshold();
         key = stage_key(key, "prune", &[t]);
     }
-    let clusterer = eval.clusterer.expect("evaluate node has a clusterer");
+    let clusterer = eval.planned_clusterer();
     let (cl_stage, cl_params) = clusterer.cache_params();
     stage_key(key, cl_stage, &cl_params)
 }
@@ -721,10 +739,12 @@ fn chain_node_ids(plan: &Plan, eval_id: usize) -> Vec<usize> {
 
 /// Fetches a dependency's output (present by construction: the dispatcher
 /// only releases a node once all dependencies have settled successfully).
+#[expect(
+    clippy::expect_used,
+    reason = "present by construction: the dispatcher releases a node only after its deps settled"
+)]
 fn dep_output(ctx: &ExecCtx<'_>, id: usize) -> NodeOutput {
-    ctx.outputs
-        .lock()
-        .expect("outputs lock")
+    lock(&ctx.outputs, "outputs lock")
         .get(&id)
         .cloned()
         .expect("dependency output missing")
@@ -847,7 +867,7 @@ fn run_stage_attempt(node: &StageNode, ctx: &ExecCtx<'_>, token: &CancelToken) -
             let NodeOutput::Fingerprint(fp) = dep_output(ctx, node.deps[0]) else {
                 return failed("load artifact has wrong type".into());
             };
-            let method = node.method.expect("symmetrize node has a method");
+            let method = node.planned_method();
             let fault = fault_name(node);
             let budget = effective_budget(ctx.memory_budget, &fault);
             let (stage_name, params) = method.cache_params_with_budget(budget);
@@ -908,7 +928,7 @@ fn run_stage_attempt(node: &StageNode, ctx: &ExecCtx<'_>, token: &CancelToken) -
             }
             // Threshold appears as the stage parameter; the input is
             // addressed by its exact matrix content.
-            let threshold = node.prune_threshold.expect("prune node has a threshold");
+            let threshold = node.planned_threshold();
             let key = stage_key(matrix_fingerprint(sym.adjacency()), "prune", &[threshold]);
             let fault = fault_name(node);
             let compute = || -> Result<SymmetrizedGraph, String> {
@@ -969,7 +989,7 @@ fn run_stage_attempt(node: &StageNode, ctx: &ExecCtx<'_>, token: &CancelToken) -
             if let Err(e) = fire_fault(&fault_name(node)) {
                 return failed(e);
             }
-            let clusterer = node.clusterer.expect("cluster node has a clusterer");
+            let clusterer = node.planned_clusterer();
             match clusterer
                 .build()
                 .cluster_observed(sym.graph(), token, Some(ctx.metrics))
@@ -996,8 +1016,8 @@ fn run_stage_attempt(node: &StageNode, ctx: &ExecCtx<'_>, token: &CancelToken) -
             else {
                 return failed("evaluate input has wrong type".into());
             };
-            let method = node.method.expect("evaluate node has a method");
-            let clusterer = node.clusterer.expect("evaluate node has a clusterer");
+            let method = node.planned_method();
+            let clusterer = node.planned_clusterer();
             let f_score = ctx
                 .input
                 .truth

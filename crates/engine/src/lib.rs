@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! symclust-engine: a concurrent pipeline engine for the symmetrize →
 //! cluster → evaluate workflow.

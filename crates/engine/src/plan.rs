@@ -33,6 +33,27 @@ pub struct StageNode {
     pub prune_threshold: Option<f64>,
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "plan construction guarantees the field; a None is a Plan::build bug"
+)]
+impl StageNode {
+    /// The method of a Symmetrize, Prune, Cluster or Evaluate node.
+    pub(crate) fn planned_method(&self) -> SymMethod {
+        self.method.expect("node has a method")
+    }
+
+    /// The clusterer of a Cluster or Evaluate node.
+    pub(crate) fn planned_clusterer(&self) -> Clusterer {
+        self.clusterer.expect("node has a clusterer")
+    }
+
+    /// The threshold of a Prune node.
+    pub(crate) fn planned_threshold(&self) -> f64 {
+        self.prune_threshold.expect("node has a threshold")
+    }
+}
+
 /// Declarative description of a sweep: which methods × which clusterers,
 /// with an optional extra prune pass between them.
 #[derive(Debug, Clone)]

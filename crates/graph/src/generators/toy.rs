@@ -13,6 +13,10 @@ use crate::DiGraph;
 /// A low-directed-normalized-cut objective scores the cluster `{4, 5}`
 /// poorly (a random walk leaves it in one step with high probability), while
 /// in-/out-link-similarity symmetrizations connect 4 and 5 strongly.
+#[expect(
+    clippy::expect_used,
+    reason = "static, compile-time-known edge lists and label counts"
+)]
 pub fn figure1_graph() -> DiGraph {
     let edges = [
         // common in-link sources
@@ -45,6 +49,10 @@ pub fn figure1_graph() -> DiGraph {
 /// Layout: nodes 0..n_species are species pages; then "Guzmania" (genus),
 /// "Poales" (order), "Ecuador", "Bromeliaceae"; then a hub ("Plant") that
 /// everything links to; then a few unrelated pages forming a chain.
+#[expect(
+    clippy::expect_used,
+    reason = "static, compile-time-known edge lists and label counts"
+)]
 pub fn guzmania_graph(n_species: usize) -> DiGraph {
     assert!(n_species >= 2, "need at least two species");
     let genus = n_species;
@@ -94,6 +102,10 @@ pub fn guzmania_graph(n_species: usize) -> DiGraph {
 /// Two directed cliques of size `k` joined by a single edge; the classic
 /// well-separated-clusters sanity check. Nodes `0..k` form clique A,
 /// `k..2k` clique B, with one bridge edge `k-1 → k`.
+#[expect(
+    clippy::expect_used,
+    reason = "static, compile-time-known edge lists and label counts"
+)]
 pub fn two_cliques(k: usize) -> DiGraph {
     assert!(k >= 2);
     let mut edges = Vec::new();
@@ -111,6 +123,10 @@ pub fn two_cliques(k: usize) -> DiGraph {
 }
 
 /// Directed cycle on `n` nodes.
+#[expect(
+    clippy::expect_used,
+    reason = "static, compile-time-known edge lists and label counts"
+)]
 pub fn cycle_graph(n: usize) -> DiGraph {
     assert!(n >= 2);
     let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
@@ -118,6 +134,10 @@ pub fn cycle_graph(n: usize) -> DiGraph {
 }
 
 /// Star: nodes `1..n` all point at node 0.
+#[expect(
+    clippy::expect_used,
+    reason = "static, compile-time-known edge lists and label counts"
+)]
 pub fn star_graph(n: usize) -> DiGraph {
     assert!(n >= 2);
     let edges: Vec<(usize, usize)> = (1..n).map(|i| (i, 0)).collect();

@@ -175,6 +175,10 @@ impl UnGraph {
     /// The subgraph induced by `nodes` (which must be sorted and unique);
     /// node `i` of the result corresponds to `nodes[i]`. Labels are not
     /// carried over.
+    #[expect(
+        clippy::expect_used,
+        reason = "CSR invariants were checked when the matrix was built"
+    )]
     pub fn induced_subgraph(&self, nodes: &[u32]) -> UnGraph {
         debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes not sorted");
         let mut local = vec![u32::MAX; self.n_nodes()];

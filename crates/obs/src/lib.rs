@@ -35,6 +35,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod metric;
 mod registry;
@@ -45,3 +46,38 @@ pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::MetricsRegistry;
 pub use snapshot::{GaugeValue, MetricsSnapshot, SpanSnapshot};
 pub use span::{Span, SpanStats};
+
+/// Declares a `metric_names` module: its metric-name constants plus an
+/// `ALL` slice listing every one of them, in declaration order. The slice
+/// is what lets a test compare a crate's whole name set with DESIGN.md
+/// §11, and since the macro writes the whole module, no constant can be
+/// declared in it and left out of the slice.
+///
+/// ```
+/// symclust_obs::metric_names! {
+///     /// Names the kernel records.
+///     pub mod metric_names {
+///         /// Kernel invocations.
+///         pub const CALLS: &str = "spgemm.calls";
+///         /// Output rows produced.
+///         pub const ROWS: &str = "spgemm.rows";
+///     }
+/// }
+/// assert_eq!(metric_names::ALL, ["spgemm.calls", "spgemm.rows"]);
+/// ```
+#[macro_export]
+macro_rules! metric_names {
+    (
+        $(#[$module_attr:meta])*
+        $vis:vis mod $module:ident {
+            $($(#[$attr:meta])* pub const $name:ident: &str = $value:literal;)*
+        }
+    ) => {
+        $(#[$module_attr])*
+        $vis mod $module {
+            $($(#[$attr])* pub const $name: &str = $value;)*
+            /// Every name declared in this module, in declaration order.
+            pub const ALL: &[&str] = &[$($name),*];
+        }
+    };
+}

@@ -191,9 +191,10 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Count in the overflow bucket.
+    /// Count in the overflow bucket; 0 for a snapshot built with no
+    /// buckets (the fields are public, so nothing guarantees one).
     pub fn overflow(&self) -> u64 {
-        *self.buckets.last().expect("histogram has buckets")
+        self.buckets.last().copied().unwrap_or(0)
     }
 }
 

@@ -1,7 +1,7 @@
 //! The global-free metrics registry.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::metric::{Counter, Gauge, Histogram};
 use crate::snapshot::{GaugeValue, MetricsSnapshot, SpanSnapshot};
@@ -27,6 +27,15 @@ pub struct MetricsRegistry {
     inner: Arc<Inner>,
 }
 
+/// Locks one of the registry's maps.
+#[expect(
+    clippy::unwrap_used,
+    reason = "metrics registry mutexes (every unwrap in this file is a lock); poisoning is fatal by design"
+)]
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap()
+}
+
 impl Default for MetricsRegistry {
     fn default() -> Self {
         Self::new()
@@ -36,10 +45,10 @@ impl Default for MetricsRegistry {
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsRegistry")
-            .field("counters", &self.inner.counters.lock().unwrap().len())
-            .field("gauges", &self.inner.gauges.lock().unwrap().len())
-            .field("histograms", &self.inner.histograms.lock().unwrap().len())
-            .field("spans", &self.inner.spans.lock().unwrap().len())
+            .field("counters", &lock(&self.inner.counters).len())
+            .field("gauges", &lock(&self.inner.gauges).len())
+            .field("histograms", &lock(&self.inner.histograms).len())
+            .field("spans", &lock(&self.inner.spans).len())
             .finish()
     }
 }
@@ -61,7 +70,7 @@ impl MetricsRegistry {
     /// use. The returned handle can be held and incremented without
     /// touching the registry again.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.inner.counters.lock().unwrap();
+        let mut map = lock(&self.inner.counters);
         match map.get(name) {
             Some(c) => Arc::clone(c),
             None => {
@@ -74,7 +83,7 @@ impl MetricsRegistry {
 
     /// Returns the gauge named `name`, creating it at zero on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.inner.gauges.lock().unwrap();
+        let mut map = lock(&self.inner.gauges);
         match map.get(name) {
             Some(g) => Arc::clone(g),
             None => {
@@ -90,7 +99,7 @@ impl MetricsRegistry {
     /// histogram already exists its original bounds are kept — callers
     /// are expected to agree on bounds per name.
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
-        let mut map = self.inner.histograms.lock().unwrap();
+        let mut map = lock(&self.inner.histograms);
         match map.get(name) {
             Some(h) => Arc::clone(h),
             None => {
@@ -111,7 +120,7 @@ impl MetricsRegistry {
     /// Records an already-measured duration under span `name` without the
     /// RAII guard (used when a duration is computed externally).
     pub fn observe_span_secs(&self, name: &str, secs: f64) {
-        let mut spans = self.inner.spans.lock().unwrap();
+        let mut spans = lock(&self.inner.spans);
         match spans.get_mut(name) {
             Some(stats) => stats.observe(secs),
             None => {
@@ -124,38 +133,22 @@ impl MetricsRegistry {
     /// what the engine serializes into the `metrics_snapshot` event and
     /// what `--metrics-out` writes.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
-            .inner
-            .counters
-            .lock()
-            .unwrap()
+        let counters = lock(&self.inner.counters)
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
-        let gauges = self
-            .inner
-            .gauges
-            .lock()
-            .unwrap()
+        let gauges = lock(&self.inner.gauges)
             .iter()
             .map(|(k, v)| GaugeValue {
                 name: k.clone(),
                 value: v.get(),
             })
             .collect();
-        let histograms = self
-            .inner
-            .histograms
-            .lock()
-            .unwrap()
+        let histograms = lock(&self.inner.histograms)
             .iter()
             .map(|(k, v)| v.snapshot_with_name(k))
             .collect();
-        let spans = self
-            .inner
-            .spans
-            .lock()
-            .unwrap()
+        let spans = lock(&self.inner.spans)
             .iter()
             .map(|(k, v)| SpanSnapshot {
                 name: k.clone(),

@@ -254,6 +254,25 @@ mod tests {
     }
 
     #[test]
+    fn a_caller_built_histogram_with_no_buckets_flattens() {
+        let s = MetricsSnapshot {
+            histograms: vec![HistogramSnapshot {
+                name: "h".into(),
+                bounds: Vec::new(),
+                buckets: Vec::new(),
+                count: 0,
+                sum: 0.0,
+            }],
+            ..MetricsSnapshot::default()
+        };
+        let flat = s.to_flat();
+        assert!(
+            flat.contains(&("hist.h.overflow".to_string(), 0.0)),
+            "{flat:?}"
+        );
+    }
+
+    #[test]
     fn empty_snapshot_renders_empty() {
         let s = MetricsSnapshot::default();
         assert_eq!(s.render_table(), "");

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 //! Sparse linear-algebra substrate for the `symclust` workspace.
 //!

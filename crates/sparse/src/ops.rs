@@ -187,6 +187,10 @@ pub fn add_diagonal(a: &CsrMatrix, value: f64) -> Result<CsrMatrix> {
 /// Normalizes each row to sum to 1, producing a row-stochastic transition
 /// matrix. Rows that sum to zero (dangling nodes) are left empty; callers
 /// that need dangling handling deal with it explicitly (see `pagerank`).
+#[expect(
+    clippy::expect_used,
+    reason = "row_sums is computed from the same matrix two lines above"
+)]
 pub fn row_normalize(a: &CsrMatrix) -> CsrMatrix {
     let mut out = a.clone();
     let sums = a.row_sums();

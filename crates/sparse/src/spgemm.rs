@@ -41,64 +41,66 @@ use crate::tuning::Tuning;
 use crate::Result;
 use symclust_obs::MetricsRegistry;
 
-/// Stable metric names recorded by the SpGEMM kernels (DESIGN.md §11).
-pub mod metric_names {
-    /// Kernel invocations (one per top-level SpGEMM call).
-    pub const CALLS: &str = "spgemm.calls";
-    /// Output rows produced.
-    pub const ROWS: &str = "spgemm.rows";
-    /// Exact multiply-add count performed. The SYRK kernels count only the
-    /// upper-triangle multiply-adds they actually perform — roughly half of
-    /// the general kernel's count for the same product.
-    pub const FLOPS: &str = "spgemm.flops";
-    /// Distinct accumulator entries touched before thresholding
-    /// (intermediate nnz).
-    pub const NNZ_INTERMEDIATE: &str = "spgemm.nnz_intermediate";
-    /// Entries emitted into the output (final nnz). For the SYRK kernels
-    /// this counts the upper-triangle entries the row pass emits; the
-    /// mirrored lower copies are tallied separately under
-    /// [`SYRK_MIRRORED_NNZ`].
-    pub const NNZ_FINAL: &str = "spgemm.nnz_final";
-    /// Accumulated entries not emitted (threshold, exact zero, or dropped
-    /// diagonal).
-    pub const THRESHOLD_DROPPED: &str = "spgemm.threshold_dropped";
-    /// Times the memory budget forced the degraded adaptive-threshold
-    /// path instead of an exact multiply.
-    pub const DEGRADED_FALLBACKS: &str = "spgemm.degraded_fallbacks";
-    /// Mid-run output compactions performed by the degraded path.
-    pub const BUDGET_COMPACTIONS: &str = "spgemm.budget_compactions";
-    /// Invocations of the symmetric `X·Xᵀ` (SYRK) kernel family. Each also
-    /// counts once under [`CALLS`].
-    pub const SYRK_CALLS: &str = "spgemm.syrk_calls";
-    /// Lower-triangle entries materialized by the SYRK mirror pass (the
-    /// multiply-adds the symmetric kernel *skipped*; full output nnz is
-    /// [`NNZ_FINAL`] + this).
-    pub const SYRK_MIRRORED_NNZ: &str = "spgemm.syrk_mirrored_nnz";
-    /// Span: the row pass that accumulates and emits every output row —
-    /// in memory, by panels or degraded (one observation per product).
-    pub const ROW_PASS_SPAN: &str = "spgemm.row_pass";
-    /// Span: the SYRK mirror pass that fills the lower triangle in place
-    /// (one observation per SYRK product; none for a general product).
-    pub const MIRROR_SPAN: &str = "spgemm.mirror";
-    /// Row blocks executed by a worker other than their initial owner
-    /// under the work-stealing scheduler. Scheduling-dependent: varies
-    /// with thread count and machine load (not pinned by golden counts),
-    /// but a persistently high ratio versus total blocks on a skewed graph
-    /// is the load-balancing at work.
-    pub const SCHED_STEALS: &str = "spgemm.sched_steals";
-    /// Panel-pair tiles executed by the out-of-core panel path (0 when the
-    /// in-memory path ran). A function of the matrix shape and the
-    /// configured panel size only, so deterministic and pinned.
-    pub const PANELS: &str = "spgemm.panels";
-    /// Tiles whose partial products were spilled to scratch files under
-    /// the panel byte budget. The spill plan is decided from a
-    /// structure-only estimate *before* execution (see [`crate::panel`]),
-    /// so the count never depends on scheduling or thread count.
-    pub const PANEL_SPILLS: &str = "spgemm.panel_spills";
-    /// Bytes written to spill files: 12 bytes (`u32` column + `f64` value)
-    /// per spilled intermediate entry. Deterministic for a fixed input,
-    /// panel size and budget.
-    pub const SPILL_BYTES: &str = "spgemm.spill_bytes";
+symclust_obs::metric_names! {
+    /// Stable metric names recorded by the SpGEMM kernels (DESIGN.md §11).
+    pub mod metric_names {
+        /// Kernel invocations (one per top-level SpGEMM call).
+        pub const CALLS: &str = "spgemm.calls";
+        /// Output rows produced.
+        pub const ROWS: &str = "spgemm.rows";
+        /// Exact multiply-add count performed. The SYRK kernels count only the
+        /// upper-triangle multiply-adds they actually perform — roughly half of
+        /// the general kernel's count for the same product.
+        pub const FLOPS: &str = "spgemm.flops";
+        /// Distinct accumulator entries touched before thresholding
+        /// (intermediate nnz).
+        pub const NNZ_INTERMEDIATE: &str = "spgemm.nnz_intermediate";
+        /// Entries emitted into the output (final nnz). For the SYRK kernels
+        /// this counts the upper-triangle entries the row pass emits; the
+        /// mirrored lower copies are tallied separately under
+        /// [`SYRK_MIRRORED_NNZ`].
+        pub const NNZ_FINAL: &str = "spgemm.nnz_final";
+        /// Accumulated entries not emitted (threshold, exact zero, or dropped
+        /// diagonal).
+        pub const THRESHOLD_DROPPED: &str = "spgemm.threshold_dropped";
+        /// Times the memory budget forced the degraded adaptive-threshold
+        /// path instead of an exact multiply.
+        pub const DEGRADED_FALLBACKS: &str = "spgemm.degraded_fallbacks";
+        /// Mid-run output compactions performed by the degraded path.
+        pub const BUDGET_COMPACTIONS: &str = "spgemm.budget_compactions";
+        /// Invocations of the symmetric `X·Xᵀ` (SYRK) kernel family. Each also
+        /// counts once under [`CALLS`].
+        pub const SYRK_CALLS: &str = "spgemm.syrk_calls";
+        /// Lower-triangle entries materialized by the SYRK mirror pass (the
+        /// multiply-adds the symmetric kernel *skipped*; full output nnz is
+        /// [`NNZ_FINAL`] + this).
+        pub const SYRK_MIRRORED_NNZ: &str = "spgemm.syrk_mirrored_nnz";
+        /// Span: the row pass that accumulates and emits every output row —
+        /// in memory, by panels or degraded (one observation per product).
+        pub const ROW_PASS_SPAN: &str = "spgemm.row_pass";
+        /// Span: the SYRK mirror pass that fills the lower triangle in place
+        /// (one observation per SYRK product; none for a general product).
+        pub const MIRROR_SPAN: &str = "spgemm.mirror";
+        /// Row blocks executed by a worker other than their initial owner
+        /// under the work-stealing scheduler. Scheduling-dependent: varies
+        /// with thread count and machine load (not pinned by golden counts),
+        /// but a persistently high ratio versus total blocks on a skewed graph
+        /// is the load-balancing at work.
+        pub const SCHED_STEALS: &str = "spgemm.sched_steals";
+        /// Panel-pair tiles executed by the out-of-core panel path (0 when the
+        /// in-memory path ran). A function of the matrix shape and the
+        /// configured panel size only, so deterministic and pinned.
+        pub const PANELS: &str = "spgemm.panels";
+        /// Tiles whose partial products were spilled to scratch files under
+        /// the panel byte budget. The spill plan is decided from a
+        /// structure-only estimate *before* execution (see [`crate::panel`]),
+        /// so the count never depends on scheduling or thread count.
+        pub const PANEL_SPILLS: &str = "spgemm.panel_spills";
+        /// Bytes written to spill files: 12 bytes (`u32` column + `f64` value)
+        /// per spilled intermediate entry. Deterministic for a fixed input,
+        /// panel size and budget.
+        pub const SPILL_BYTES: &str = "spgemm.spill_bytes";
+    }
 }
 
 /// Work counts accumulated in plain locals during a kernel run and
@@ -649,6 +651,20 @@ where
     Ok((out, live_opts.threshold))
 }
 
+/// Rejects a product threshold that is NaN, infinite or negative: no
+/// entry passes a NaN or infinite one, and a negative one means zero.
+/// Every product checks its threshold here, and a front end that takes a
+/// threshold from its user checks it here before any work starts.
+pub fn check_threshold(threshold: f64) -> Result<()> {
+    if threshold.is_finite() && threshold >= 0.0 {
+        Ok(())
+    } else {
+        Err(SparseError::InvalidArgument(format!(
+            "spgemm threshold must be finite and non-negative, got {threshold}"
+        )))
+    }
+}
+
 /// The funnel under both entry points: sums the per-row Gustavson bound
 /// (`row_width`), and runs `body` through the degraded loop when the bound
 /// exceeds [`SpgemmOptions::nnz_budget`], through the panel driver when
@@ -663,8 +679,7 @@ where
 /// row pass is timed under the `spgemm.row_pass` span, the mirror under
 /// `spgemm.mirror`.
 ///
-/// A threshold that is NaN, infinite or negative is an error: no entry
-/// passes a NaN or infinite one, and a negative one means zero.
+/// The threshold is held to [`check_threshold`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<S, N, B>(
     n_rows: usize,
@@ -682,12 +697,7 @@ where
     B: Fn(usize, ColRange, &mut S, &SpgemmOptions, &mut Vec<u32>, &mut Vec<f64>, &mut SpgemmCounts)
         + Sync,
 {
-    if !(opts.threshold.is_finite() && opts.threshold >= 0.0) {
-        return Err(SparseError::InvalidArgument(format!(
-            "spgemm threshold must be finite and non-negative, got {}",
-            opts.threshold
-        )));
-    }
+    check_threshold(opts.threshold)?;
     let estimated_nnz: usize = (0..n_rows).map(&row_width).sum();
     let over_budget = match opts.nnz_budget {
         Some(0) => {

@@ -1,7 +1,8 @@
 //! Mediated scratch-file I/O for the out-of-core panel SpGEMM path.
 //!
 //! This is the *only* module in the sparse crate allowed to touch the
-//! filesystem (enforced by the `sparse-spillfs` lint in `crates/check`).
+//! filesystem (enforced by clippy's `disallowed-methods` /
+//! `disallowed-types` in `crates/sparse/clippy.toml`).
 //! Kernels never open files themselves: the panel runner decides — from the
 //! deterministic spill plan — which tiles go to disk and calls into this
 //! module to write and read them.
@@ -16,6 +17,12 @@
 //! `12 × nnz(tile)` bytes — this is also the byte count reported by the
 //! `spgemm.spill_bytes` counter. Values round-trip through `f64::to_bits`
 //! so the merge is bit-identical to the in-memory path.
+
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the spill module is the single scratch-I/O mediation point; raw calls live only here"
+)]
 
 use std::fs;
 use std::io::{BufReader, BufWriter, Read, Write};

@@ -12,6 +12,11 @@
 //! Inputs come from the same hand-rolled 64-bit LCG as the other sparse
 //! property tests so every run exercises byte-for-byte the same matrices.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the test makes, inspects and removes its own spill directories"
+)]
+
 use symclust_obs::MetricsRegistry;
 use symclust_sparse::ops::transpose;
 use symclust_sparse::spgemm::metric_names;

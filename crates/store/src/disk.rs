@@ -42,7 +42,7 @@
 //! dropped.
 //!
 //! Every filesystem call goes through the [`crate::faultfs`] shim (the
-//! `store-faultfs` lint enforces it), so the chaos harness can inject
+//! crate's `clippy.toml` bans raw `std::fs`), so the chaos harness can inject
 //! schedule-deterministic crashes and errors under any of these syscalls.
 //! One injected regime gets first-class handling: a put that fails with
 //! `ENOSPC` flips the store into **degraded mode** — publication is

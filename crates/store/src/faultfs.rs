@@ -18,9 +18,16 @@
 //! use. A malformed spec aborts the process loudly — a chaos run that
 //! silently injected nothing would be worse than one that failed.
 //!
-//! `symclust-check` enforces (rule `store-faultfs`) that no other file in
-//! `crates/store` touches `std::fs` directly, so a fault schedule really
-//! does see *every* filesystem operation the store performs.
+//! Clippy enforces (`disallowed-methods` / `disallowed-types` in
+//! `crates/store/clippy.toml`) that no other file in `crates/store`
+//! touches `std::fs` directly, so a fault schedule really does see *every*
+//! filesystem operation the store performs.
+
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the FaultFs shim is the single mediation point; raw calls live only here"
+)]
 
 use std::fs;
 use std::io::{self, Write as _};

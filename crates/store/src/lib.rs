@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 //! symclust-store: a disk-backed, content-addressed artifact store.
 //!
@@ -33,33 +35,35 @@ pub use tiered::{
     cluster_cached, cluster_key, symmetrize_cached, symmetrize_key, Cached, Tier, TieredCache,
 };
 
-/// Metric names recorded by the store (documented in DESIGN.md §11).
-pub mod metric_names {
-    /// Counter: loads served from an intact on-disk blob.
-    pub const STORE_HITS: &str = "store.hits";
-    /// Counter: loads that found no blob (or a quarantined one).
-    pub const STORE_MISSES: &str = "store.misses";
-    /// Counter: blobs published (atomic write-then-rename completed).
-    pub const STORE_PUTS: &str = "store.puts";
-    /// Counter: blobs deleted by the LRU size-budget sweep.
-    pub const STORE_EVICTIONS: &str = "store.evictions";
-    /// Counter: blobs that failed checksum/validator checks on load and
-    /// were moved to the quarantine directory.
-    pub const STORE_QUARANTINED: &str = "store.quarantined";
-    /// Counter: publish attempts that failed at the filesystem layer
-    /// (the computed artifact is still returned to the caller).
-    pub const STORE_PUT_ERRORS: &str = "store.put_errors";
-    /// Counter: failed attempts to persist the `stats.json` sidecar
-    /// (write or rename error; the in-memory counters stay authoritative).
-    pub const STORE_STATS_PERSIST_ERRORS: &str = "store.stats_persist_errors";
-    /// Counter: artifacts that entered a [`TieredCache`](crate::TieredCache)'s
-    /// memory tier (fresh compute or promoted disk blob), each paying for
-    /// its content summary once. Named for the daemon whose responses the
-    /// summary renders; a hit never moves it.
-    pub const SUMMARIES_COMPUTED: &str = "serve.summaries_computed";
-    /// Gauge: total bytes of published blobs currently on disk.
-    pub const STORE_BYTES: &str = "store.bytes";
-    /// Gauge: 1 while the store is in `ENOSPC` degraded mode (publication
-    /// suspended, hits still served), 0 otherwise.
-    pub const STORE_DEGRADED: &str = "store.degraded";
+symclust_obs::metric_names! {
+    /// Metric names recorded by the store (documented in DESIGN.md §11).
+    pub mod metric_names {
+        /// Counter: loads served from an intact on-disk blob.
+        pub const STORE_HITS: &str = "store.hits";
+        /// Counter: loads that found no blob (or a quarantined one).
+        pub const STORE_MISSES: &str = "store.misses";
+        /// Counter: blobs published (atomic write-then-rename completed).
+        pub const STORE_PUTS: &str = "store.puts";
+        /// Counter: blobs deleted by the LRU size-budget sweep.
+        pub const STORE_EVICTIONS: &str = "store.evictions";
+        /// Counter: blobs that failed checksum/validator checks on load and
+        /// were moved to the quarantine directory.
+        pub const STORE_QUARANTINED: &str = "store.quarantined";
+        /// Counter: publish attempts that failed at the filesystem layer
+        /// (the computed artifact is still returned to the caller).
+        pub const STORE_PUT_ERRORS: &str = "store.put_errors";
+        /// Counter: failed attempts to persist the `stats.json` sidecar
+        /// (write or rename error; the in-memory counters stay authoritative).
+        pub const STORE_STATS_PERSIST_ERRORS: &str = "store.stats_persist_errors";
+        /// Counter: artifacts that entered a [`TieredCache`](crate::TieredCache)'s
+        /// memory tier (fresh compute or promoted disk blob), each paying for
+        /// its content summary once. Named for the daemon whose responses the
+        /// summary renders; a hit never moves it.
+        pub const SUMMARIES_COMPUTED: &str = "serve.summaries_computed";
+        /// Gauge: total bytes of published blobs currently on disk.
+        pub const STORE_BYTES: &str = "store.bytes";
+        /// Gauge: 1 while the store is in `ENOSPC` degraded mode (publication
+        /// suspended, hits still served), 0 otherwise.
+        pub const STORE_DEGRADED: &str = "store.degraded";
+    }
 }

@@ -44,11 +44,19 @@ stage_loc() {
     "$(loc_non_test_matching '^[[:space:]]*pub (fn|struct|enum|trait) ' crates/*/src src)"
 }
 stage_fmt() { cargo fmt --all -- --check; }
-stage_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }
-# Repo-invariant lint rules + the exhaustive scheduler and serve-lifecycle
-# model checks (DESIGN.md §13, §18). Runs first among the heavy stages: it
-# needs only the dependency-free symclust-check crate, so contract
-# violations fail fast.
+# Clippy also holds the workspace contracts a lint can state (DESIGN.md
+# §13): no unwrap/expect in library code, no raw std::fs in the store and
+# sparse crates. It sees only compiled cfgs, so it runs a second time with
+# the fault injector (store::faultfs, engine::faultpoint) compiled in.
+stage_clippy() {
+  cargo clippy --workspace --all-targets -- -D warnings
+  cargo clippy --workspace --all-targets --features fault-injection -- -D warnings
+}
+# The three repo-invariant lint rules no compiler lint can state (kernel
+# cancel tokens, cache-key purity, the Relaxed-ordering audit) + the
+# exhaustive scheduler and serve-lifecycle model checks (DESIGN.md §13,
+# §18). Runs first among the heavy stages: it needs only the
+# dependency-free symclust-check crate, so contract violations fail fast.
 stage_check() {
   cargo run -q -p symclust-check -- lint
   cargo run -q -p symclust-check -- sched-model
